@@ -4,7 +4,7 @@ piecewise-linear lower profiles, exact Newton polygons, and the closed-form
 slope-dimension bound m*alpha^s + n, all over arbitrary-precision rationals.
 """
 
-from .bernoulli import RationalPolynomial, bernoulli_poly, eval_poly, faulhaber_sum, power_sum
+from .bernoulli import RationalPolynomial, bernoulli_poly, faulhaber_sum, power_sum
 from .bounds import (
     BoundParams,
     build_params,
@@ -62,7 +62,6 @@ __all__ = [
     "count_nh_bruteforce",
     "dimension_bound",
     "draw_b_seq",
-    "eval_poly",
     "f_infinity",
     "f_infinity_star",
     "f_r",

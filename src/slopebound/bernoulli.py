@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = ["RationalPolynomial", "bernoulli_poly", "eval_poly", "faulhaber_sum", "power_sum"]
+__all__ = ["RationalPolynomial", "bernoulli_poly", "faulhaber_sum", "power_sum"]
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,21 @@ def bernoulli_poly(s: int) -> RationalPolynomial:
         raise ValueError("s must be non-negative")
     if s == 0:
         return RationalPolynomial((Fraction(1),))
-    prev = bernoulli_poly(s - 1).coefficients
+    # Each degree is built from the one below it, so the cache always holds
+    # exactly the degrees 0..currsize-1. Filling the gap bottom-up keeps the
+    # call depth at two, however large s is.
+    for k in range(_bernoulli_memo.cache_info().currsize, s):
+        _bernoulli_memo(k)
+    prev = _bernoulli_memo(s - 1).coefficients
     # integrate s * B_{s-1}; the constant makes the [0, 1] integral vanish
     body = [Fraction(0)] + [Fraction(s) * c / (k + 1) for k, c in enumerate(prev)]
     c0 = -sum(c / (k + 1) for k, c in enumerate(body))
     return RationalPolynomial(tuple([body[0] + c0] + body[1:]))
 
 
-def eval_poly(poly: RationalPolynomial, x: Fraction | int) -> Fraction:
-    """Exact evaluation of a rational polynomial."""
-    return poly.evaluate(x)
+# The cache object itself, kept apart from the public name, which a profiler
+# may rebind to a wrapper that lacks cache_info.
+_bernoulli_memo = bernoulli_poly
 
 
 def faulhaber_sum(s: int, j: int) -> Fraction:

@@ -4,7 +4,7 @@ Subcommands: roots, count-nh, divisors, bernoulli, plf, newton, bound,
 verify. All numbers are printed as exact fractions "num/den" (or plain
 integers); --json switches to machine-readable output with the same exact
 values. Exit codes: 0 success / assertions hold, 1 assertion failure,
-2 usage error.
+2 usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .bernoulli import bernoulli_poly
 from .bounds import build_params, dimension_bound, infimum_dimension_bound, sharp_dimension_bound
 from .counting import ElemDivSeq, count_nh, truncation_divisors
 from .harness import draw_b_seq, gen_instance, verify_chain, verify_corollary
-from .newton import IntegerMatrix, char_poly, check_lower_bound, newton_polygon, slope_le_dimension
+from .newton import IntegerMatrix, char_poly, newton_polygon, slope_le_dimension
 from .plf import PiecewiseLinear, f_infinity, f_infinity_star, f_r
 from .rootsystems import InvalidType, build_root_system, parse_label
 
@@ -129,10 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value: Fraction) -> str:
-    return str(value)
-
-
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload))
@@ -173,18 +169,18 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     poly = bernoulli_poly(args.s)
     if args.eval is not None:
         value = poly(args.eval)
-        _emit(args, {"s": args.s, "x": _fmt(args.eval), "value": _fmt(value)},
-              f"B_{args.s}({_fmt(args.eval)}) = {_fmt(value)}")
+        _emit(args, {"s": args.s, "x": str(args.eval), "value": str(value)},
+              f"B_{args.s}({args.eval}) = {value}")
     else:
-        coeffs = [_fmt(c) for c in poly.coefficients]
+        coeffs = [str(c) for c in poly.coefficients]
         _emit(args, {"s": args.s, "coefficients": coeffs},
               f"B_{args.s} coefficients (constant first): {' '.join(coeffs)}")
     return 0
 
 
 def _plf_text(fn: PiecewiseLinear) -> str:
-    pts = " ".join(f"({_fmt(x)},{_fmt(y)})" for x, y in fn.breakpoints)
-    ray = "none" if fn.final_slope is None else _fmt(fn.final_slope)
+    pts = " ".join(f"({x},{y})" for x, y in fn.breakpoints)
+    ray = "none" if fn.final_slope is None else str(fn.final_slope)
     return f"breakpoints: {pts} final_slope: {ray}"
 
 
@@ -224,24 +220,24 @@ def _cmd_newton(args: argparse.Namespace) -> int:
         "finite_length": poly.finite_length,
         "infinite_slopes": poly.infinite_slopes,
         "polygon": poly.polygon.to_json_dict(),
-        "slopes": [[_fmt(slope), length] for slope, length in poly.slopes()],
+        "slopes": [[str(slope), length] for slope, length in poly.slopes()],
     }
     lines = [
         f"char_poly: {' '.join(str(c) for c in coeffs)}",
         f"finite_length={poly.finite_length} infinite_slopes={poly.infinite_slopes}",
-        "slopes: " + " ".join(f"{_fmt(sl)}x{ln}" for sl, ln in poly.slopes()),
+        "slopes: " + " ".join(f"{sl}x{ln}" for sl, ln in poly.slopes()),
         _plf_text(poly.polygon),
     ]
     exit_code = 0
     if args.alpha is not None:
         dim = slope_le_dimension(poly, args.alpha)
-        payload["alpha"] = _fmt(args.alpha)
+        payload["alpha"] = str(args.alpha)
         payload["slope_le_dimension"] = dim
-        lines.append(f"slope_le_dimension(alpha={_fmt(args.alpha)}) = {dim}")
+        lines.append(f"slope_le_dimension(alpha={args.alpha}) = {dim}")
     if args.bound is not None:
         with open(args.bound, encoding="utf-8") as fh:
             bound = PiecewiseLinear.from_json_dict(json.load(fh))
-        holds = check_lower_bound(matrix, args.p, bound)
+        holds = poly.dominates(bound)
         payload["bound_holds"] = holds
         lines.append(f"bound_holds={str(holds).lower()}")
         if not holds:
@@ -258,14 +254,14 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     sharp = sharp_dimension_bound(params, args.alpha) if args.alpha >= params.M else None
     payload = {
         "label": system.label, "s": params.s, "g": params.g, "M": params.M,
-        "m": _fmt(params.m), "n": _fmt(params.n), "c_pow_s": _fmt(params.c_pow_s),
-        "alpha": _fmt(args.alpha), "bound": _fmt(bound), "infimum": _fmt(infimum),
-        "sharp": None if sharp is None else _fmt(sharp),
+        "m": str(params.m), "n": str(params.n), "c_pow_s": str(params.c_pow_s),
+        "alpha": str(args.alpha), "bound": str(bound), "infimum": str(infimum),
+        "sharp": None if sharp is None else str(sharp),
     }
-    text = (f"s={params.s} M={params.M} m={_fmt(params.m)} n={_fmt(params.n)} "
-            f"alpha={_fmt(args.alpha)} bound={_fmt(bound)} infimum={_fmt(infimum)}")
+    text = (f"s={params.s} M={params.M} m={params.m} n={params.n} "
+            f"alpha={args.alpha} bound={bound} infimum={infimum}")
     if sharp is not None:
-        text += f" sharp={_fmt(sharp)}"
+        text += f" sharp={sharp}"
     _emit(args, payload, text)
     return 0
 
@@ -302,8 +298,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "seed": trial_seed,
                 "b": list(b_seq.exponents),
                 "dimension": report.dimension,
-                "bound": _fmt(report.bound),
-                "sharp_bound": None if report.sharp_bound is None else _fmt(report.sharp_bound),
+                "bound": str(report.bound),
+                "sharp_bound": None if report.sharp_bound is None else str(report.sharp_bound),
                 "ok": report.holds,
             }
         trials.append(record)
@@ -352,6 +348,10 @@ def run(argv: list[str]) -> int:
     except (CliUsageError, InvalidType, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a defect, not a failed assertion (1) or bad input (2)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -43,12 +43,11 @@ class CountTable:
 class ElemDivSeq:
     """Non-increasing sequence of positive prime-power exponents.
 
-    The empty sequence is the trivial group. The prime is optional: the
-    exponent multiset is meaningful independently of which prime it refers to.
+    The empty sequence is the trivial group. The exponent multiset is
+    meaningful independently of which prime it refers to.
     """
 
     exponents: tuple[int, ...]
-    prime: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "exponents", tuple(self.exponents))

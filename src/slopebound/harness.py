@@ -18,7 +18,7 @@ import numpy as np
 from .bernoulli import faulhaber_sum
 from .bounds import BoundParams, build_params, dimension_bound, sharp_dimension_bound
 from .counting import ElemDivSeq, truncation_divisors
-from .newton import IntegerMatrix, NewtonPolygon, char_poly, check_lower_bound, newton_polygon, slope_le_dimension
+from .newton import IntegerMatrix, NewtonPolygon, char_poly, newton_polygon, slope_le_dimension
 from .plf import PiecewiseLinear, f_infinity, f_r, from_divisor_sequence
 from .rootsystems import RootSystem
 
@@ -187,12 +187,13 @@ def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
     ramp = f_r(s, g, inst.r)
     window = g * faulhaber_sum(s, inst.r + 1)
     limit = f_infinity(s, g, inst.r)
+    polygon = newton_polygon(char_poly(inst.matrix), inst.p)
     return ChainReport(
-        newton_ge_fb=check_lower_bound(inst.matrix, inst.p, f_b),
+        newton_ge_fb=polygon.dominates(f_b),
         fb_ge_fa=f_b.dominates(f_a, inst.t),
         fa_ge_fr=f_a.dominates(ramp, inst.t),
         fr_eq_finf_on_window=ramp.agrees_with(limit, window),
-        polygon=newton_polygon(char_poly(inst.matrix), inst.p),
+        polygon=polygon,
         f_b=f_b,
         f_a=f_a,
         f_r=ramp,

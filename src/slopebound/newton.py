@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .plf import DomainTooShort, PiecewiseLinear
 
@@ -75,36 +76,49 @@ class NewtonPolygon:
             ((y1 - y0) / (x1 - x0), int(x1 - x0)) for (x0, y0), (x1, y1) in zip(pts, pts[1:])
         )
 
+    def dominates(self, bound: PiecewiseLinear) -> bool:
+        """Whether the polygon lies on or above `bound`.
 
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        The bound must be defined on [0, t]; dominance is decided on the finite
+        part [0, finite_length], the infinite-slope columns dominating trivially.
+        """
+        t = self.finite_length + self.infinite_slopes
+        if not bound.defined_on(t):
+            raise DomainTooShort(f"bound only defined up to {bound.domain_end}, need {t}")
+        return self.polygon.dominates(bound, self.finite_length)
 
 
 def char_poly(matrix: IntegerMatrix) -> list[int]:
     """Coefficients [1, c_1, ..., c_t] of det(X*I - M) = sum c_i X^(t-i).
 
-    Faddeev-LeVerrier over the integers; every division is exact, which is
-    asserted. Results are memoized on the (immutable) matrix.
+    Division-free Berkowitz over the integers. Results are memoized on the
+    (immutable) matrix for the few most recent matrices.
     """
     return list(_char_poly_cached(matrix))
 
 
-@lru_cache(maxsize=256)
+# Callers reuse a polynomial only right after computing it (once per alpha
+# in verify_corollary), so a small memo suffices; a large one keeps big
+# matrices and their coefficients alive for nothing.
+@lru_cache(maxsize=8)
 def _char_poly_cached(matrix: IntegerMatrix) -> tuple[int, ...]:
-    n = matrix.t
-    a = [list(row) for row in matrix.entries]
+    a = matrix.entries
     coeffs = [1]
-    work = [row[:] for row in a]
-    for k in range(1, n + 1):
-        trace = sum(work[i][i] for i in range(n))
-        c, rem = divmod(-trace, k)
-        assert rem == 0, "trace must be divisible in the fraction-free recurrence"
-        coeffs.append(c)
-        if k < n:
-            for i in range(n):
-                work[i][i] += c
-            work = _matmul(a, work)
+    for k in range(len(a)):
+        # Leading (k+1)-block = [[A, col], [row, d]]: its polynomial is the
+        # Toeplitz product of q = (1, -d, -row.col, -row.A.col, ...,
+        # -row.A^(k-1).col) with the polynomial of A.
+        block = [r[:k] for r in a[:k]]
+        row = a[k][:k]
+        vec = [r[k] for r in a[:k]]
+        q = [1, -a[k][k]]
+        for j in range(k):
+            if j:
+                vec = [sum(map(mul, r, vec)) for r in block]
+            q.append(-sum(map(mul, row, vec)))
+        coeffs = [
+            sum(q[i - j] * coeffs[j] for j in range(min(i, k) + 1)) for i in range(k + 2)
+        ]
     return tuple(coeffs)
 
 
@@ -174,12 +188,5 @@ def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:
 
 
 def check_lower_bound(matrix: IntegerMatrix, p: int, bound: PiecewiseLinear) -> bool:
-    """Whether the Newton polygon of the matrix at p dominates `bound`.
-
-    The bound must be defined on [0, t]; dominance is decided on the finite
-    part [0, finite_length], the infinite-slope columns dominating trivially.
-    """
-    np_ = newton_polygon(char_poly(matrix), p)
-    if not bound.defined_on(matrix.t):
-        raise DomainTooShort(f"bound only defined up to {bound.domain_end}, need {matrix.t}")
-    return np_.polygon.dominates(bound, np_.finite_length)
+    """Whether the Newton polygon of the matrix at p dominates `bound` on [0, t]."""
+    return newton_polygon(char_poly(matrix), p).dominates(bound)

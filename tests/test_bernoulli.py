@@ -1,10 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopebound.bernoulli import RationalPolynomial, bernoulli_poly, eval_poly, faulhaber_sum, power_sum
+from slopebound.bernoulli import RationalPolynomial, bernoulli_poly, faulhaber_sum, power_sum
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
@@ -28,10 +29,26 @@ def test_endpoint_symmetry(n):
     assert poly(1) == poly(0)
 
 
-def test_eval_poly():
-    assert eval_poly(bernoulli_poly(2), 0) == Fraction(1, 6)
-    assert eval_poly(RationalPolynomial(()), Fraction(7, 3)) == 0
-    assert eval_poly(bernoulli_poly(1), Fraction(1, 2)) == 0
+def test_evaluate():
+    assert bernoulli_poly(2).evaluate(0) == Fraction(1, 6)
+    assert RationalPolynomial(()).evaluate(Fraction(7, 3)) == 0
+    assert bernoulli_poly(1).evaluate(Fraction(1, 2)) == 0
+
+
+def test_high_degree_needs_no_deep_recursion():
+    bernoulli_poly.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        poly = bernoulli_poly(300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert poly.degree == 300
+    assert poly(1) == poly(0)
+    # the next degree is one step from the cached one, not a rebuild
+    misses = bernoulli_poly.cache_info().misses
+    assert bernoulli_poly(301).degree == 301
+    assert bernoulli_poly.cache_info().misses == misses + 1
 
 
 def test_faulhaber_frozen_values():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from slopebound import cli
 from slopebound.cli import run
 from slopebound.plf import PiecewiseLinear, f_infinity, f_infinity_star, f_r
 
@@ -34,6 +35,17 @@ def test_invalid_type_is_usage_error(capsys):
 def test_unknown_flag_rejected(capsys):
     code, _, _ = invoke(capsys, "roots", "A2", "--frobnicate")
     assert code == 2
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "roots", broken)
+    code, out, err = invoke(capsys, "roots", "A2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_count_nh(capsys):
@@ -114,6 +126,17 @@ def test_newton_bound_failure_exit_code(tmp_path, capsys):
     code, out, _ = invoke(capsys, "newton", "--p", "2", "--matrix", str(matrix), "--bound", str(bound))
     assert code == 1
     assert "bound_holds=false" in out
+
+
+def test_newton_bound_too_short_is_usage_error(tmp_path, capsys):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2\n1 0\n0 1\n")
+    bound = tmp_path / "bound.json"
+    short = PiecewiseLinear(breakpoints=((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))))
+    bound.write_text(json.dumps(short.to_json_dict()))
+    code, _, err = invoke(capsys, "newton", "--p", "2", "--matrix", str(matrix), "--bound", str(bound))
+    assert code == 2
+    assert "bound only defined up to 1, need 2" in err
 
 
 def test_newton_bad_matrix_file(tmp_path, capsys):

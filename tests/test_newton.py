@@ -2,10 +2,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopebound.counting import ElemDivSeq
+from slopebound.harness import gen_instance
 from slopebound.newton import (
     IntegerMatrix,
     NotMonic,
@@ -34,6 +36,67 @@ def charpoly_by_eigen_expansion(diag):
         for i in range(len(coeffs) - 1, 0, -1):
             coeffs[i] -= d * coeffs[i - 1]
     return coeffs
+
+
+def charpoly_faddeev_leverrier(rows):
+    """Reference: Faddeev-LeVerrier over the integers, every division checked exact."""
+    n = len(rows)
+    coeffs = [1]
+    work = [list(row) for row in rows]
+    for k in range(1, n + 1):
+        c, rem = divmod(-sum(work[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError(f"trace not divisible by {k} in Faddeev-LeVerrier")
+        coeffs.append(c)
+        if k < n:
+            for i in range(n):
+                work[i][i] += c
+            work = [[sum(rows[i][l] * work[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def charpoly_sympy(rows):
+    return [int(c) for c in sympy.Matrix(rows).charpoly(sympy.Symbol("x")).all_coeffs()]
+
+
+@st.composite
+def shaped_matrices(draw, kind):
+    """t x t integer matrices, t <= 10, of the given kind."""
+    t = draw(st.integers(min_value=1, max_value=10))
+    rows = draw(st.lists(
+        st.lists(st.integers(min_value=-30, max_value=30), min_size=t, max_size=t),
+        min_size=t, max_size=t,
+    ))
+    if kind == "zero":
+        rows = [[0] * t for _ in range(t)]
+    elif kind == "singular":  # last row is the sum of the others
+        rows[-1] = [sum(col) for col in zip(*rows[:-1])] if t > 1 else [0]
+    elif kind == "nilpotent":  # strictly upper triangular
+        rows = [[e if j > i else 0 for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    elif kind == "scaled":  # column l times p^k_l, as gen_instance scales them
+        p = draw(st.sampled_from([2, 3, 5]))
+        ks = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=t, max_size=t))
+        rows = [[e * p ** k for e, k in zip(row, ks)] for row in rows]
+    return rows
+
+
+class TestCharPolyOracles:
+    @pytest.mark.parametrize("kind", ["random", "zero", "singular", "nilpotent", "scaled"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_faddeev_leverrier_and_sympy(self, kind, data):
+        rows = data.draw(shaped_matrices(kind))
+        coeffs = char_poly(IntegerMatrix(tuple(tuple(r) for r in rows)))
+        assert coeffs == charpoly_faddeev_leverrier(rows)
+        assert coeffs == charpoly_sympy(rows)
+        if kind in ("zero", "nilpotent"):
+            assert coeffs == [1] + [0] * len(rows)
+        elif kind == "singular":
+            assert coeffs[-1] == 0
+
+    def test_generated_instance_at_t24(self):
+        inst = gen_instance(5, p=2, t=24, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50)
+        assert char_poly(inst.matrix) == charpoly_faddeev_leverrier(inst.matrix.entries)
 
 
 class TestCharPoly:
