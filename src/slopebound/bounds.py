@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bernoulli import RationalPolynomial, bernoulli_poly
 from .plf import OutOfDomain
@@ -76,8 +77,9 @@ def compute_M(s: int) -> int:
     return math.ceil(max(th_upper, th_lower))
 
 
+@lru_cache(maxsize=16)
 def build_params(s: int, g: int) -> BoundParams:
-    """All derived constants for (s, g)."""
+    """All derived constants for (s, g); memoized, as BoundParams is immutable."""
     if s < 1 or g < 1:
         raise ValueError("s and g must be positive")
     M = compute_M(s)

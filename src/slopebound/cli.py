@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .bernoulli import bernoulli_poly
@@ -336,6 +337,24 @@ _HANDLERS = {
 }
 
 
+@contextmanager
+def _no_int_digit_limit():
+    """Lift CPython's int/str digit limit for one invocation, then restore it.
+
+    bound --type E8 prints an n of about 13k digits, past the default limit
+    of 4300; builds before 3.10.7 have neither the limit nor its setter.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def run(argv: list[str]) -> int:
     """Dispatch one invocation; returns the process exit code."""
     parser = _build_parser()
@@ -344,7 +363,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        with _no_int_digit_limit():
+            return _HANDLERS[args.command](args)
     except (CliUsageError, InvalidType, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

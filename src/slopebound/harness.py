@@ -1,7 +1,8 @@
 """Synthetic operators satisfying the column-divisibility hypothesis, and
 end-to-end verification of the dominance chain and the dimension bound.
 
-Matrix entries come from numpy's PCG64 seeded generator, so identical seeds
+Matrix entries come from a pure-Python port of numpy's PCG64 generator
+(``_pcg64``), bit-identical to numpy's for every seed, so identical seeds
 reproduce identical instances bit for bit. Column l of a generated matrix is
 divisible by p^(r - b_l) (b padded with zeros), which realizes the sublattice
 hypothesis in the basis where it is diagonal; Newton polygons only depend on
@@ -12,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
-import numpy as np
-
+from ._pcg64 import PCG64
 from .bernoulli import faulhaber_sum
 from .bounds import BoundParams, build_params, dimension_bound, sharp_dimension_bound
 from .counting import ElemDivSeq, truncation_divisors
@@ -67,11 +69,10 @@ def gen_instance(seed: int, p: int, t: int, r: int, b_seq: ElemDivSeq, entry_bou
     then column l scaled by p^(r - b_l)."""
     if entry_bound < 1:
         raise ValueError("entry_bound must be positive")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    raw = rng.integers(-entry_bound, entry_bound + 1, size=(t, t))
-    padded = b_seq.padded(t)
+    raw = PCG64(seed).integers(-entry_bound, entry_bound + 1, t * t)
+    scales = [p ** (r - b) for b in b_seq.padded(t)]
     entries = tuple(
-        tuple(int(raw[i][l]) * p ** (r - padded[l]) for l in range(t)) for i in range(t)
+        tuple(x * scale for x, scale in zip(raw[i * t:(i + 1) * t], scales)) for i in range(t)
     )
     return Instance(p=p, t=t, r=r, b_seq=b_seq, matrix=IntegerMatrix(entries), seed=seed)
 
@@ -114,12 +115,13 @@ def draw_b_seq(seed: int, system: RootSystem, g: int, r: int, t: int) -> ElemDiv
     gen_instance's so matrices keep their documented seed contract.
     """
     a = _adjusted_divisors(system, g, r, t)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xB])))
-    draws = [int(rng.integers(0, min(r, al) + 1)) for al in a]
+    rng = PCG64([seed, 0xB])
+    draws = [rng.integers(0, min(r, al) + 1) for al in a]
     draws.sort(reverse=True)
     return ElemDivSeq(tuple(b for b in draws if b > 0))
 
 
+@lru_cache(maxsize=256)
 def _adjusted_divisors(system: RootSystem, g: int, r: int, t: int) -> tuple[int, ...]:
     """Divisor exponents truncated or zero-padded to length exactly t."""
     exps = truncation_divisors(system, g, r).exponents
@@ -173,31 +175,57 @@ class CorollaryReport:
         return ok
 
 
-def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
-    """Check polygon >= f_b >= f_a >= f_r plus the f_r/f_infinity coincidence window."""
-    if g < 1:
-        raise ValueError("g must be positive")
-    s = system.s
-    a_adjusted = _adjusted_divisors(system, g, inst.r, inst.t)
-    _require_hypothesis(inst, a_adjusted)
-    f_b = from_divisor_sequence(inst.b_seq, inst.r, inst.t)
-    f_a = from_divisor_sequence(
-        ElemDivSeq(tuple(e for e in a_adjusted if e > 0)), inst.r, inst.t
-    )
-    ramp = f_r(s, g, inst.r)
-    window = g * faulhaber_sum(s, inst.r + 1)
-    limit = f_infinity(s, g, inst.r)
-    polygon = newton_polygon(char_poly(inst.matrix), inst.p)
-    return ChainReport(
-        newton_ge_fb=polygon.dominates(f_b),
-        fb_ge_fa=f_b.dominates(f_a, inst.t),
-        fa_ge_fr=f_a.dominates(ramp, inst.t),
-        fr_eq_finf_on_window=ramp.agrees_with(limit, window),
-        polygon=polygon,
-        f_b=f_b,
+class _ChainConstants(NamedTuple):
+    """What verify_chain needs that depends only on (system, g, r, t)."""
+
+    a_adjusted: tuple[int, ...]
+    f_a: PiecewiseLinear
+    f_r: PiecewiseLinear
+    f_inf: PiecewiseLinear
+    fa_ge_fr: bool
+    fr_eq_finf_on_window: bool
+
+
+# 256 holds every (type, g, r, t) of the acceptance grid (252 keys).
+@lru_cache(maxsize=256)
+def _chain_constants(system: RootSystem, g: int, r: int, t: int) -> _ChainConstants:
+    a_adjusted = _adjusted_divisors(system, g, r, t)
+    f_a = from_divisor_sequence(ElemDivSeq(tuple(e for e in a_adjusted if e > 0)), r, t)
+    ramp = f_r(system.s, g, r)
+    limit = f_infinity(system.s, g, r)
+    window = g * faulhaber_sum(system.s, r + 1)
+    return _ChainConstants(
+        a_adjusted=a_adjusted,
         f_a=f_a,
         f_r=ramp,
         f_inf=limit,
+        fa_ge_fr=f_a.dominates(ramp, t),
+        fr_eq_finf_on_window=ramp.agrees_with(limit, window),
+    )
+
+
+def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
+    """Check polygon >= f_b >= f_a >= f_r plus the f_r/f_infinity coincidence window.
+
+    Only the first two links depend on the instance; the rest are computed
+    once per (system, g, r, t).
+    """
+    if g < 1:
+        raise ValueError("g must be positive")
+    const = _chain_constants(system, g, inst.r, inst.t)
+    _require_hypothesis(inst, const.a_adjusted)
+    f_b = from_divisor_sequence(inst.b_seq, inst.r, inst.t)
+    polygon = newton_polygon(char_poly(inst.matrix), inst.p)
+    return ChainReport(
+        newton_ge_fb=polygon.dominates(f_b),
+        fb_ge_fa=f_b.dominates(const.f_a, inst.t),
+        fa_ge_fr=const.fa_ge_fr,
+        fr_eq_finf_on_window=const.fr_eq_finf_on_window,
+        polygon=polygon,
+        f_b=f_b,
+        f_a=const.f_a,
+        f_r=const.f_r,
+        f_inf=const.f_inf,
     )
 
 

@@ -115,21 +115,47 @@ class PiecewiseLinear:
     def __call__(self, x: Fraction | int) -> Fraction:
         return self.value_at(x)
 
-    def _merged_xs(self, other: "PiecewiseLinear", x_max: Fraction) -> list[Fraction]:
-        xs = {Fraction(0), x_max}
-        for fn in (self, other):
-            xs.update(bx for bx, _ in fn.breakpoints if bx <= x_max)
-        return sorted(xs)
+    def _value_from(self, i: int, x: Fraction) -> Fraction:
+        """Value at x, given the index i of the last breakpoint at or left of x."""
+        x0, y0 = self.breakpoints[i]
+        if x == x0:
+            return y0
+        if i + 1 < len(self.breakpoints):
+            x1, y1 = self.breakpoints[i + 1]
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return y0 + self.final_slope * (x - x0)
 
     def dominates(self, other: "PiecewiseLinear", x_max: Fraction | int) -> bool:
-        """Whether self >= other everywhere on [0, x_max], decided exactly."""
+        """Whether self >= other everywhere on [0, x_max], decided exactly.
+
+        Both functions are linear between consecutive points of the merged
+        breakpoint list (0, x_max and every breakpoint below x_max), so one
+        walk over that list comparing the two values decides it.
+        """
         x_max = Fraction(x_max)
         if x_max < 0:
             raise ValueError("x_max must be non-negative")
         for fn in (self, other):
             if not fn.defined_on(x_max):
                 raise DomainTooShort(f"function only defined up to {fn.domain_end}, need {x_max}")
-        return all(self.value_at(x) >= other.value_at(x) for x in self._merged_xs(other, x_max))
+        mine, theirs = self.breakpoints, other.breakpoints
+        i = j = 0
+        x = Fraction(0)
+        while True:
+            if self._value_from(i, x) < other._value_from(j, x):
+                return False
+            nxt = x_max
+            if i + 1 < len(mine) and mine[i + 1][0] < nxt:
+                nxt = mine[i + 1][0]
+            if j + 1 < len(theirs) and theirs[j + 1][0] < nxt:
+                nxt = theirs[j + 1][0]
+            if nxt == x:
+                return True
+            x = nxt
+            if i + 1 < len(mine) and mine[i + 1][0] == x:
+                i += 1
+            if j + 1 < len(theirs) and theirs[j + 1][0] == x:
+                j += 1
 
     def agrees_with(self, other: "PiecewiseLinear", x_max: Fraction | int) -> bool:
         """Whether self == other everywhere on [0, x_max]."""

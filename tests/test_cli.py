@@ -1,11 +1,27 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import slopebound
 from slopebound import cli
+from slopebound.bounds import build_params
 from slopebound.cli import run
 from slopebound.plf import PiecewiseLinear, f_infinity, f_infinity_star, f_r
+
+
+SRC = Path(slopebound.__file__).resolve().parent.parent
+
+
+def fresh_interpreter(*args):
+    """Run python with these arguments on this checkout's sources and CPython's default int limits."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def invoke(capsys, *argv):
@@ -107,6 +123,29 @@ def test_bound_json_matches_text(capsys):
     assert Fraction(data["m"]) * Fraction(data["c_pow_s"]) == 1
 
 
+def test_bound_e8_prints_past_the_int_digit_limit():
+    proc = fresh_interpreter("-m", "slopebound.cli", "bound", "--type", "E8", "--g", "1", "--alpha", "1", "--json")
+    assert proc.returncode == 0, proc.stderr
+    # reading n back needs the limit lifted in this process too
+    with cli._no_int_digit_limit():
+        assert Fraction(json.loads(proc.stdout)["n"]) == build_params(120, 1).n
+
+
+def test_bound_e8_in_process_leaves_digit_limit_as_found(capsys):
+    before = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = invoke(capsys, "bound", "--type", "E8", "--g", "1", "--alpha", "1")
+    assert code == 0, err
+    assert out.startswith("s=120 ")
+    if before is not None:
+        assert sys.get_int_max_str_digits() == before
+
+
+def test_cli_import_leaves_numpy_out():
+    proc = fresh_interpreter("-c", "import sys, slopebound.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_newton_subcommand(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("2\n2 0\n0 8\n")
@@ -183,6 +222,16 @@ def test_verify_invalid_b_is_usage_error(capsys):
         "--t", "3", "--r", "2", "--b", "1,2", "--trials", "2",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--entry-bound", str(2**63)], ["--seed", "-1"]])
+def test_verify_draws_out_of_range_are_usage_errors(capsys, flags):
+    code, _, err = invoke(
+        capsys, "verify", "chain", "--type", "A1", "--g", "1", "--p", "2",
+        "--t", "3", "--r", "2", "--trials", "2", *flags,
+    )
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_seed_env_var_fallback(capsys, monkeypatch):

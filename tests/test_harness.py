@@ -1,7 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from slopebound import harness
+from slopebound._pcg64 import PCG64
+from slopebound.bernoulli import faulhaber_sum
 from slopebound.counting import ElemDivSeq, truncation_divisors
 from slopebound.harness import (
     HypothesisViolation,
@@ -13,6 +17,7 @@ from slopebound.harness import (
     verify_corollary,
 )
 from slopebound.newton import char_poly, newton_polygon
+from slopebound.plf import PiecewiseLinear, f_infinity, f_r, from_divisor_sequence
 from slopebound.rootsystems import build_root_system
 
 A1 = build_root_system("A", 1)
@@ -123,3 +128,65 @@ def test_corollary_reports():
     at_m = verify_corollary(inst, A2, 1, report.params.M)
     assert at_m.sharp_bound is not None
     assert at_m.holds
+
+
+def test_negative_seed_raises():
+    with pytest.raises(ValueError):
+        PCG64(-1)
+    with pytest.raises(ValueError):
+        PCG64([3, -1])
+    with pytest.raises(ValueError):
+        draw_b_seq(-1, A2, 1, 2, 3)
+    with pytest.raises(ValueError):
+        gen_instance(-1, 2, 3, 1, ElemDivSeq(()), 10)
+
+
+def test_entry_bound_past_int64_raises():
+    with pytest.raises(ValueError):
+        gen_instance(1, 2, 3, 1, ElemDivSeq(()), 2**63)
+    gen_instance(1, 2, 3, 1, ElemDivSeq(()), 2**63 - 1)
+
+
+@pytest.fixture
+def fresh_chain_cache():
+    """An empty per-parameter cache of verify_chain, before the test and after it."""
+    harness._chain_constants.cache_clear()
+    yield
+    harness._chain_constants.cache_clear()
+
+
+def test_cached_links_equal_direct_recomputation(fresh_chain_cache):
+    """On every (type, g, r, t) of the acceptance grid, twice: filling the cache, then served from it."""
+    systems = {"A1": A1, "A2": A2, "B2": B2}
+    keys = list(product(sorted(systems), (1, 2, 3), (1, 2, 3, 4), range(2, 9)))
+    for _ in range(2):
+        for n, (label, g, r, t) in enumerate(keys):
+            system = systems[label]
+            seed = 7000 + n
+            b_seq = draw_b_seq(seed, system, g, r, t)
+            inst = gen_instance(seed, p=(2, 3, 5)[n % 3], t=t, r=r, b_seq=b_seq, entry_bound=50)
+            report = verify_chain(inst, system, g)
+            a = truncation_divisors(system, g, r).exponents[:t]
+            f_a = from_divisor_sequence(ElemDivSeq(a), r, t)
+            ramp, limit = f_r(system.s, g, r), f_infinity(system.s, g, r)
+            f_b = from_divisor_sequence(b_seq, r, t)
+            assert (report.f_a, report.f_r, report.f_inf, report.f_b) == (f_a, ramp, limit, f_b)
+            assert report.fb_ge_fa == f_b.dominates(f_a, t)
+            assert report.fa_ge_fr == f_a.dominates(ramp, t)
+            assert report.fr_eq_finf_on_window == ramp.agrees_with(limit, g * faulhaber_sum(system.s, r + 1))
+            assert report.all_hold
+    assert harness._chain_constants.cache_info().hits == len(keys)
+
+
+def test_cached_link_can_fail(fresh_chain_cache, monkeypatch):
+    """A ramp raised by x breaks f_a >= f_r at x = 1, where f_a is 0 (a_1 = r)."""
+    def raised_ramp(s, g, r):
+        ramp = f_r(s, g, r)
+        return PiecewiseLinear(tuple((x, y + x) for x, y in ramp.breakpoints), ramp.final_slope + 1)
+
+    monkeypatch.setattr(harness, "f_r", raised_ramp)
+    for seed, (system, g, r, t) in enumerate([(A1, 1, 1, 2), (A2, 2, 3, 6), (B2, 3, 4, 8)]):
+        inst = gen_instance(seed, p=2, t=t, r=r, b_seq=draw_b_seq(seed, system, g, r, t), entry_bound=50)
+        report = verify_chain(inst, system, g)
+        assert not report.fa_ge_fr
+        assert not report.all_hold

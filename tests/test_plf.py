@@ -36,6 +36,25 @@ def divisor_pairs(draw):
     return b, a, r, t
 
 
+@st.composite
+def plfs(draw):
+    """Arbitrary (not necessarily convex) functions with fractional breakpoints, some with a final ray."""
+    steps = draw(st.lists(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3), max_size=5))
+    x, points = Fraction(0), [(Fraction(0), Fraction(0))]
+    for step in steps:
+        x += step
+        points.append((x, draw(st.fractions(min_value=0, max_value=6, max_denominator=4))))
+    slope = draw(st.none() | st.fractions(min_value=0, max_value=4, max_denominator=3))
+    return PiecewiseLinear(tuple(points), slope)
+
+
+def lowered(fn, drops):
+    """fn with each breakpoint value lowered by the matching drop (clamped at 0) and a flatter ray."""
+    points = ((x, max(Fraction(0), y - d)) for (x, y), d in zip(fn.breakpoints, [Fraction(0)] + drops))
+    slope = None if fn.final_slope is None else fn.final_slope / 2
+    return PiecewiseLinear(tuple(points), slope)
+
+
 class TestStructure:
     def test_must_start_at_origin(self):
         with pytest.raises(ValueError):
@@ -168,6 +187,34 @@ class TestDominance:
         assert fa.breakpoints == pts((0, 0), (1, 0))
         assert fb.dominates(fa, 1)
         assert not fa.dominates(fb, 1)
+
+    @given(plfs(), st.one_of(plfs(), st.lists(st.fractions(min_value=0, max_value=2), min_size=6, max_size=6)),
+           st.fractions(min_value=0, max_value=15, max_denominator=4))
+    @settings(max_examples=150, deadline=None)
+    def test_walk_matches_value_at_oracle(self, fn, other, x_max):
+        if not isinstance(other, PiecewiseLinear):
+            other = lowered(fn, other)
+        for first, second in ((fn, other), (other, fn)):
+            if not (first.defined_on(x_max) and second.defined_on(x_max)):
+                with pytest.raises(DomainTooShort):
+                    first.dominates(second, x_max)
+                continue
+            xs = sorted({Fraction(0), x_max} | {x for f in (first, second) for x, _ in f.breakpoints if x <= x_max})
+            # both sides are linear between merged points, so midpoints add nothing
+            probes = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+            expected = all(first.value_at(x) >= second.value_at(x) for x in xs)
+            assert expected == all(first.value_at(x) >= second.value_at(x) for x in probes)
+            assert first.dominates(second, x_max) == expected
+
+    def test_ray_and_fractional_breakpoints(self):
+        fn = PiecewiseLinear(pts((0, 0), (Fraction(1, 2), 1)), final_slope=Fraction(1, 3))
+        other = PiecewiseLinear(pts((0, 0), (Fraction(7, 3), Fraction(3, 2)), (4, 2)))
+        # fn(7/3) = 1 + (11/6)/3 = 29/18 >= 3/2, fn(4) = 1 + (7/2)/3 = 13/6 >= 2
+        assert fn.dominates(other, 4)
+        assert fn.dominates(other, Fraction(13, 4))  # x_max between breakpoints
+        assert not other.dominates(fn, Fraction(1, 3))
+        with pytest.raises(DomainTooShort):
+            fn.dominates(other, Fraction(17, 4))
 
     def test_domain_too_short(self):
         short = PiecewiseLinear(breakpoints=pts((0, 0), (1, 1)))
