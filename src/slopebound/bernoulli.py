@@ -1,11 +1,15 @@
 """Exact Bernoulli polynomials and power sums.
 
+Bernoulli numbers from tangent numbers (Brent-Harvey), polynomials by
+binomial expansion: B_s(x) = sum_i comb(s, i) * B_{s-i} * x^i.
+
 Convention: B_0 = 1, B_n'(x) = n*B_{n-1}(x), and the integral of B_n over
 [0, 1] vanishes for n >= 1. This gives B_1(0) = -1/2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,43 +60,44 @@ class RationalPolynomial:
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         return self + RationalPolynomial(tuple(-c for c in other.coefficients))
 
-    def shift(self, a: Fraction | int) -> "RationalPolynomial":
-        """The composed polynomial x -> self(x + a), exactly."""
-        a = Fraction(a)
-        acc: list[Fraction] = []
-        for c in reversed(self.coefficients):
-            # acc <- acc * (x + a) + c
-            nxt = [Fraction(0)] * (len(acc) + 1)
-            for i, t in enumerate(acc):
-                nxt[i + 1] += t
-                nxt[i] += t * a
-            nxt[0] += c
-            acc = nxt
-        return RationalPolynomial(tuple(acc))
+
+# B_0, B_1, ... as far as any call has needed them. The tangent recurrence
+# has no incremental form, so a longer request rebuilds the table.
+_numbers: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+
+
+def _bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0..B_n (B_1 = -1/2, odd B_k = 0 for k >= 3), from the shared table.
+
+    Brent-Harvey: the tangent numbers T_1..T_K come from an O(K^2) recurrence
+    in Python ints, and B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)). A
+    rebuild reaches B_{n+1}, so the envelope pair's B_{s+1} after B_s is
+    served from the same table.
+    """
+    if n >= len(_numbers):
+        K = (n + 1) // 2  # B_2K is the last non-zero number up to B_{n+1}
+        T = [0, 1] + [0] * (K - 1)
+        for k in range(2, K + 1):
+            T[k] = (k - 1) * T[k - 1]
+        for k in range(2, K + 1):
+            for j in range(k, K + 1):
+                T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+        table = [Fraction(1), Fraction(-1, 2)]
+        for k in range(1, K + 1):
+            four_k = 4**k
+            b = Fraction(2 * k * T[k], four_k * (four_k - 1))
+            table += [b if k % 2 else -b, Fraction(0)]
+        _numbers[:] = table
+    return _numbers[: n + 1]
 
 
 @lru_cache(maxsize=None)
 def bernoulli_poly(s: int) -> RationalPolynomial:
-    """The Bernoulli polynomial B_s, monic of degree s, exact coefficients."""
+    """The Bernoulli polynomial B_s, monic of degree s: coefficient of x^i is comb(s, i) * B_{s-i}."""
     if s < 0:
         raise ValueError("s must be non-negative")
-    if s == 0:
-        return RationalPolynomial((Fraction(1),))
-    # Each degree is built from the one below it, so the cache always holds
-    # exactly the degrees 0..currsize-1. Filling the gap bottom-up keeps the
-    # call depth at two, however large s is.
-    for k in range(_bernoulli_memo.cache_info().currsize, s):
-        _bernoulli_memo(k)
-    prev = _bernoulli_memo(s - 1).coefficients
-    # integrate s * B_{s-1}; the constant makes the [0, 1] integral vanish
-    body = [Fraction(0)] + [Fraction(s) * c / (k + 1) for k, c in enumerate(prev)]
-    c0 = -sum(c / (k + 1) for k, c in enumerate(body))
-    return RationalPolynomial(tuple([body[0] + c0] + body[1:]))
-
-
-# The cache object itself, kept apart from the public name, which a profiler
-# may rebind to a wrapper that lacks cache_info.
-_bernoulli_memo = bernoulli_poly
+    numbers = _bernoulli_numbers(s)
+    return RationalPolynomial(tuple(math.comb(s, i) * numbers[s - i] for i in range(s + 1)))
 
 
 def faulhaber_sum(s: int, j: int) -> Fraction:

@@ -52,13 +52,22 @@ class BoundParams:
             raise ValueError("n must be non-negative and M >= 1")
 
 
+@lru_cache(maxsize=1)  # compute_M and build_params ask for the same s in turn
 def envelope_polynomials(s: int) -> tuple[RationalPolynomial, RationalPolynomial]:
-    """The monic envelope pair: B_s(x+2) - B_s(0) (degree s) and B_{s+1}(x+1) - B_{s+1}(0) (degree s+1)."""
-    bs = bernoulli_poly(s)
-    bs1 = bernoulli_poly(s + 1)
-    upper = bs.shift(2) - RationalPolynomial((bs(0),))
-    lower = bs1.shift(1) - RationalPolynomial((bs1(0),))
-    return upper, lower
+    """The monic envelope pair: B_s(x+2) - B_s(0) (degree s) and B_{s+1}(x+1) - B_{s+1}(0) (degree s+1).
+
+    Both come from the translation identity B_k(x+1) = B_k(x) + k*x^(k-1),
+    with no Taylor shift:
+    upper = B_s(x) - B_s(0) + s*x^(s-1) + s*(x+1)^(s-1),
+    lower = B_{s+1}(x) - B_{s+1}(0) + (s+1)*x^s.
+    """
+    upper = [Fraction(0), *bernoulli_poly(s).coefficients[1:]]
+    upper[s - 1] += s
+    for i in range(s):
+        upper[i] += s * math.comb(s - 1, i)
+    lower = [Fraction(0), *bernoulli_poly(s + 1).coefficients[1:]]
+    lower[s] += s + 1
+    return RationalPolynomial(tuple(upper)), RationalPolynomial(tuple(lower))
 
 
 def compute_M(s: int) -> int:
@@ -85,8 +94,8 @@ def build_params(s: int, g: int) -> BoundParams:
     M = compute_M(s)
     c_pow_s = Fraction(s, g * 2 ** (3 * s + 1))
     m = 1 / c_pow_s
-    bs = bernoulli_poly(s)
-    n = Fraction(g) * (bs(M + 2) - bs(0)) / s
+    upper, _ = envelope_polynomials(s)
+    n = Fraction(g) * upper(M) / s  # upper(M) = B_s(M+2) - B_s(0)
     return BoundParams(s=s, g=g, M=M, c_pow_s=c_pow_s, m=m, n=n)
 
 

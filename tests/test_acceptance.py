@@ -125,7 +125,8 @@ def test_criterion_6_synthetic_chain(chain_instances):
         inst = gen_instance(5000 + trial, p=p, t=t, r=r, b_seq=ElemDivSeq(()), entry_bound=50)
         if not verify_chain(corrupt_instance(inst), a2, 1).newton_ge_fb:
             detected += 1
-    if detected < 1:
+    # with b empty every corruption provably drops v_p(trace) to 0
+    if detected < 100:
         failures.append(("negative-control", detected))
     report(6, "dominance chain on 1000 instances, corruption detected", failures)
 

@@ -5,9 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopebound import bernoulli
 from slopebound.bernoulli import RationalPolynomial, bernoulli_poly, faulhaber_sum, power_sum
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+def integrated_bernoulli(s_max):
+    """Reference B_0..B_s_max, each degree integrated from the one below.
+
+    B_s = integral of s*B_{s-1}, plus the constant that makes the [0, 1]
+    integral vanish; shares nothing with the tangent-number code.
+    """
+    polys = [RationalPolynomial((Fraction(1),))]
+    for s in range(1, s_max + 1):
+        prev = polys[-1].coefficients
+        body = [Fraction(0)] + [Fraction(s) * c / (k + 1) for k, c in enumerate(prev)]
+        c0 = -sum(c / (k + 1) for k, c in enumerate(body))
+        polys.append(RationalPolynomial(tuple([body[0] + c0] + body[1:])))
+    return polys
+
+
+def taylor_shift(poly, a):
+    """The composed polynomial x -> poly(x + a), by Horner's rule on x + a."""
+    a = Fraction(a)
+    acc = []
+    for c in reversed(poly.coefficients):
+        # acc <- acc * (x + a) + c
+        nxt = [Fraction(0)] * (len(acc) + 1)
+        for i, t in enumerate(acc):
+            nxt[i + 1] += t
+            nxt[i] += t * a
+        nxt[0] += c
+        acc = nxt
+    return RationalPolynomial(tuple(acc))
 
 
 def test_first_polynomials():
@@ -51,6 +82,28 @@ def test_high_degree_needs_no_deep_recursion():
     assert bernoulli_poly.cache_info().misses == misses + 1
 
 
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_matches_integration_reference(order, monkeypatch):
+    # ascending rebuilds the number table at every even degree; descending
+    # builds it once and serves every lower degree from a prefix
+    reference = integrated_bernoulli(200)
+    monkeypatch.setattr(bernoulli, "_numbers", [Fraction(1), Fraction(-1, 2)])
+    bernoulli_poly.cache_clear()
+    degrees = range(201) if order == "ascending" else range(200, -1, -1)
+    try:
+        for s in degrees:
+            assert bernoulli_poly(s).coefficients == reference[s].coefficients, s
+    finally:
+        bernoulli_poly.cache_clear()
+
+
+def test_frozen_bernoulli_numbers():
+    assert bernoulli_poly(1)(0) == Fraction(-1, 2)
+    assert bernoulli_poly(12)(0) == Fraction(-691, 2730)
+    assert bernoulli_poly(20)(0) == Fraction(-174611, 330)
+    assert all(bernoulli_poly(k)(0) == 0 for k in range(3, 120, 2))
+
+
 def test_faulhaber_frozen_values():
     assert faulhaber_sum(2, 3) == 6  # 1 + 2 + 3
     assert faulhaber_sum(1, 5) == 5  # five ones
@@ -81,7 +134,7 @@ def test_translation_identity():
 @settings(max_examples=50, deadline=None)
 def test_shift_agrees_with_eval(a, x):
     poly = bernoulli_poly(4)
-    assert poly.shift(a)(x) == poly(x + a)
+    assert taylor_shift(poly, a)(x) == poly(x + a)
 
 
 @given(fractions_st)

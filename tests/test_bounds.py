@@ -1,7 +1,10 @@
+import hashlib
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from slopebound.bernoulli import RationalPolynomial, bernoulli_poly
 from slopebound.bounds import (
     build_params,
     compare_h,
@@ -21,6 +24,39 @@ def test_envelope_polynomials_expand_exactly():
     upper2, lower2 = envelope_polynomials(2)
     assert upper2.coefficients == (Fraction(2), Fraction(3), Fraction(1))  # x^2 + 3x + 2
     assert lower2.coefficients == (Fraction(0), Fraction(1, 2), Fraction(3, 2), Fraction(1))
+
+
+def taylor_shift(poly, a):
+    """x -> poly(x + a) by expanding every (x + a)^k binomially."""
+    out = [Fraction(0)] * len(poly.coefficients)
+    for k, c in enumerate(poly.coefficients):
+        for i in range(k + 1):
+            out[i] += c * comb(k, i) * a ** (k - i)
+    return RationalPolynomial(tuple(out))
+
+
+@pytest.mark.parametrize("s", range(1, 61))
+def test_envelopes_match_taylor_shift(s):
+    bs, bs1 = bernoulli_poly(s), bernoulli_poly(s + 1)
+    upper, lower = envelope_polynomials(s)
+    assert upper == taylor_shift(bs, 2) - RationalPolynomial((bs(0),))
+    assert lower == taylor_shift(bs1, 1) - RationalPolynomial((bs1(0),))
+
+
+@pytest.mark.parametrize(
+    "s, digest",
+    [
+        (36, "5398f919872e572ec1047dbddf36249a845efe17d13ecf741089c6d4df11fb5e"),  # E6
+        (63, "3e0c73ba9c259e83965c2f3a8d91443fb174c2a86efaba5f8ee9b94f62a3bbcc"),  # E7
+        (120, "98ae19eac0a8fffb4eb896f2b128623ad9550452c452c7e6b07c5fb78661cd07"),  # E8
+    ],
+)
+def test_build_params_frozen_digest(s, digest):
+    # hex keeps E8's 13k-digit n clear of CPython's int-to-str digit limit
+    p = build_params(s, 1)
+    fields = (p.M, p.c_pow_s.numerator, p.c_pow_s.denominator,
+              p.m.numerator, p.m.denominator, p.n.numerator, p.n.denominator)
+    assert hashlib.sha256(" ".join(format(v, "x") for v in fields).encode()).hexdigest() == digest
 
 
 def test_threshold_frozen_values():

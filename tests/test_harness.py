@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopebound import harness
 from slopebound._pcg64 import PCG64
@@ -16,7 +18,8 @@ from slopebound.harness import (
     verify_chain,
     verify_corollary,
 )
-from slopebound.newton import char_poly, newton_polygon
+from slopebound.harness import Instance
+from slopebound.newton import IntegerMatrix, char_poly, newton_polygon
 from slopebound.plf import PiecewiseLinear, f_infinity, f_r, from_divisor_sequence
 from slopebound.rootsystems import build_root_system
 
@@ -103,6 +106,68 @@ def test_corruption_is_detected_with_empty_b():
         if not verify_chain(bad, A2, 1).newton_ge_fb:
             detected += 1
     assert detected == 20  # trace valuation provably drops to 0
+
+
+def _vertices(points):
+    """The points where the slope changes, plus both ends."""
+    keep = [points[0]]
+    for (x0, y0), (x1, y1), (x2, y2) in zip(points, points[1:], points[2:]):
+        if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
+            keep.append((x1, y1))
+    return keep + [points[-1]]
+
+
+@st.composite
+def tight_cases(draw):
+    """(p, r, t, b, diagonal) with diagonal entry l equal to a unit times p^(r - b_l)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    r = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 10))
+    b = sorted(draw(st.lists(st.integers(1, r), max_size=t)), reverse=True)
+    units = draw(st.lists(st.integers(-60, 60).filter(lambda u: u % p), min_size=t, max_size=t))
+    diagonal = [u * p ** (r - bl) for u, bl in zip(units, ElemDivSeq(tuple(b)).padded(t))]
+    return p, r, t, ElemDivSeq(tuple(b)), diagonal
+
+
+@given(tight_cases())
+@settings(max_examples=200, deadline=None)
+def test_diagonal_instance_is_tight_for_link_1(case):
+    # the eigenvalues are the diagonal entries, so the polygon's slopes are
+    # exactly r - b_l: the polygon is f_b with its collinear points dropped
+    p, r, t, b, diagonal = case
+    f_b = from_divisor_sequence(b, r, t)
+    polygon = newton_polygon(char_poly(IntegerMatrix.diagonal(diagonal)), p)
+    assert (polygon.finite_length, polygon.infinite_slopes) == (t, 0)
+    assert polygon.polygon.breakpoints == tuple(_vertices(f_b.breakpoints))
+    assert polygon.dominates(f_b)
+    # negative control: one valuation lowered by 1 drops the polygon below f_b at x = t
+    forced = [l for l, bl in enumerate(b.padded(t)) if bl < r]
+    if forced:
+        l = forced[len(forced) // 2]
+        diagonal[l] //= p
+        assert not newton_polygon(char_poly(IntegerMatrix.diagonal(diagonal)), p).dominates(f_b)
+
+
+@pytest.mark.parametrize("system", [A1, A2, B2], ids=lambda s: s.label)
+def test_diagonal_instances_hold_link_1_with_zero_slack(system):
+    controls = 0
+    for seed in range(40):
+        p, r, t = (2, 3, 5)[seed % 3], 1 + seed % 4, 1 + seed % 8
+        b = draw_b_seq(seed, system, 1, r, t)
+        units = [u if u % p else u + 1 for u in PCG64(seed).integers(1, 50, t)]
+        diagonal = [u * p ** (r - bl) for u, bl in zip(units, b.padded(t))]
+        inst = Instance(p=p, t=t, r=r, b_seq=b, matrix=IntegerMatrix.diagonal(diagonal), seed=seed)
+        report = verify_chain(inst, system, 1)
+        assert report.all_hold
+        assert report.polygon.polygon.breakpoints == tuple(_vertices(report.f_b.breakpoints))
+        forced = [l for l, bl in enumerate(b.padded(t)) if bl < r]
+        if not forced:
+            continue
+        diagonal[forced[0]] //= p
+        lowered = Instance(p=p, t=t, r=r, b_seq=b, matrix=IntegerMatrix.diagonal(diagonal), seed=seed)
+        assert not verify_chain(lowered, system, 1).newton_ge_fb
+        controls += 1
+    assert controls >= 30
 
 
 def test_conjugation_invariance_of_verdict():
