@@ -10,25 +10,25 @@ Convention: B_0 = 1, B_n'(x) = n*B_{n-1}(x), and the integral of B_n over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from ._value import Value
 
 __all__ = ["RationalPolynomial", "bernoulli_poly", "faulhaber_sum", "power_sum"]
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(Value):
     """Polynomial with exact rational coefficients, constant term first.
 
     Normalized so the leading coefficient is non-zero; the zero polynomial
     has an empty coefficient tuple.
     """
 
-    coefficients: tuple[Fraction, ...]
+    _fields = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple[Fraction, ...]) -> None:
+        coeffs = tuple(Fraction(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)

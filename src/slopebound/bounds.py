@@ -10,10 +10,10 @@ h is performed on s-th powers, so no irrational number is ever evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import Value
 from .bernoulli import RationalPolynomial, bernoulli_poly
 from .plf import OutOfDomain
 
@@ -29,27 +29,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(Value):
     """Derived constants for one (s, g) pair; m * c_pow_s = 1 exactly."""
 
-    s: int
-    g: int
-    M: int
-    c_pow_s: Fraction
-    m: Fraction
-    n: Fraction
+    _fields = ("s", "g", "M", "c_pow_s", "m", "n")
+
+    def __init__(self, s: int, g: int, M: int, c_pow_s: Fraction, m: Fraction, n: Fraction) -> None:
+        if m * c_pow_s != 1:
+            raise ValueError("m must equal 1/c^s exactly")
+        if n < 0 or M < 1:
+            raise ValueError("n must be non-negative and M >= 1")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "c_pow_s", c_pow_s)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @property
     def x_M(self) -> Fraction:
         """Left end of the domain where the comparison curve applies; equals n."""
         return self.n
-
-    def __post_init__(self) -> None:
-        if self.m * self.c_pow_s != 1:
-            raise ValueError("m must equal 1/c^s exactly")
-        if self.n < 0 or self.M < 1:
-            raise ValueError("n must be non-negative and M >= 1")
 
 
 @lru_cache(maxsize=1)  # compute_M and build_params ask for the same s in turn

@@ -253,14 +253,16 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     bound = dimension_bound(params, args.alpha)
     infimum = infimum_dimension_bound(params, args.alpha)
     sharp = sharp_dimension_bound(params, args.alpha) if args.alpha >= params.M else None
+    # one decimal conversion per value, shared by both outputs: n, bound and
+    # infimum have about 13k digits for E8 and over a million for A40
+    m, n, alpha, bound, infimum = map(str, (params.m, params.n, args.alpha, bound, infimum))
+    sharp = None if sharp is None else str(sharp)
     payload = {
         "label": system.label, "s": params.s, "g": params.g, "M": params.M,
-        "m": str(params.m), "n": str(params.n), "c_pow_s": str(params.c_pow_s),
-        "alpha": str(args.alpha), "bound": str(bound), "infimum": str(infimum),
-        "sharp": None if sharp is None else str(sharp),
+        "m": m, "n": n, "c_pow_s": str(params.c_pow_s),
+        "alpha": alpha, "bound": bound, "infimum": infimum, "sharp": sharp,
     }
-    text = (f"s={params.s} M={params.M} m={params.m} n={params.n} "
-            f"alpha={args.alpha} bound={bound} infimum={infimum}")
+    text = f"s={params.s} M={params.M} m={m} n={n} alpha={alpha} bound={bound} infimum={infimum}"
     if sharp is not None:
         text += f" sharp={sharp}"
     _emit(args, payload, text)

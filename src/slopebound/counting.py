@@ -7,9 +7,9 @@ prime-power exponents (r - h), each repeated g * N_h times for h < r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
+from ._value import Value
 from .rootsystems import RootSystem
 
 __all__ = ["TooLarge", "CountTable", "ElemDivSeq", "count_nh", "count_nh_bruteforce", "truncation_divisors"]
@@ -21,40 +21,40 @@ class TooLarge(ValueError):
     """Raised when a brute-force enumeration would exceed the guard."""
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(Value):
     """Values N_0..N_H for one root system."""
 
-    system: RootSystem
-    values: tuple[int, ...]
+    _fields = ("system", "values")
+
+    def __init__(self, system: RootSystem, values: tuple[int, ...]) -> None:
+        if not values or values[0] != 1:
+            raise ValueError("N_0 must be 1")
+        if any(v < 0 for v in values):
+            raise ValueError("counts must be non-negative")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "values", values)
 
     @property
     def horizon(self) -> int:
         return len(self.values) - 1
 
-    def __post_init__(self) -> None:
-        if not self.values or self.values[0] != 1:
-            raise ValueError("N_0 must be 1")
-        if any(v < 0 for v in self.values):
-            raise ValueError("counts must be non-negative")
 
-
-@dataclass(frozen=True)
-class ElemDivSeq:
+class ElemDivSeq(Value):
     """Non-increasing sequence of positive prime-power exponents.
 
     The empty sequence is the trivial group. The exponent multiset is
     meaningful independently of which prime it refers to.
     """
 
-    exponents: tuple[int, ...]
+    _fields = ("exponents",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        if any(e <= 0 for e in self.exponents):
+    def __init__(self, exponents: tuple[int, ...]) -> None:
+        exponents = tuple(exponents)
+        if any(e <= 0 for e in exponents):
             raise ValueError("exponents must be strictly positive")
-        if any(a < b for a, b in zip(self.exponents, self.exponents[1:])):
+        if any(a < b for a, b in zip(exponents, exponents[1:])):
             raise ValueError("exponents must be non-increasing")
+        object.__setattr__(self, "exponents", exponents)
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -73,8 +73,9 @@ def count_nh(system: RootSystem, H: int) -> CountTable:
     values = [0] * (H + 1)
     values[0] = 1
     for ht in system.heights:
-        for h in range(ht, H + 1):
-            values[h] += values[h - ht]
+        # multiplying by 1/(1 - x^ht) is a prefix sum along each residue class mod ht
+        for c in range(min(ht, H + 1)):
+            values[c::ht] = accumulate(values[c::ht])
     return CountTable(system=system, values=tuple(values))
 
 

@@ -11,12 +11,11 @@ the characteristic polynomial, so this loses no generality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from ._pcg64 import PCG64
+from ._value import Value
 from .bernoulli import faulhaber_sum
 from .bounds import BoundParams, build_params, dimension_bound, sharp_dimension_bound
 from .counting import ElemDivSeq, truncation_divisors
@@ -42,26 +41,26 @@ class HypothesisViolation(ValueError):
     """The b-sequence is not coordinatewise below the divisor sequence."""
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Value):
     """One synthetic operator with its divisibility data."""
 
-    p: int
-    t: int
-    r: int
-    b_seq: ElemDivSeq
-    matrix: IntegerMatrix
-    seed: int
+    _fields = ("p", "t", "r", "b_seq", "matrix", "seed")
 
-    def __post_init__(self) -> None:
-        if self.t < 1 or self.r < 1:
+    def __init__(self, p: int, t: int, r: int, b_seq: ElemDivSeq, matrix: IntegerMatrix, seed: int) -> None:
+        if t < 1 or r < 1:
             raise ValueError("t and r must be positive")
-        if len(self.b_seq) > self.t:
+        if len(b_seq) > t:
             raise ValueError("b-sequence longer than t")
-        if any(b > self.r for b in self.b_seq.exponents):
+        if any(b > r for b in b_seq.exponents):
             raise ValueError("b exponents must not exceed r")
-        if self.matrix.t != self.t:
+        if matrix.t != t:
             raise ValueError("matrix dimension must equal t")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "b_seq", b_seq)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "seed", seed)
 
 
 def gen_instance(seed: int, p: int, t: int, r: int, b_seq: ElemDivSeq, entry_bound: int) -> Instance:
@@ -138,34 +137,54 @@ def _require_hypothesis(inst: Instance, a_adjusted: tuple[int, ...]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Value):
     """Outcome of the four dominance assertions for one instance."""
 
-    newton_ge_fb: bool
-    fb_ge_fa: bool
-    fa_ge_fr: bool
-    fr_eq_finf_on_window: bool
-    polygon: NewtonPolygon
-    f_b: PiecewiseLinear
-    f_a: PiecewiseLinear
-    f_r: PiecewiseLinear
-    f_inf: PiecewiseLinear
+    _fields = (
+        "newton_ge_fb", "fb_ge_fa", "fa_ge_fr", "fr_eq_finf_on_window",
+        "polygon", "f_b", "f_a", "f_r", "f_inf",
+    )
+
+    def __init__(
+        self,
+        newton_ge_fb: bool,
+        fb_ge_fa: bool,
+        fa_ge_fr: bool,
+        fr_eq_finf_on_window: bool,
+        polygon: NewtonPolygon,
+        f_b: PiecewiseLinear,
+        f_a: PiecewiseLinear,
+        f_r: PiecewiseLinear,
+        f_inf: PiecewiseLinear,
+    ) -> None:
+        object.__setattr__(self, "newton_ge_fb", newton_ge_fb)
+        object.__setattr__(self, "fb_ge_fa", fb_ge_fa)
+        object.__setattr__(self, "fa_ge_fr", fa_ge_fr)
+        object.__setattr__(self, "fr_eq_finf_on_window", fr_eq_finf_on_window)
+        object.__setattr__(self, "polygon", polygon)
+        object.__setattr__(self, "f_b", f_b)
+        object.__setattr__(self, "f_a", f_a)
+        object.__setattr__(self, "f_r", f_r)
+        object.__setattr__(self, "f_inf", f_inf)
 
     @property
     def all_hold(self) -> bool:
         return self.newton_ge_fb and self.fb_ge_fa and self.fa_ge_fr and self.fr_eq_finf_on_window
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(Value):
     """Slope-count versus closed-form bound for one instance and one alpha."""
 
-    alpha: Fraction
-    dimension: int
-    bound: Fraction
-    sharp_bound: Fraction | None
-    params: BoundParams
+    _fields = ("alpha", "dimension", "bound", "sharp_bound", "params")
+
+    def __init__(
+        self, alpha: Fraction, dimension: int, bound: Fraction, sharp_bound: Fraction | None, params: BoundParams
+    ) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "sharp_bound", sharp_bound)
+        object.__setattr__(self, "params", params)
 
     @property
     def holds(self) -> bool:
@@ -175,15 +194,26 @@ class CorollaryReport:
         return ok
 
 
-class _ChainConstants(NamedTuple):
+class _ChainConstants(Value):
     """What verify_chain needs that depends only on (system, g, r, t)."""
 
-    a_adjusted: tuple[int, ...]
-    f_a: PiecewiseLinear
-    f_r: PiecewiseLinear
-    f_inf: PiecewiseLinear
-    fa_ge_fr: bool
-    fr_eq_finf_on_window: bool
+    _fields = ("a_adjusted", "f_a", "f_r", "f_inf", "fa_ge_fr", "fr_eq_finf_on_window")
+
+    def __init__(
+        self,
+        a_adjusted: tuple[int, ...],
+        f_a: PiecewiseLinear,
+        f_r: PiecewiseLinear,
+        f_inf: PiecewiseLinear,
+        fa_ge_fr: bool,
+        fr_eq_finf_on_window: bool,
+    ) -> None:
+        object.__setattr__(self, "a_adjusted", a_adjusted)
+        object.__setattr__(self, "f_a", f_a)
+        object.__setattr__(self, "f_r", f_r)
+        object.__setattr__(self, "f_inf", f_inf)
+        object.__setattr__(self, "fa_ge_fr", fa_ge_fr)
+        object.__setattr__(self, "fr_eq_finf_on_window", fr_eq_finf_on_window)
 
 
 # 256 holds every (type, g, r, t) of the acceptance grid (252 keys).

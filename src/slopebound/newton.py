@@ -8,11 +8,11 @@ hull point and are reported separately as infinite slopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
+from ._value import Value
 from .plf import DomainTooShort, PiecewiseLinear
 
 __all__ = [
@@ -35,17 +35,16 @@ class NotPrime(ValueError):
     """The given modulus is not a prime number."""
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Value):
     """Square matrix of arbitrary-precision integers."""
 
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(e) for e in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(int(e) for e in row) for row in entries)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and non-empty")
+        object.__setattr__(self, "entries", rows)
 
     @property
     def t(self) -> int:
@@ -61,13 +60,15 @@ class IntegerMatrix:
         return cls.diagonal([1] * n)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Value):
     """Finite part of a Newton polygon plus the count of infinite slopes."""
 
-    polygon: PiecewiseLinear
-    finite_length: int
-    infinite_slopes: int
+    _fields = ("polygon", "finite_length", "infinite_slopes")
+
+    def __init__(self, polygon: PiecewiseLinear, finite_length: int, infinite_slopes: int) -> None:
+        object.__setattr__(self, "polygon", polygon)
+        object.__setattr__(self, "finite_length", finite_length)
+        object.__setattr__(self, "infinite_slopes", infinite_slopes)
 
     def slopes(self) -> tuple[tuple[Fraction, int], ...]:
         """Finite (slope, horizontal length) pairs, slopes non-decreasing."""

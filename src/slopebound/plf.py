@@ -10,9 +10,9 @@ functions.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .bernoulli import faulhaber_sum, power_sum
 from .counting import ElemDivSeq
 
@@ -47,18 +47,15 @@ class DomainTooShort(ValueError):
     """A comparison interval extends past a function's domain."""
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(Value):
     """Non-negative piecewise-linear function anchored at (0, 0)."""
 
-    breakpoints: tuple[Point, ...]
-    final_slope: Fraction | None = None
+    _fields = ("breakpoints", "final_slope")
 
-    def __post_init__(self) -> None:
-        pts = tuple((Fraction(x), Fraction(y)) for x, y in self.breakpoints)
-        object.__setattr__(self, "breakpoints", pts)
-        if self.final_slope is not None:
-            object.__setattr__(self, "final_slope", Fraction(self.final_slope))
+    def __init__(self, breakpoints: tuple[Point, ...], final_slope: Fraction | None = None) -> None:
+        pts = tuple((Fraction(x), Fraction(y)) for x, y in breakpoints)
+        if final_slope is not None:
+            final_slope = Fraction(final_slope)
         if not pts or pts[0] != (0, 0):
             raise ValueError("first breakpoint must be (0, 0)")
         for (x0, _), (x1, _) in zip(pts, pts[1:]):
@@ -66,8 +63,10 @@ class PiecewiseLinear:
                 raise ValueError("breakpoint x-coordinates must be strictly increasing")
         if any(y < 0 for _, y in pts):
             raise ValueError("values must be non-negative")
-        if self.final_slope is not None and self.final_slope < 0:
+        if final_slope is not None and final_slope < 0:
             raise ValueError("a final ray must have non-negative slope")
+        object.__setattr__(self, "breakpoints", pts)
+        object.__setattr__(self, "final_slope", final_slope)
 
     @property
     def domain_end(self) -> Fraction | None:

@@ -8,7 +8,7 @@ roots and their heights (coefficient sums).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import Value
 
 __all__ = ["InvalidType", "RootSystem", "build_root_system", "cartan_matrix", "parse_label"]
 
@@ -72,14 +72,27 @@ def cartan_matrix(letter: str, rank: int) -> list[list[int]]:
     return C
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Value):
     """Positive roots of a simple type, as coefficient vectors over simple roots."""
 
-    letter: str
-    rank: int
-    positive_roots: tuple[tuple[int, ...], ...]
-    heights: tuple[int, ...]
+    _fields = ("letter", "rank", "positive_roots", "heights")
+
+    def __init__(
+        self,
+        letter: str,
+        rank: int,
+        positive_roots: tuple[tuple[int, ...], ...],
+        heights: tuple[int, ...],
+    ) -> None:
+        if len(heights) != len(positive_roots):
+            raise ValueError("heights and positive_roots must have equal length")
+        for root, h in zip(positive_roots, heights):
+            if sum(root) != h:
+                raise ValueError(f"height of {root} is {sum(root)}, not {h}")
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "positive_roots", positive_roots)
+        object.__setattr__(self, "heights", heights)
 
     @property
     def label(self) -> str:
@@ -89,13 +102,6 @@ class RootSystem:
     def s(self) -> int:
         """Number of positive roots."""
         return len(self.positive_roots)
-
-    def __post_init__(self) -> None:
-        if len(self.heights) != len(self.positive_roots):
-            raise ValueError("heights and positive_roots must have equal length")
-        for root, h in zip(self.positive_roots, self.heights):
-            if sum(root) != h:
-                raise ValueError(f"height of {root} is {sum(root)}, not {h}")
 
 
 def _close_under_addition(cartan: list[list[int]]) -> list[tuple[int, ...]]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 import slopebound
 from slopebound import cli
-from slopebound.bounds import build_params
+from slopebound.bounds import BoundParams, build_params
 from slopebound.cli import run
 from slopebound.plf import PiecewiseLinear, f_infinity, f_infinity_star, f_r
 
@@ -140,10 +141,48 @@ def test_bound_e8_in_process_leaves_digit_limit_as_found(capsys):
         assert sys.get_int_max_str_digits() == before
 
 
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+def test_bound_converts_each_value_to_decimal_once(capsys, monkeypatch, output):
+    conversions = Counter()
+
+    class Counted(Fraction):
+        def __str__(self):
+            conversions[self.name] += 1
+            return super().__str__()
+
+    def counted(name, value):
+        value = Counted(value)
+        value.name = name
+        return value
+
+    def params(s, g):
+        p = build_params(s, g)
+        return BoundParams(s=p.s, g=p.g, M=p.M, c_pow_s=counted("c_pow_s", p.c_pow_s),
+                           m=counted("m", p.m), n=counted("n", p.n))
+
+    monkeypatch.setattr(cli, "build_params", params)
+    for name in ("dimension_bound", "infimum_dimension_bound", "sharp_dimension_bound"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda p, alpha, fn=fn, name=name: counted(name, fn(p, alpha)))
+    code, out, _ = invoke(capsys, "bound", "--type", "A1", "--g", "1", "--alpha", "5", *output)
+    assert code == 0
+    assert ("86" if output else "bound=86 infimum=80 sharp=80") in out
+    names = ("m", "n", "c_pow_s", "dimension_bound", "infimum_dimension_bound", "sharp_dimension_bound")
+    assert conversions == dict.fromkeys(names, 1)
+
+
 def test_cli_import_leaves_numpy_out():
     proc = fresh_interpreter("-c", "import sys, slopebound.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_needs_no_dataclass_machinery():
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis")
+    code = f"import sys, slopebound.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = fresh_interpreter("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_newton_subcommand(tmp_path, capsys):

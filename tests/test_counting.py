@@ -1,10 +1,19 @@
+import hashlib
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopebound.counting import ElemDivSeq, TooLarge, count_nh, count_nh_bruteforce, truncation_divisors
+from slopebound.counting import (
+    BRUTEFORCE_GUARD,
+    ElemDivSeq,
+    TooLarge,
+    count_nh,
+    count_nh_bruteforce,
+    truncation_divisors,
+)
 from slopebound.rootsystems import build_root_system
 
 A1 = build_root_system("A", 1)
@@ -41,6 +50,36 @@ def test_b2_h3():
 def test_dp_matches_bruteforce(system):
     H = 12
     assert count_nh(system, H).values == count_nh_bruteforce(system, H).values
+
+
+def _oracle_horizon(system, budget=20_000):
+    """Largest H within the brute-force guard whose enumeration visits at most `budget` tuples."""
+    H = 0
+    while (H + 2) ** system.s <= BRUTEFORCE_GUARD and prod((H + 1) // ht + 1 for ht in system.heights) <= budget:
+        H += 1
+    return H
+
+
+ORACLE_SYSTEMS = [
+    build_root_system(letter, rank)
+    for letter, rank in (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2))
+]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_dp_matches_bruteforce_property(data):
+    system = data.draw(st.sampled_from(ORACLE_SYSTEMS), label="system")
+    H = data.draw(st.integers(min_value=0, max_value=_oracle_horizon(system)), label="H")
+    assert count_nh(system, H) == count_nh_bruteforce(system, H)
+
+
+def test_e8_table_frozen_digest():
+    # sha256 of the hex values of count_nh(E8, 2000), recorded with the per-h DP loop
+    values = count_nh(build_root_system("E", 8), 2000).values
+    assert len(values) == 2001
+    digest = hashlib.sha256(" ".join(format(v, "x") for v in values).encode()).hexdigest()
+    assert digest == "e79d472eef535d09bd291c40efe84326a141e2c4e7ed24b9610ac3932345b2d5"
 
 
 def test_bruteforce_h0():

@@ -1,0 +1,203 @@
+"""Value semantics of the immutable types: equality, hashing, repr, immutability, pickling.
+
+The repr literals were recorded from the frozen dataclasses these classes replace.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from slopebound import harness
+from slopebound.bernoulli import RationalPolynomial
+from slopebound.bounds import BoundParams
+from slopebound.counting import CountTable, ElemDivSeq, count_nh
+from slopebound.harness import ChainReport, CorollaryReport, Instance, gen_instance
+from slopebound.newton import IntegerMatrix, NewtonPolygon, newton_polygon
+from slopebound.plf import PiecewiseLinear
+from slopebound.rootsystems import RootSystem, build_root_system
+
+A1 = build_root_system("A", 1)
+
+
+def _params():
+    return BoundParams(s=1, g=1, M=4, c_pow_s=Fraction(1, 16), m=Fraction(16), n=Fraction(6))
+
+
+def _line():
+    return PiecewiseLinear(((0, 0), (2, 1)))
+
+
+# class name -> (factory building a fresh instance, repr of the former dataclass)
+SAMPLES = {
+    "RootSystem": (
+        lambda: build_root_system("A", 2),
+        "RootSystem(letter='A', rank=2, positive_roots=((0, 1), (1, 0), (1, 1)), heights=(1, 1, 2))",
+    ),
+    "CountTable": (
+        lambda: count_nh(A1, 2),
+        "CountTable(system=RootSystem(letter='A', rank=1, positive_roots=((1,),), heights=(1,)), values=(1, 1, 1))",
+    ),
+    "ElemDivSeq": (lambda: ElemDivSeq((2, 1, 1)), "ElemDivSeq(exponents=(2, 1, 1))"),
+    "RationalPolynomial": (
+        lambda: RationalPolynomial((Fraction(1, 2), 0, 1)),
+        "RationalPolynomial(coefficients=(Fraction(1, 2), Fraction(0, 1), Fraction(1, 1)))",
+    ),
+    "PiecewiseLinear": (
+        lambda: PiecewiseLinear(((0, 0), (1, Fraction(1, 2))), final_slope=3),
+        "PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(1, 2))), "
+        "final_slope=Fraction(3, 1))",
+    ),
+    "IntegerMatrix": (lambda: IntegerMatrix(((1, 2), (3, 4))), "IntegerMatrix(entries=((1, 2), (3, 4)))"),
+    "NewtonPolygon": (
+        lambda: newton_polygon([1, 2, 4], 2),
+        "NewtonPolygon(polygon=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), "
+        "(Fraction(2, 1), Fraction(2, 1))), final_slope=None), finite_length=2, infinite_slopes=0)",
+    ),
+    "BoundParams": (
+        _params,
+        "BoundParams(s=1, g=1, M=4, c_pow_s=Fraction(1, 16), m=Fraction(16, 1), n=Fraction(6, 1))",
+    ),
+    "Instance": (
+        lambda: gen_instance(0, 2, 2, 1, ElemDivSeq((1,)), 5),
+        "Instance(p=2, t=2, r=1, b_seq=ElemDivSeq(exponents=(1,)), matrix=IntegerMatrix(entries=((4, 4), (0, -6))), "
+        "seed=0)",
+    ),
+    "ChainReport": (
+        lambda: ChainReport(True, True, False, True, newton_polygon([1, 0], 2), _line(), _line(),
+                            PiecewiseLinear(((0, 0), (1, 0)), final_slope=1), _line()),
+        "ChainReport(newton_ge_fb=True, fb_ge_fa=True, fa_ge_fr=False, fr_eq_finf_on_window=True, "
+        "polygon=NewtonPolygon(polygon=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)),), "
+        "final_slope=None), finite_length=0, infinite_slopes=1), "
+        "f_b=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(1, 1))), "
+        "final_slope=None), "
+        "f_a=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(1, 1))), "
+        "final_slope=None), "
+        "f_r=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1))), "
+        "final_slope=Fraction(1, 1)), "
+        "f_inf=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(1, 1))), "
+        "final_slope=None))",
+    ),
+    "CorollaryReport": (
+        lambda: CorollaryReport(Fraction(1, 2), 1, Fraction(7), None, _params()),
+        "CorollaryReport(alpha=Fraction(1, 2), dimension=1, bound=Fraction(7, 1), sharp_bound=None, "
+        "params=BoundParams(s=1, g=1, M=4, c_pow_s=Fraction(1, 16), m=Fraction(16, 1), n=Fraction(6, 1)))",
+    ),
+    "_ChainConstants": (
+        # past the memo, so that every call builds a fresh instance
+        lambda: harness._chain_constants.__wrapped__(A1, 1, 1, 2),
+        "_ChainConstants(a_adjusted=(1, 0), "
+        "f_a=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1)), "
+        "(Fraction(2, 1), Fraction(1, 1))), final_slope=None), "
+        "f_r=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1))), "
+        "final_slope=Fraction(1, 1)), "
+        "f_inf=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1)), "
+        "(Fraction(2, 1), Fraction(1, 1))), final_slope=None), fa_ge_fr=True, fr_eq_finf_on_window=True)",
+    ),
+}
+
+NAMES = list(SAMPLES)
+
+
+def make(name):
+    value = SAMPLES[name][0]()
+    assert type(value).__name__ == name
+    return value
+
+
+def fields(value):
+    return {name: getattr(value, name) for name in value._fields}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equal_by_value_with_equal_hashes(name):
+    a, b = make(name), make(name)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    rebuilt = type(a)(**fields(a))  # the constructor takes the fields by name
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_unequal_to_other_classes_and_tuples(name):
+    a = make(name)
+    for other in NAMES:
+        if other != name:
+            assert a != make(other)
+    values = tuple(fields(a).values())
+    assert a != values and values != a
+    assert a != values[0]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_assignment_and_deletion_raise(name):
+    a = make(name)
+    before = repr(a)
+    for field, value in fields(a).items():
+        with pytest.raises(AttributeError):
+            setattr(a, field, value)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert repr(a) == before
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr_matches_the_former_dataclass(name):
+    assert repr(make(name)) == SAMPLES[name][1]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pickle_and_deepcopy_round_trip(name):
+    a = make(name)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(a, protocol))
+        assert type(restored) is type(a)
+        assert restored == a and hash(restored) == hash(a) and repr(restored) == repr(a)
+    duplicate = copy.deepcopy(a)
+    assert duplicate is not a and duplicate == a and repr(duplicate) == repr(a)
+    with pytest.raises(AttributeError):
+        setattr(duplicate, a._fields[0], None)
+
+
+def test_hash_serves_as_cache_key():
+    assert len({build_root_system("E", 6), build_root_system("E", 6)}) == 1
+    assert {IntegerMatrix(((1, 2), (3, 4))): 1}[IntegerMatrix([[1, 2], [3, 4]])] == 1
+
+
+def _pl(*points, final_slope=None):
+    return lambda: PiecewiseLinear(points, final_slope)
+
+
+VALIDATION = {
+    "root heights length": (lambda: RootSystem("A", 1, ((1,),), (1, 1)), "equal length"),
+    "root height": (lambda: RootSystem("A", 2, ((1, 0), (1, 1)), (1, 1)), "height of"),
+    "N_0": (lambda: CountTable(A1, (2, 1)), "N_0 must be 1"),
+    "empty counts": (lambda: CountTable(A1, ()), "N_0 must be 1"),
+    "negative count": (lambda: CountTable(A1, (1, -1)), "non-negative"),
+    "exponent zero": (lambda: ElemDivSeq((2, 0)), "strictly positive"),
+    "exponents increase": (lambda: ElemDivSeq((1, 2)), "non-increasing"),
+    "first breakpoint": (_pl((1, 0), (2, 1)), r"\(0, 0\)"),
+    "breakpoints increase": (_pl((0, 0), (2, 1), (2, 3)), "strictly increasing"),
+    "negative value": (_pl((0, 0), (1, -1)), "non-negative"),
+    "negative ray": (_pl((0, 0), (1, 1), final_slope=-1), "non-negative slope"),
+    "matrix empty": (lambda: IntegerMatrix(()), "square"),
+    "matrix not square": (lambda: IntegerMatrix(((1, 2),)), "square"),
+    "m times c^s": (lambda: BoundParams(1, 1, 4, Fraction(1, 16), Fraction(15), Fraction(6)), "1/c"),
+    "negative n": (lambda: BoundParams(1, 1, 4, Fraction(1, 16), Fraction(16), Fraction(-1)), "M >= 1"),
+    "M below 1": (lambda: BoundParams(1, 1, 0, Fraction(1, 16), Fraction(16), Fraction(6)), "M >= 1"),
+    "instance t": (lambda: Instance(2, 0, 1, ElemDivSeq(()), IntegerMatrix(((1,),)), 0), "positive"),
+    "instance b too long": (lambda: Instance(2, 1, 2, ElemDivSeq((2, 1)), IntegerMatrix(((1,),)), 0), "longer than t"),
+    "instance b above r": (lambda: Instance(2, 1, 1, ElemDivSeq((2,)), IntegerMatrix(((1,),)), 0), "exceed r"),
+    "instance matrix size": (lambda: Instance(2, 2, 1, ElemDivSeq(()), IntegerMatrix(((1,),)), 0), "dimension"),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATION))
+def test_validation_errors_still_fire(case):
+    build, message = VALIDATION[case]
+    with pytest.raises(ValueError, match=message):
+        build()
