@@ -7,12 +7,20 @@ reproduce identical instances bit for bit. Column l of a generated matrix is
 divisible by p^(r - b_l) (b padded with zeros), which realizes the sublattice
 hypothesis in the basis where it is diagonal; Newton polygons only depend on
 the characteristic polynomial, so this loses no generality.
+
+A seed becomes an instance in one batched call per stream: ``draw_b_seq``
+draws its whole b-sequence with one ``PCG64.bounded`` call, and
+``gen_instance`` all t*t entries with one ``integers`` call, whose flat list
+is cut into rows and scaled column by column with ``map(mul, ...)``. Every
+stream is unchanged: a batch draws the same values, in the same order, as one
+call per value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from ._pcg64 import PCG64
 from ._value import Value
@@ -70,9 +78,7 @@ def gen_instance(seed: int, p: int, t: int, r: int, b_seq: ElemDivSeq, entry_bou
         raise ValueError("entry_bound must be positive")
     raw = PCG64(seed).integers(-entry_bound, entry_bound + 1, t * t)
     scales = [p ** (r - b) for b in b_seq.padded(t)]
-    entries = tuple(
-        tuple(x * scale for x, scale in zip(raw[i * t:(i + 1) * t], scales)) for i in range(t)
-    )
+    entries = tuple(tuple(map(mul, raw[i:i + t], scales)) for i in range(0, t * t, t))
     return Instance(p=p, t=t, r=r, b_seq=b_seq, matrix=IntegerMatrix(entries), seed=seed)
 
 
@@ -93,16 +99,15 @@ def corrupt_instance(inst: Instance) -> Instance:
     to 0, so the dominance check must fail; for general b the corruption may
     go undetected.
     """
-    padded = inst.b_seq.padded(inst.t)
-    forced = [l for l in range(inst.t) if inst.r - padded[l] >= 1]
-    if not forced:
+    # b is non-increasing, so the last column has the largest r - b_l
+    l = inst.t - 1
+    if inst.r - inst.b_seq.padded(inst.t)[l] < 1:
         raise ValueError("no column has forced divisibility; nothing to corrupt")
-    l = forced[-1]
-    rows = [list(row) for row in inst.matrix.entries]
-    rows[l][l] += 1
+    rows = inst.matrix.entries
+    bumped = rows[l][:l] + (rows[l][l] + 1,)
     return Instance(
         p=inst.p, t=inst.t, r=inst.r, b_seq=inst.b_seq,
-        matrix=IntegerMatrix(tuple(tuple(row) for row in rows)), seed=inst.seed,
+        matrix=IntegerMatrix(rows[:l] + (bumped,)), seed=inst.seed,
     )
 
 
@@ -114,10 +119,9 @@ def draw_b_seq(seed: int, system: RootSystem, g: int, r: int, t: int) -> ElemDiv
     gen_instance's so matrices keep their documented seed contract.
     """
     a = _adjusted_divisors(system, g, r, t)
-    rng = PCG64([seed, 0xB])
-    draws = [rng.integers(0, min(r, al) + 1) for al in a]
+    draws = PCG64([seed, 0xB]).bounded([min(r, al) for al in a])
     draws.sort(reverse=True)
-    return ElemDivSeq(tuple(b for b in draws if b > 0))
+    return ElemDivSeq(tuple(filter(None, draws)))
 
 
 @lru_cache(maxsize=256)

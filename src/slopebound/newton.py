@@ -41,7 +41,7 @@ class IntegerMatrix(Value):
     _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
-        rows = tuple(tuple(int(e) for e in row) for row in entries)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and non-empty")
         object.__setattr__(self, "entries", rows)

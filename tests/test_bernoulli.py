@@ -2,7 +2,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slopebound import bernoulli
@@ -64,6 +64,32 @@ def test_evaluate():
     assert bernoulli_poly(2).evaluate(0) == Fraction(1, 6)
     assert RationalPolynomial(()).evaluate(Fraction(7, 3)) == 0
     assert bernoulli_poly(1).evaluate(Fraction(1, 2)) == 0
+
+
+def horner(poly, x):
+    """Evaluation oracle: Fraction Horner, reducing by a gcd at every step."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(poly.coefficients):
+        acc = acc * x + c
+    return acc
+
+
+@given(
+    st.lists(st.one_of(st.integers(), st.fractions(max_denominator=10**12)), max_size=40),
+    st.one_of(st.integers(), st.fractions(max_denominator=10**6)),
+)
+@example([], Fraction(7, 3))  # the zero polynomial
+@example([0, 0, 0], 5)  # normalizes to the zero polynomial
+@example([Fraction(1, 3)], Fraction(-2, 9))  # a constant
+@example([1, Fraction(-1, 2), 0, 0, Fraction(5, 6)], 0)
+@example([Fraction(k, k + 1) for k in range(33)], Fraction(-3, 2))  # 33 terms: odd counts at several levels
+@settings(max_examples=300, deadline=None)
+def test_evaluate_matches_horner(coefficients, x):
+    poly = RationalPolynomial(tuple(coefficients))
+    value = poly.evaluate(x)
+    assert type(value) is Fraction
+    assert value == horner(poly, x)
 
 
 def test_high_degree_needs_no_deep_recursion():
