@@ -3,6 +3,11 @@
 Plain classes, not frozen dataclasses: importing ``dataclasses`` pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``, and with the class generation
 it costs every cold CLI call about 20 ms.
+
+A type is declared by its fields: a subclass names them in ``_fields`` and
+inherits a constructor taking them positionally or by name. A type that
+checks or converts its fields does so in its own ``__init__``, which ends in
+``super().__init__(...)`` with the values to store.
 """
 
 from __future__ import annotations
@@ -11,12 +16,15 @@ from operator import attrgetter
 
 __all__ = ["Value"]
 
+_store = object.__setattr__
+
 
 class Value:
     """Immutable value object whose fields are named in ``_fields``.
 
-    A subclass sets its fields in ``__init__`` through ``object.__setattr__``;
-    equality and hashing compare the field values (instances of different
+    The constructor takes every field once, positionally or by name, and
+    raises ``TypeError`` on a missing, extra, duplicated or unknown one.
+    Equality and hashing compare the field values (instances of different
     classes are never equal), ``repr`` is ``Name(field=value, ...)``, and
     assigning or deleting an attribute raises ``AttributeError``.
     """
@@ -28,6 +36,21 @@ class Value:
         super().__init_subclass__()
         # one field: the bare value, which compares and hashes just as well
         cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        if kwargs:
+            # the fields after the positional ones, by name
+            try:
+                args += tuple(map(kwargs.pop, names[len(args):]))
+            except KeyError:  # one is missing
+                args = ()
+        # a name left over is unknown or repeats a positional field
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes each of the fields {names} exactly once")
+        # not self.__dict__.update: a dict per instance costs memory and slows attribute reads
+        for name, value in zip(names, args):
+            _store(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

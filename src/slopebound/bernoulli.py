@@ -32,7 +32,7 @@ class RationalPolynomial(Value):
         coeffs = tuple(Fraction(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        super().__init__(coeffs)
 
     @property
     def degree(self) -> int:
@@ -65,18 +65,6 @@ class RationalPolynomial(Value):
 
     def __call__(self, x: Fraction | int) -> Fraction:
         return self.evaluate(x)
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return RationalPolynomial(tuple(summed))
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + RationalPolynomial(tuple(-c for c in other.coefficients))
 
 
 # B_0, B_1, ... as far as any call has needed them. The tangent recurrence

@@ -39,12 +39,7 @@ class BoundParams(Value):
             raise ValueError("m must equal 1/c^s exactly")
         if n < 0 or M < 1:
             raise ValueError("n must be non-negative and M >= 1")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "c_pow_s", c_pow_s)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        super().__init__(s, g, M, c_pow_s, m, n)
 
     @property
     def x_M(self) -> Fraction:

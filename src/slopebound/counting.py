@@ -31,8 +31,7 @@ class CountTable(Value):
             raise ValueError("N_0 must be 1")
         if any(v < 0 for v in values):
             raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "values", values)
+        super().__init__(system, values)
 
     @property
     def horizon(self) -> int:
@@ -54,7 +53,7 @@ class ElemDivSeq(Value):
             raise ValueError("exponents must be strictly positive")
         if any(a < b for a, b in zip(exponents, exponents[1:])):
             raise ValueError("exponents must be non-increasing")
-        object.__setattr__(self, "exponents", exponents)
+        super().__init__(exponents)
 
     def __len__(self) -> int:
         return len(self.exponents)

@@ -25,10 +25,10 @@ from operator import mul
 from ._pcg64 import PCG64
 from ._value import Value
 from .bernoulli import faulhaber_sum
-from .bounds import BoundParams, build_params, dimension_bound, sharp_dimension_bound
+from .bounds import build_params, dimension_bound, sharp_dimension_bound
 from .counting import ElemDivSeq, truncation_divisors
-from .newton import IntegerMatrix, NewtonPolygon, char_poly, newton_polygon, slope_le_dimension
-from .plf import PiecewiseLinear, f_infinity, f_r, from_divisor_sequence
+from .newton import IntegerMatrix, char_poly, newton_polygon, slope_le_dimension
+from .plf import f_infinity, f_r, from_divisor_sequence
 from .rootsystems import RootSystem
 
 __all__ = [
@@ -63,12 +63,7 @@ class Instance(Value):
             raise ValueError("b exponents must not exceed r")
         if matrix.t != t:
             raise ValueError("matrix dimension must equal t")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "b_seq", b_seq)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(p, t, r, b_seq, matrix, seed)
 
 
 def gen_instance(seed: int, p: int, t: int, r: int, b_seq: ElemDivSeq, entry_bound: int) -> Instance:
@@ -149,28 +144,6 @@ class ChainReport(Value):
         "polygon", "f_b", "f_a", "f_r", "f_inf",
     )
 
-    def __init__(
-        self,
-        newton_ge_fb: bool,
-        fb_ge_fa: bool,
-        fa_ge_fr: bool,
-        fr_eq_finf_on_window: bool,
-        polygon: NewtonPolygon,
-        f_b: PiecewiseLinear,
-        f_a: PiecewiseLinear,
-        f_r: PiecewiseLinear,
-        f_inf: PiecewiseLinear,
-    ) -> None:
-        object.__setattr__(self, "newton_ge_fb", newton_ge_fb)
-        object.__setattr__(self, "fb_ge_fa", fb_ge_fa)
-        object.__setattr__(self, "fa_ge_fr", fa_ge_fr)
-        object.__setattr__(self, "fr_eq_finf_on_window", fr_eq_finf_on_window)
-        object.__setattr__(self, "polygon", polygon)
-        object.__setattr__(self, "f_b", f_b)
-        object.__setattr__(self, "f_a", f_a)
-        object.__setattr__(self, "f_r", f_r)
-        object.__setattr__(self, "f_inf", f_inf)
-
     @property
     def all_hold(self) -> bool:
         return self.newton_ge_fb and self.fb_ge_fa and self.fa_ge_fr and self.fr_eq_finf_on_window
@@ -180,15 +153,6 @@ class CorollaryReport(Value):
     """Slope-count versus closed-form bound for one instance and one alpha."""
 
     _fields = ("alpha", "dimension", "bound", "sharp_bound", "params")
-
-    def __init__(
-        self, alpha: Fraction, dimension: int, bound: Fraction, sharp_bound: Fraction | None, params: BoundParams
-    ) -> None:
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "sharp_bound", sharp_bound)
-        object.__setattr__(self, "params", params)
 
     @property
     def holds(self) -> bool:
@@ -202,22 +166,6 @@ class _ChainConstants(Value):
     """What verify_chain needs that depends only on (system, g, r, t)."""
 
     _fields = ("a_adjusted", "f_a", "f_r", "f_inf", "fa_ge_fr", "fr_eq_finf_on_window")
-
-    def __init__(
-        self,
-        a_adjusted: tuple[int, ...],
-        f_a: PiecewiseLinear,
-        f_r: PiecewiseLinear,
-        f_inf: PiecewiseLinear,
-        fa_ge_fr: bool,
-        fr_eq_finf_on_window: bool,
-    ) -> None:
-        object.__setattr__(self, "a_adjusted", a_adjusted)
-        object.__setattr__(self, "f_a", f_a)
-        object.__setattr__(self, "f_r", f_r)
-        object.__setattr__(self, "f_inf", f_inf)
-        object.__setattr__(self, "fa_ge_fr", fa_ge_fr)
-        object.__setattr__(self, "fr_eq_finf_on_window", fr_eq_finf_on_window)
 
 
 # 256 holds every (type, g, r, t) of the acceptance grid (252 keys).
@@ -274,10 +222,4 @@ def verify_corollary(inst: Instance, system: RootSystem, g: int, alpha: Fraction
     poly = newton_polygon(char_poly(inst.matrix), inst.p)
     dim = slope_le_dimension(poly, alpha)
     sharp = sharp_dimension_bound(params, alpha) if alpha >= params.M else None
-    return CorollaryReport(
-        alpha=alpha,
-        dimension=dim,
-        bound=dimension_bound(params, alpha),
-        sharp_bound=sharp,
-        params=params,
-    )
+    return CorollaryReport(alpha, dim, dimension_bound(params, alpha), sharp, params)

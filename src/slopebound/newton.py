@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 
 from ._value import Value
 from .plf import DomainTooShort, PiecewiseLinear
@@ -41,10 +41,13 @@ class IntegerMatrix(Value):
     _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
-        rows = tuple(tuple(map(int, row)) for row in entries)
+        try:
+            rows = tuple(tuple(map(index, row)) for row in entries)
+        except TypeError:
+            raise ValueError("entries must be integers") from None
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and non-empty")
-        object.__setattr__(self, "entries", rows)
+        super().__init__(rows)
 
     @property
     def t(self) -> int:
@@ -64,11 +67,6 @@ class NewtonPolygon(Value):
     """Finite part of a Newton polygon plus the count of infinite slopes."""
 
     _fields = ("polygon", "finite_length", "infinite_slopes")
-
-    def __init__(self, polygon: PiecewiseLinear, finite_length: int, infinite_slopes: int) -> None:
-        object.__setattr__(self, "polygon", polygon)
-        object.__setattr__(self, "finite_length", finite_length)
-        object.__setattr__(self, "infinite_slopes", infinite_slopes)
 
     def slopes(self) -> tuple[tuple[Fraction, int], ...]:
         """Finite (slope, horizontal length) pairs, slopes non-decreasing."""
@@ -172,7 +170,7 @@ def newton_polygon(coeffs: list[int], p: int) -> NewtonPolygon:
     polygon = PiecewiseLinear(
         breakpoints=tuple((Fraction(x), Fraction(y)) for x, y in hull)
     )
-    return NewtonPolygon(polygon=polygon, finite_length=finite_length, infinite_slopes=t - finite_length)
+    return NewtonPolygon(polygon, finite_length, t - finite_length)
 
 
 def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:

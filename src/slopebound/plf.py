@@ -65,8 +65,7 @@ class PiecewiseLinear(Value):
             raise ValueError("values must be non-negative")
         if final_slope is not None and final_slope < 0:
             raise ValueError("a final ray must have non-negative slope")
-        object.__setattr__(self, "breakpoints", pts)
-        object.__setattr__(self, "final_slope", final_slope)
+        super().__init__(pts, final_slope)
 
     @property
     def domain_end(self) -> Fraction | None:
@@ -196,16 +195,19 @@ def from_divisor_sequence(seq: ElemDivSeq, r: int, t: int) -> PiecewiseLinear:
 def f_r(system_s: int, g: int, r: int) -> PiecewiseLinear:
     """Convex ramp with slope j on the j-th interval of length g*(j+1)^(s-1), capped by a ray of slope r.
 
-    Breakpoints sit at x_j = g * faulhaber_sum(s, j) for j = 0..r.
+    Breakpoints sit at x_j = g * sum_{h<j} (h+1)^(s-1) for j = 0..r, summed in
+    integers; f_infinity takes its x_j from the Bernoulli closed form, so their
+    coincidence window checks one against the other.
     """
     if system_s < 1 or g < 1 or r < 1:
         raise ValueError("s, g, r must be positive")
     points: list[Point] = [(Fraction(0), Fraction(0))]
-    y = Fraction(0)
+    x = y = 0
     for j in range(r):
-        width = g * Fraction((j + 1) ** (system_s - 1))
+        width = g * (j + 1) ** (system_s - 1)
+        x += width
         y += j * width
-        points.append((g * faulhaber_sum(system_s, j + 1), y))
+        points.append((Fraction(x), Fraction(y)))
     return PiecewiseLinear(breakpoints=tuple(points), final_slope=Fraction(r))
 
 

@@ -89,10 +89,7 @@ class RootSystem(Value):
         for root, h in zip(positive_roots, heights):
             if sum(root) != h:
                 raise ValueError(f"height of {root} is {sum(root)}, not {h}")
-        object.__setattr__(self, "letter", letter)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "positive_roots", positive_roots)
-        object.__setattr__(self, "heights", heights)
+        super().__init__(letter, rank, positive_roots, heights)
 
     @property
     def label(self) -> str:

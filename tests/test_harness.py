@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopebound import harness
+from slopebound import harness, plf
 from slopebound._pcg64 import PCG64
 from slopebound.bernoulli import faulhaber_sum
 from slopebound.counting import ElemDivSeq, truncation_divisors
@@ -256,6 +256,24 @@ def test_cached_link_can_fail(fresh_chain_cache, monkeypatch):
         report = verify_chain(inst, system, g)
         assert not report.fa_ge_fr
         assert not report.all_hold
+
+
+def test_link_4_can_fail(fresh_chain_cache, monkeypatch):
+    """A wrong closed form in f_infinity's x-coordinates breaks the coincidence window."""
+    monkeypatch.setattr(plf, "faulhaber_sum", lambda s, j: faulhaber_sum(s, j) + (j >= 2))
+    inst = gen_instance(0, p=2, t=4, r=2, b_seq=draw_b_seq(0, A2, 1, 2, 4), entry_bound=50)
+    report = verify_chain(inst, A2, 1)
+    assert report.fr_eq_finf_on_window is False
+    assert report.all_hold is False
+
+
+def test_link_2_can_fail_past_the_hypothesis_guard(monkeypatch):
+    """For A1, g = 1, r = 2 the divisors are a = (2, 1); b = (2, 2) lies above them, so f_b >= f_a fails."""
+    monkeypatch.setattr(harness, "_require_hypothesis", lambda inst, a_adjusted: None)
+    inst = gen_instance(0, p=2, t=2, r=2, b_seq=ElemDivSeq((2, 2)), entry_bound=50)
+    report = verify_chain(inst, A1, 1)
+    assert report.fb_ge_fa is False
+    assert report.all_hold is False
 
 
 def grid_draw_lines(base):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopebound import plf
 from slopebound.bernoulli import faulhaber_sum
 from slopebound.counting import ElemDivSeq, truncation_divisors
 from slopebound.plf import (
@@ -231,6 +232,15 @@ class TestDominance:
         # beyond the window the limit profile pulls ahead
         past = window + 1
         assert limit.value_at(past) > ramp.value_at(past)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    def test_window_catches_a_wrong_closed_form(self, s, g, r, monkeypatch):
+        """f_r sums its x-coordinates directly, so f_infinity's closed form is checked against that sum."""
+        monkeypatch.setattr(plf, "faulhaber_sum", lambda s, j: faulhaber_sum(s, j) + (j >= 2))
+        window = g * faulhaber_sum(s, r + 1)
+        assert not f_r(s, g, r).agrees_with(f_infinity(s, g, r), window)
 
 
 def test_counting_profile_matches_ramp_when_counts_saturate():

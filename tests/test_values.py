@@ -121,6 +121,32 @@ def test_equal_by_value_with_equal_hashes(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_rebuilt_positionally_or_by_name_equals_the_original(name):
+    a = make(name)
+    by_name = fields(a)
+    positional = type(a)(*by_name.values())
+    keyword = type(a)(**by_name)
+    assert positional == a and keyword == a
+    assert repr(positional) == repr(keyword) == repr(a)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_missing_extra_unknown_or_duplicated_fields_raise(name):
+    a = make(name)
+    cls, by_name = type(a), fields(a)
+    first, *rest = a._fields
+    values = tuple(by_name.values())
+    with pytest.raises(TypeError):  # missing (the first: PiecewiseLinear's last field has a default)
+        cls(**{field: by_name[field] for field in rest})
+    with pytest.raises(TypeError):  # extra
+        cls(*values, None)
+    with pytest.raises(TypeError):  # unknown
+        cls(*values, bogus=None)
+    with pytest.raises(TypeError):  # duplicated
+        cls(*values, **{first: by_name[first]})
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_unequal_to_other_classes_and_tuples(name):
     a = make(name)
     for other in NAMES:
@@ -168,6 +194,13 @@ def test_hash_serves_as_cache_key():
     assert {IntegerMatrix(((1, 2), (3, 4))): 1}[IntegerMatrix([[1, 2], [3, 4]])] == 1
 
 
+def test_matrix_entries_are_whatever_operator_index_accepts():
+    np = pytest.importorskip("numpy")
+    matrix = IntegerMatrix(((np.int64(3), True), (0, np.uint8(1))))
+    assert matrix == IntegerMatrix(((3, 1), (0, 1)))
+    assert all(type(entry) is int for row in matrix.entries for entry in row)
+
+
 def _pl(*points, final_slope=None):
     return lambda: PiecewiseLinear(points, final_slope)
 
@@ -186,6 +219,8 @@ VALIDATION = {
     "negative ray": (_pl((0, 0), (1, 1), final_slope=-1), "non-negative slope"),
     "matrix empty": (lambda: IntegerMatrix(()), "square"),
     "matrix not square": (lambda: IntegerMatrix(((1, 2),)), "square"),
+    "matrix entry a Fraction": (lambda: IntegerMatrix(((Fraction(3, 2),),)), "entries must be integers"),
+    "matrix entry a float": (lambda: IntegerMatrix(((2.7,),)), "entries must be integers"),
     "m times c^s": (lambda: BoundParams(1, 1, 4, Fraction(1, 16), Fraction(15), Fraction(6)), "1/c"),
     "negative n": (lambda: BoundParams(1, 1, 4, Fraction(1, 16), Fraction(16), Fraction(-1)), "M >= 1"),
     "M below 1": (lambda: BoundParams(1, 1, 0, Fraction(1, 16), Fraction(16), Fraction(6)), "M >= 1"),
