@@ -106,6 +106,14 @@ def bernoulli_poly(s: int) -> RationalPolynomial:
     return RationalPolynomial(tuple(math.comb(s, i) * numbers[s - i] for i in range(s + 1)))
 
 
+def _sum_from_bernoulli(k: int, j: int) -> Fraction:
+    """(B_k(j+1) - B_k(0))/k: the sum of h^(k-1) over h = 0..j, counting 0^0 as 1."""
+    if j < 0:
+        raise ValueError("j must be non-negative")
+    poly = bernoulli_poly(k)
+    return (poly(j + 1) - poly(0)) / k
+
+
 def faulhaber_sum(s: int, j: int) -> Fraction:
     """Sum of (h+1)^(s-1) over h = 0..j-1, exactly (0 for j = 0).
 
@@ -115,20 +123,12 @@ def faulhaber_sum(s: int, j: int) -> Fraction:
     """
     if s < 1:
         raise ValueError("s must be positive")
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    poly = bernoulli_poly(s)
-    total = (poly(j + 1) - poly(0)) / s
-    if s == 1:
-        total -= 1
-    return total
+    total = _sum_from_bernoulli(s, j)
+    return total - 1 if s == 1 else total
 
 
 def power_sum(s: int, j: int) -> Fraction:
     """Sum of h^s over h = 0..j, exactly, via (B_{s+1}(j+1) - B_{s+1}(0))/(s+1)."""
     if s < 1:
         raise ValueError("s must be positive")
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    poly = bernoulli_poly(s + 1)
-    return (poly(j + 1) - poly(0)) / (s + 1)
+    return _sum_from_bernoulli(s + 1, j)

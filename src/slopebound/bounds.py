@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._value import Value
-from .bernoulli import RationalPolynomial, bernoulli_poly
+from .bernoulli import RationalPolynomial, _sum_from_bernoulli, bernoulli_poly
 from .plf import OutOfDomain
 
 __all__ = [
@@ -47,7 +47,6 @@ class BoundParams(Value):
         return self.n
 
 
-@lru_cache(maxsize=1)  # compute_M and build_params ask for the same s in turn
 def envelope_polynomials(s: int) -> tuple[RationalPolynomial, RationalPolynomial]:
     """The monic envelope pair: B_s(x+2) - B_s(0) (degree s) and B_{s+1}(x+1) - B_{s+1}(0) (degree s+1).
 
@@ -56,11 +55,11 @@ def envelope_polynomials(s: int) -> tuple[RationalPolynomial, RationalPolynomial
     upper = B_s(x) - B_s(0) + s*x^(s-1) + s*(x+1)^(s-1),
     lower = B_{s+1}(x) - B_{s+1}(0) + (s+1)*x^s.
     """
-    upper = [Fraction(0), *bernoulli_poly(s).coefficients[1:]]
+    upper = [0, *bernoulli_poly(s).coefficients[1:]]
     upper[s - 1] += s
     for i in range(s):
         upper[i] += s * math.comb(s - 1, i)
-    lower = [Fraction(0), *bernoulli_poly(s + 1).coefficients[1:]]
+    lower = [0, *bernoulli_poly(s + 1).coefficients[1:]]
     lower[s] += s + 1
     return RationalPolynomial(tuple(upper)), RationalPolynomial(tuple(lower))
 
@@ -89,8 +88,7 @@ def build_params(s: int, g: int) -> BoundParams:
     M = compute_M(s)
     c_pow_s = Fraction(s, g * 2 ** (3 * s + 1))
     m = 1 / c_pow_s
-    upper, _ = envelope_polynomials(s)
-    n = Fraction(g) * upper(M) / s  # upper(M) = B_s(M+2) - B_s(0)
+    n = g * _sum_from_bernoulli(s, M + 1)  # g*(B_s(M+2) - B_s(0))/s, uncorrected at s = 1
     return BoundParams(s=s, g=g, M=M, c_pow_s=c_pow_s, m=m, n=n)
 
 

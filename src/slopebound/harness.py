@@ -49,18 +49,23 @@ class HypothesisViolation(ValueError):
     """The b-sequence is not coordinatewise below the divisor sequence."""
 
 
+def _check_divisibility_data(t: int, r: int, b_seq: ElemDivSeq) -> None:
+    """The checks on (t, r, b) that an Instance needs, made before anything is computed from them."""
+    if t < 1 or r < 1:
+        raise ValueError("t and r must be positive")
+    if len(b_seq) > t:
+        raise ValueError("b-sequence longer than t")
+    if any(b > r for b in b_seq.exponents):
+        raise ValueError("b exponents must not exceed r")
+
+
 class Instance(Value):
     """One synthetic operator with its divisibility data."""
 
     _fields = ("p", "t", "r", "b_seq", "matrix", "seed")
 
     def __init__(self, p: int, t: int, r: int, b_seq: ElemDivSeq, matrix: IntegerMatrix, seed: int) -> None:
-        if t < 1 or r < 1:
-            raise ValueError("t and r must be positive")
-        if len(b_seq) > t:
-            raise ValueError("b-sequence longer than t")
-        if any(b > r for b in b_seq.exponents):
-            raise ValueError("b exponents must not exceed r")
+        _check_divisibility_data(t, r, b_seq)
         if matrix.t != t:
             raise ValueError("matrix dimension must equal t")
         super().__init__(p, t, r, b_seq, matrix, seed)
@@ -69,6 +74,7 @@ class Instance(Value):
 def gen_instance(seed: int, p: int, t: int, r: int, b_seq: ElemDivSeq, entry_bound: int) -> Instance:
     """Deterministic instance from a seed: uniform entries in [-entry_bound, entry_bound],
     then column l scaled by p^(r - b_l)."""
+    _check_divisibility_data(t, r, b_seq)
     if entry_bound < 1:
         raise ValueError("entry_bound must be positive")
     raw = PCG64(seed).integers(-entry_bound, entry_bound + 1, t * t)

@@ -166,11 +166,7 @@ def newton_polygon(coeffs: list[int], p: int) -> NewtonPolygon:
     t = len(coeffs) - 1
     points = [(i, _valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]
     finite_length = points[-1][0]
-    hull = _lower_hull(points)
-    polygon = PiecewiseLinear(
-        breakpoints=tuple((Fraction(x), Fraction(y)) for x, y in hull)
-    )
-    return NewtonPolygon(polygon, finite_length, t - finite_length)
+    return NewtonPolygon(PiecewiseLinear(_lower_hull(points)), finite_length, t - finite_length)
 
 
 def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:

@@ -1,10 +1,12 @@
-"""Convex piecewise-linear functions over exact rationals.
+"""Piecewise-linear functions over exact rationals.
 
 A function is stored as breakpoints with strictly increasing x starting at
-(0, 0), optionally continued past the last breakpoint by a ray of fixed
-slope. All named constructors produce convex functions. Comparisons are
-decided exactly at merged breakpoints, which suffices for piecewise-linear
-functions.
+(0, 0) and non-negative values, optionally continued past the last breakpoint
+by a ray of non-negative slope. The constructor enforces exactly that, not
+convexity, and is the one place a coordinate becomes a Fraction (from
+anything Fraction() takes, "3/2" included). The named constructors produce
+convex functions. Comparisons are decided exactly at merged breakpoints,
+which suffices for any piecewise-linear functions, convex or not.
 """
 
 from __future__ import annotations
@@ -110,9 +112,6 @@ class PiecewiseLinear(Value):
         x1, y1 = self.breakpoints[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
-    def __call__(self, x: Fraction | int) -> Fraction:
-        return self.value_at(x)
-
     def _value_from(self, i: int, x: Fraction) -> Fraction:
         """Value at x, given the index i of the last breakpoint at or left of x."""
         x0, y0 = self.breakpoints[i]
@@ -167,9 +166,11 @@ class PiecewiseLinear(Value):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PiecewiseLinear":
-        pts = tuple((Fraction(x), Fraction(y)) for x, y in data["breakpoints"])
-        slope = data.get("final_slope")
-        return cls(breakpoints=pts, final_slope=None if slope is None else Fraction(slope))
+        """Inverse of to_json_dict; ValueError for data of any other shape."""
+        try:
+            return cls(data["breakpoints"], data.get("final_slope"))
+        except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"not a profile ({type(exc).__name__}: {exc})") from None
 
 
 def from_divisor_sequence(seq: ElemDivSeq, r: int, t: int) -> PiecewiseLinear:
@@ -184,12 +185,12 @@ def from_divisor_sequence(seq: ElemDivSeq, r: int, t: int) -> PiecewiseLinear:
         raise ExponentExceedsR(f"exponents {seq.exponents} exceed r = {r}")
     if t < len(seq):
         raise BadLength(f"t = {t} shorter than sequence length {len(seq)}")
-    points: list[Point] = [(Fraction(0), Fraction(0))]
+    points = [(0, 0)]
     total = 0
     for l, e in enumerate(seq.padded(t), start=1):
         total += r - e
-        points.append((Fraction(l), Fraction(total)))
-    return PiecewiseLinear(breakpoints=tuple(points))
+        points.append((l, total))
+    return PiecewiseLinear(points)
 
 
 def f_r(system_s: int, g: int, r: int) -> PiecewiseLinear:
@@ -201,14 +202,14 @@ def f_r(system_s: int, g: int, r: int) -> PiecewiseLinear:
     """
     if system_s < 1 or g < 1 or r < 1:
         raise ValueError("s, g, r must be positive")
-    points: list[Point] = [(Fraction(0), Fraction(0))]
+    points = [(0, 0)]
     x = y = 0
     for j in range(r):
         width = g * (j + 1) ** (system_s - 1)
         x += width
         y += j * width
-        points.append((Fraction(x), Fraction(y)))
-    return PiecewiseLinear(breakpoints=tuple(points), final_slope=Fraction(r))
+        points.append((x, y))
+    return PiecewiseLinear(points, r)
 
 
 def _ladder_x(system_s: int, g: int, j: int) -> Fraction:
@@ -224,12 +225,12 @@ def f_infinity(system_s: int, g: int, j_max: int) -> PiecewiseLinear:
     """
     if system_s < 1 or g < 1 or j_max < 1:
         raise ValueError("s, g, j_max must be positive")
-    points: list[Point] = [(Fraction(0), Fraction(0))]
+    points = [(0, 0)]
     y = 0
     for j in range(j_max + 1):
         y += j * (j + 1) ** (system_s - 1)
-        points.append((_ladder_x(system_s, g, j), Fraction(g * y)))
-    return PiecewiseLinear(breakpoints=tuple(points))
+        points.append((_ladder_x(system_s, g, j), g * y))
+    return PiecewiseLinear(points)
 
 
 def f_infinity_star(system_s: int, g: int, j_max: int) -> PiecewiseLinear:
@@ -240,7 +241,7 @@ def f_infinity_star(system_s: int, g: int, j_max: int) -> PiecewiseLinear:
     """
     if system_s < 1 or g < 1 or j_max < 1:
         raise ValueError("s, g, j_max must be positive")
-    points: list[Point] = [(Fraction(0), Fraction(0))]
+    points = [(0, 0)]
     for j in range(j_max + 1):
         points.append((_ladder_x(system_s, g, j), g * power_sum(system_s, j)))
-    return PiecewiseLinear(breakpoints=tuple(points))
+    return PiecewiseLinear(points)

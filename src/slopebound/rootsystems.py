@@ -3,7 +3,7 @@
 Roots are enumerated from the Cartan matrix by closing the set of simple
 roots under addition of simple roots, using the root-string criterion.
 Only the combinatorial shadow is kept: coefficient vectors over the simple
-roots and their heights (coefficient sums).
+roots, from which the heights (coefficient sums) are derived.
 """
 
 from __future__ import annotations
@@ -75,21 +75,7 @@ def cartan_matrix(letter: str, rank: int) -> list[list[int]]:
 class RootSystem(Value):
     """Positive roots of a simple type, as coefficient vectors over simple roots."""
 
-    _fields = ("letter", "rank", "positive_roots", "heights")
-
-    def __init__(
-        self,
-        letter: str,
-        rank: int,
-        positive_roots: tuple[tuple[int, ...], ...],
-        heights: tuple[int, ...],
-    ) -> None:
-        if len(heights) != len(positive_roots):
-            raise ValueError("heights and positive_roots must have equal length")
-        for root, h in zip(positive_roots, heights):
-            if sum(root) != h:
-                raise ValueError(f"height of {root} is {sum(root)}, not {h}")
-        super().__init__(letter, rank, positive_roots, heights)
+    _fields = ("letter", "rank", "positive_roots")
 
     @property
     def label(self) -> str:
@@ -100,8 +86,13 @@ class RootSystem(Value):
         """Number of positive roots."""
         return len(self.positive_roots)
 
+    @property
+    def heights(self) -> tuple[int, ...]:
+        """Height (coefficient sum) of each positive root, in root order."""
+        return tuple(map(sum, self.positive_roots))
 
-def _close_under_addition(cartan: list[list[int]]) -> list[tuple[int, ...]]:
+
+def _close_under_addition(cartan: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """All positive roots, via the root-string criterion.
 
     beta + a_i is a root iff q >= 1 where q = r - <beta, a_i^v>, and r is the
@@ -131,7 +122,7 @@ def _close_under_addition(cartan: list[list[int]]) -> list[tuple[int, ...]]:
                         roots.add(cand)
                         nxt.append(cand)
         frontier = nxt
-    return sorted(roots, key=lambda v: (sum(v), v))
+    return tuple(sorted(roots, key=lambda v: (sum(v), v)))
 
 
 def build_root_system(letter: str, rank: int) -> RootSystem:
@@ -141,14 +132,7 @@ def build_root_system(letter: str, rank: int) -> RootSystem:
     result is deterministic. Raises InvalidType for unsupported pairs.
     """
     letter = letter.upper()
-    _validate(letter, rank)
-    roots = _close_under_addition(cartan_matrix(letter, rank))
-    return RootSystem(
-        letter=letter,
-        rank=rank,
-        positive_roots=tuple(roots),
-        heights=tuple(sum(v) for v in roots),
-    )
+    return RootSystem(letter, rank, _close_under_addition(cartan_matrix(letter, rank)))
 
 
 def parse_label(label: str) -> tuple[str, int]:

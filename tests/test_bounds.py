@@ -42,6 +42,7 @@ def test_envelopes_match_taylor_shift(s):
     upper, lower = envelope_polynomials(s)
     assert upper == taylor_shift_from_origin(bs, 2)
     assert lower == taylor_shift_from_origin(bs1, 1)
+    assert all(type(c) is Fraction for poly in (upper, lower) for c in poly.coefficients)
 
 
 @pytest.mark.parametrize(

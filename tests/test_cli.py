@@ -217,6 +217,29 @@ def test_newton_bound_too_short_is_usage_error(tmp_path, capsys):
     assert "bound only defined up to 1, need 2" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"final_slope": null}',
+    "[1, 2]",
+    '"x"',
+    '{"breakpoints": 5}',
+    '{"breakpoints": [[null, 1]]}',
+    '{"breakpoints": [["0", "0"]], "final_slope": []}',
+    '{"breakpoints": [["0", "0"], ["1/0", "1"]]}',
+    '{"breakpoints": [["0", "0"]], "final_slope": "1/0"}',
+    '{"breakpoints": [["0", "0"], [1e400, "1"]]}',
+])
+def test_newton_malformed_bound_file_is_usage_error(tmp_path, capsys, text):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2\n1 0\n0 1\n")
+    bound = tmp_path / "bound.json"
+    bound.write_text(text)
+    code, out, err = invoke(capsys, "newton", "--p", "2", "--matrix", str(matrix), "--bound", str(bound))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_newton_bad_matrix_file(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("2\n1 0\n")
@@ -261,6 +284,16 @@ def test_verify_invalid_b_is_usage_error(capsys):
         "--t", "3", "--r", "2", "--b", "1,2", "--trials", "2",
     )
     assert code == 2
+
+
+def test_verify_b_above_r_names_the_violated_condition(capsys):
+    code, out, err = invoke(
+        capsys, "verify", "chain", "--type", "A1", "--g", "1", "--p", "2",
+        "--t", "2", "--r", "1", "--b", "2", "--trials", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: b exponents must not exceed r\n"
 
 
 @pytest.mark.parametrize("flags", [["--entry-bound", str(2**63)], ["--seed", "-1"]])

@@ -207,6 +207,20 @@ def test_negative_seed_raises():
         gen_instance(-1, 2, 3, 1, ElemDivSeq(()), 10)
 
 
+@pytest.mark.parametrize(
+    "t, r, b, message",
+    [
+        (2, 1, (2,), "b exponents must not exceed r"),
+        (0, 1, (), "t and r must be positive"),
+        (2, 3, (3, 2, 1), "b-sequence longer than t"),
+    ],
+)
+def test_gen_instance_validates_before_computing(t, r, b, message):
+    # the messages of Instance itself, not those of the arithmetic they guard
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gen_instance(0, 2, t, r, ElemDivSeq(b), 50)
+
+
 def test_entry_bound_past_int64_raises():
     with pytest.raises(ValueError):
         gen_instance(1, 2, 3, 1, ElemDivSeq(()), 2**63)

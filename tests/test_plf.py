@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,22 @@ from slopebound.plf import (
     f_r,
     from_divisor_sequence,
 )
+from slopebound.newton import newton_polygon
 from slopebound.rootsystems import build_root_system
+
+
+# JSON documents that are not profiles, one per way the parse can go wrong
+MALFORMED_PROFILES = [
+    '{"final_slope": null}',
+    "[1, 2]",
+    '"x"',
+    '{"breakpoints": 5}',
+    '{"breakpoints": [[null, 1]]}',
+    '{"breakpoints": [["0", "0"]], "final_slope": []}',
+    '{"breakpoints": [["0", "0"], ["1/0", "1"]]}',
+    '{"breakpoints": [["0", "0"]], "final_slope": "1/0"}',
+    '{"breakpoints": [["0", "0"], [1e400, "1"]]}',
+]
 
 
 def pts(*pairs):
@@ -89,6 +105,11 @@ class TestStructure:
     def test_json_roundtrip(self):
         fn = f_r(2, 3, 4)
         assert PiecewiseLinear.from_json_dict(fn.to_json_dict()) == fn
+
+    @pytest.mark.parametrize("text", MALFORMED_PROFILES)
+    def test_json_of_any_other_shape_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="not a profile"):
+            PiecewiseLinear.from_json_dict(json.loads(text))
 
 
 class TestFromDivisorSequence:
@@ -253,3 +274,34 @@ def test_counting_profile_matches_ramp_when_counts_saturate():
                 t = len(seq) + extra
                 profile = from_divisor_sequence(seq, r, t)
                 assert profile.agrees_with(f_r(system.s, g, r), t)
+
+
+def _all_fractions(fn):
+    coordinates = [c for point in fn.breakpoints for c in point]
+    return all(type(c) is Fraction for c in coordinates) and (
+        fn.final_slope is None or type(fn.final_slope) is Fraction
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: from_divisor_sequence(ElemDivSeq((3, 2, 1)), 3, 5),
+        lambda: f_r(3, 2, 4),
+        lambda: f_infinity(3, 2, 4),
+        lambda: f_infinity(1, 1, 3),
+        lambda: f_infinity_star(3, 2, 4),
+        lambda: f_infinity_star(1, 1, 3),
+        lambda: newton_polygon([1, -24, 168, -320], 2).polygon,
+        lambda: PiecewiseLinear.from_json_dict(
+            {"breakpoints": [[0, 0], ["3/2", 1], [2, "5"]], "final_slope": 7}
+        ),
+        lambda: PiecewiseLinear.from_json_dict(f_r(2, 1, 3).to_json_dict()),
+    ],
+    ids=["f_b", "f_r", "f_infinity", "f_infinity_s1", "f_infinity_star", "f_infinity_star_s1",
+         "newton", "json_mixed", "json_round_trip"],
+)
+def test_every_coordinate_and_slope_is_stored_as_a_fraction(build):
+    # the constructor is the one conversion point; value equality, hashing and
+    # repr of the profiles (and of everything that holds one) rely on it
+    assert _all_fractions(build())

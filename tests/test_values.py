@@ -1,6 +1,7 @@
 """Value semantics of the immutable types: equality, hashing, repr, immutability, pickling.
 
-The repr literals were recorded from the frozen dataclasses these classes replace.
+The repr literals were recorded from the frozen dataclasses these classes replace,
+less RootSystem's heights, which are now derived from the roots rather than stored.
 """
 
 import copy
@@ -16,7 +17,7 @@ from slopebound.counting import CountTable, ElemDivSeq, count_nh
 from slopebound.harness import ChainReport, CorollaryReport, Instance, gen_instance
 from slopebound.newton import IntegerMatrix, NewtonPolygon, newton_polygon
 from slopebound.plf import PiecewiseLinear
-from slopebound.rootsystems import RootSystem, build_root_system
+from slopebound.rootsystems import build_root_system
 
 A1 = build_root_system("A", 1)
 
@@ -33,11 +34,11 @@ def _line():
 SAMPLES = {
     "RootSystem": (
         lambda: build_root_system("A", 2),
-        "RootSystem(letter='A', rank=2, positive_roots=((0, 1), (1, 0), (1, 1)), heights=(1, 1, 2))",
+        "RootSystem(letter='A', rank=2, positive_roots=((0, 1), (1, 0), (1, 1)))",
     ),
     "CountTable": (
         lambda: count_nh(A1, 2),
-        "CountTable(system=RootSystem(letter='A', rank=1, positive_roots=((1,),), heights=(1,)), values=(1, 1, 1))",
+        "CountTable(system=RootSystem(letter='A', rank=1, positive_roots=((1,),)), values=(1, 1, 1))",
     ),
     "ElemDivSeq": (lambda: ElemDivSeq((2, 1, 1)), "ElemDivSeq(exponents=(2, 1, 1))"),
     "RationalPolynomial": (
@@ -206,8 +207,6 @@ def _pl(*points, final_slope=None):
 
 
 VALIDATION = {
-    "root heights length": (lambda: RootSystem("A", 1, ((1,),), (1, 1)), "equal length"),
-    "root height": (lambda: RootSystem("A", 2, ((1, 0), (1, 1)), (1, 1)), "height of"),
     "N_0": (lambda: CountTable(A1, (2, 1)), "N_0 must be 1"),
     "empty counts": (lambda: CountTable(A1, ()), "N_0 must be 1"),
     "negative count": (lambda: CountTable(A1, (1, -1)), "non-negative"),
