@@ -22,7 +22,7 @@ from .counting import ElemDivSeq, count_nh, truncation_divisors
 from .harness import draw_b_seq, gen_instance, verify_chain, verify_corollary
 from .newton import IntegerMatrix, char_poly, newton_polygon, slope_le_dimension
 from .plf import PiecewiseLinear, f_infinity, f_infinity_star, f_r
-from .rootsystems import InvalidType, build_root_system, parse_label
+from .rootsystems import build_root_system, parse_label
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "SLOPE_BOUND_SEED"
@@ -367,7 +367,7 @@ def run(argv: list[str]) -> int:
     try:
         with _no_int_digit_limit():
             return _HANDLERS[args.command](args)
-    except (CliUsageError, InvalidType, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

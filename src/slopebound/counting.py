@@ -2,12 +2,14 @@
 
 N_h counts tuples n in N_0^s with sum n_i * ht_i = h over the height
 multiset of a root system. The truncation divisor sequence lists the
-prime-power exponents (r - h), each repeated g * N_h times for h < r.
+prime-power exponents (r - h), each repeated g * N_h times for h < r: one
+lazy run-length expansion of N_0..N_{r-1}, so its first t entries cost O(t).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from collections.abc import Iterator
+from itertools import accumulate, chain, product, repeat
 
 from ._value import Value
 from .rootsystems import RootSystem
@@ -32,10 +34,6 @@ class CountTable(Value):
         if any(v < 0 for v in values):
             raise ValueError("counts must be non-negative")
         super().__init__(system, values)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values) - 1
 
 
 class ElemDivSeq(Value):
@@ -97,12 +95,14 @@ def count_nh_bruteforce(system: RootSystem, H: int) -> CountTable:
     return CountTable(system=system, values=tuple(values))
 
 
-def truncation_divisors(system: RootSystem, g: int, r: int) -> ElemDivSeq:
-    """Exponent sequence (r repeated g*N_0 times, r-1 repeated g*N_1 times, ..., 1 repeated g*N_{r-1} times)."""
+def _divisor_exponents(system: RootSystem, g: int, r: int) -> Iterator[int]:
+    """The exponents r - h, each repeated g*N_h times for h = 0..r-1, lazily in that order."""
     if g < 1 or r < 1:
         raise ValueError("g and r must be positive")
-    table = count_nh(system, r - 1)
-    exponents: list[int] = []
-    for h in range(r):
-        exponents.extend([r - h] * (g * table.values[h]))
-    return ElemDivSeq(exponents=tuple(exponents))
+    counts = count_nh(system, r - 1).values
+    return chain.from_iterable(repeat(r - h, g * n) for h, n in enumerate(counts))
+
+
+def truncation_divisors(system: RootSystem, g: int, r: int) -> ElemDivSeq:
+    """Exponent sequence (r repeated g*N_0 times, r-1 repeated g*N_1 times, ..., 1 repeated g*N_{r-1} times)."""
+    return ElemDivSeq(exponents=tuple(_divisor_exponents(system, g, r)))

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice, repeat
 from operator import mul
 
 from ._pcg64 import PCG64
 from ._value import Value
 from .bernoulli import faulhaber_sum
 from .bounds import build_params, dimension_bound, sharp_dimension_bound
-from .counting import ElemDivSeq, truncation_divisors
+from .counting import ElemDivSeq, _divisor_exponents
 from .newton import IntegerMatrix, char_poly, newton_polygon, slope_le_dimension
 from .plf import f_infinity, f_r, from_divisor_sequence
 from .rootsystems import RootSystem
@@ -113,25 +114,21 @@ def corrupt_instance(inst: Instance) -> Instance:
 
 
 def draw_b_seq(seed: int, system: RootSystem, g: int, r: int, t: int) -> ElemDivSeq:
-    """Seeded b-sequence below the divisor sequence: b_l uniform in [0, min(r, a_l)].
+    """Seeded b-sequence below the divisor sequence: b_l uniform in [0, a_l].
 
     Sorting non-increasing preserves the coordinatewise hypothesis because
     the a-sequence is itself non-increasing. Uses a stream separated from
     gen_instance's so matrices keep their documented seed contract.
     """
-    a = _adjusted_divisors(system, g, r, t)
-    draws = PCG64([seed, 0xB]).bounded([min(r, al) for al in a])
+    draws = PCG64([seed, 0xB]).bounded(_adjusted_divisors(system, g, r, t))
     draws.sort(reverse=True)
     return ElemDivSeq(tuple(filter(None, draws)))
 
 
 @lru_cache(maxsize=256)
 def _adjusted_divisors(system: RootSystem, g: int, r: int, t: int) -> tuple[int, ...]:
-    """Divisor exponents truncated or zero-padded to length exactly t."""
-    exps = truncation_divisors(system, g, r).exponents
-    if len(exps) >= t:
-        return exps[:t]
-    return exps + (0,) * (t - len(exps))
+    """The first t divisor exponents, zero-padded to length exactly t; the rest are never built."""
+    return tuple(islice(chain(_divisor_exponents(system, g, r), repeat(0)), t))
 
 
 def _require_hypothesis(inst: Instance, a_adjusted: tuple[int, ...]) -> None:

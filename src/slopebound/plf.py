@@ -166,10 +166,20 @@ class PiecewiseLinear(Value):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PiecewiseLinear":
-        """Inverse of to_json_dict; ValueError for data of any other shape."""
+        """Inverse of to_json_dict; ValueError for data of any other shape.
+
+        Breakpoints are lists [x, y]; coordinates and slope are strings like
+        "3/2" or integers, since a JSON float or true has no exact value.
+        """
         try:
-            return cls(data["breakpoints"], data.get("final_slope"))
-        except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+            points, slope = data["breakpoints"], data.get("final_slope")
+            if type(points) is not list or any(type(pt) is not list or len(pt) != 2 for pt in points):
+                raise TypeError("each breakpoint must be a list [x, y]")
+            for value in [c for pt in points for c in pt] + ([] if slope is None else [slope]):
+                if type(value) not in (str, int):  # excludes bool and float
+                    raise TypeError(f"{value!r} is neither a string nor an integer")
+            return cls(points, slope)
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"not a profile ({type(exc).__name__}: {exc})") from None
 
 

@@ -1,12 +1,14 @@
 """Positive-root data for the split simple types A-G.
 
-Roots are enumerated from the Cartan matrix by closing the set of simple
-roots under addition of simple roots, using the root-string criterion.
+Roots are enumerated from the Cartan matrix as the closure of the simple
+roots under the simple reflections, each taken only where it raises a root.
 Only the combinatorial shadow is kept: coefficient vectors over the simple
 roots, from which the heights (coefficient sums) are derived.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from ._value import Value
 
@@ -92,36 +94,26 @@ class RootSystem(Value):
         return tuple(map(sum, self.positive_roots))
 
 
-def _close_under_addition(cartan: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """All positive roots, via the root-string criterion.
+def _positive_roots(cartan: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """All positive roots: the simple roots closed under each s_i that raises a root.
 
-    beta + a_i is a root iff q >= 1 where q = r - <beta, a_i^v>, and r is the
-    number of steps beta - k*a_i stays a root.
+    s_i(beta) = beta - <beta, a_i^v> a_i. A positive non-simple beta has some
+    <beta, a_i^v> > 0, making s_i(beta) a lower positive root whose pairing
+    with a_i^v is negative, so induction on height reaches every beta.
     """
     n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
+    columns = list(enumerate(zip(*cartan)))
+    roots = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = list(roots)
     while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for beta in frontier:
-            for i in range(n):
-                back = 0
-                probe = list(beta)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in roots:
-                        break
-                    back += 1
-                pairing = sum(beta[j] * cartan[j][i] for j in range(n))
-                if back - pairing >= 1:
-                    up = list(beta)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
+        beta = frontier.pop()
+        for i, column in columns:
+            pairing = sum(map(mul, beta, column))
+            if pairing < 0:
+                up = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
+                if up not in roots:
+                    roots.add(up)
+                    frontier.append(up)
     return tuple(sorted(roots, key=lambda v: (sum(v), v)))
 
 
@@ -132,7 +124,7 @@ def build_root_system(letter: str, rank: int) -> RootSystem:
     result is deterministic. Raises InvalidType for unsupported pairs.
     """
     letter = letter.upper()
-    return RootSystem(letter, rank, _close_under_addition(cartan_matrix(letter, rank)))
+    return RootSystem(letter, rank, _positive_roots(cartan_matrix(letter, rank)))
 
 
 def parse_label(label: str) -> tuple[str, int]:

@@ -227,6 +227,12 @@ def test_newton_bound_too_short_is_usage_error(tmp_path, capsys):
     '{"breakpoints": [["0", "0"], ["1/0", "1"]]}',
     '{"breakpoints": [["0", "0"]], "final_slope": "1/0"}',
     '{"breakpoints": [["0", "0"], [1e400, "1"]]}',
+    '{"breakpoints": ["00", "12"]}',
+    '{"breakpoints": [["0", "0", "0"]]}',
+    '{"breakpoints": [["0", "0"], [0.1, "1"]]}',
+    '{"breakpoints": [["0", "0"], ["1", "1"]], "final_slope": 0.5}',
+    '{"breakpoints": [[false, false]]}',
+    '{"breakpoints": [["0", "0"]], "final_slope": true}',
 ])
 def test_newton_malformed_bound_file_is_usage_error(tmp_path, capsys, text):
     matrix = tmp_path / "m.txt"

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -27,6 +28,7 @@ from slopebound.rootsystems import build_root_system
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
+G2 = build_root_system("G", 2)
 
 
 def test_same_seed_same_instance():
@@ -288,6 +290,28 @@ def test_link_2_can_fail_past_the_hypothesis_guard(monkeypatch):
     report = verify_chain(inst, A1, 1)
     assert report.fb_ge_fa is False
     assert report.all_hold is False
+
+
+@given(st.sampled_from([A1, A2, B2, G2]), st.integers(1, 3), st.integers(1, 8), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_adjusted_divisors_are_the_zero_padded_prefix(system, g, r, t):
+    exps = truncation_divisors(system, g, r).exponents
+    assert harness._adjusted_divisors.__wrapped__(system, g, r, t) == (exps + (0,) * t)[:t]
+
+
+def test_e8_draw_and_chain_build_only_the_exponents_they_read(fresh_chain_cache):
+    """At E8, g = 1, r = 13 the divisor sequence has 3,086,065 entries; t = 4 reads four."""
+    e8 = build_root_system("E", 8)
+    harness._adjusted_divisors.cache_clear()
+    tracemalloc.start()
+    try:
+        b_seq = draw_b_seq(0, e8, 1, 13, 4)
+        report = verify_chain(gen_instance(0, p=2, t=4, r=13, b_seq=b_seq, entry_bound=50), e8, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_hold
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def grid_draw_lines(base):

@@ -34,6 +34,12 @@ MALFORMED_PROFILES = [
     '{"breakpoints": [["0", "0"], ["1/0", "1"]]}',
     '{"breakpoints": [["0", "0"]], "final_slope": "1/0"}',
     '{"breakpoints": [["0", "0"], [1e400, "1"]]}',
+    '{"breakpoints": ["00", "12"]}',
+    '{"breakpoints": [["0", "0", "0"]]}',
+    '{"breakpoints": [["0", "0"], [0.1, "1"]]}',
+    '{"breakpoints": [["0", "0"], ["1", "1"]], "final_slope": 0.5}',
+    '{"breakpoints": [[false, false]]}',
+    '{"breakpoints": [["0", "0"]], "final_slope": true}',
 ]
 
 
