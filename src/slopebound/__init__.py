@@ -30,6 +30,7 @@ from .newton import (
     NewtonPolygon,
     char_poly,
     check_lower_bound,
+    matrix_newton_polygon,
     newton_polygon,
     slope_le_dimension,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "from_divisor_sequence",
     "gen_instance",
     "infimum_dimension_bound",
+    "matrix_newton_polygon",
     "newton_polygon",
     "parse_label",
     "power_sum",

@@ -28,7 +28,7 @@ from ._value import Value
 from .bernoulli import faulhaber_sum
 from .bounds import build_params, dimension_bound, sharp_dimension_bound
 from .counting import ElemDivSeq, _divisor_exponents
-from .newton import IntegerMatrix, char_poly, newton_polygon, slope_le_dimension
+from .newton import IntegerMatrix, matrix_newton_polygon, slope_le_dimension
 from .plf import f_infinity, f_r, from_divisor_sequence
 from .rootsystems import RootSystem
 
@@ -120,6 +120,8 @@ def draw_b_seq(seed: int, system: RootSystem, g: int, r: int, t: int) -> ElemDiv
     the a-sequence is itself non-increasing. Uses a stream separated from
     gen_instance's so matrices keep their documented seed contract.
     """
+    if t < 1 or r < 1:
+        raise ValueError("t and r must be positive")
     draws = PCG64([seed, 0xB]).bounded(_adjusted_divisors(system, g, r, t))
     draws.sort(reverse=True)
     return ElemDivSeq(tuple(filter(None, draws)))
@@ -200,7 +202,7 @@ def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
     const = _chain_constants(system, g, inst.r, inst.t)
     _require_hypothesis(inst, const.a_adjusted)
     f_b = from_divisor_sequence(inst.b_seq, inst.r, inst.t)
-    polygon = newton_polygon(char_poly(inst.matrix), inst.p)
+    polygon = matrix_newton_polygon(inst.matrix, inst.p)
     return ChainReport(
         newton_ge_fb=polygon.dominates(f_b),
         fb_ge_fa=f_b.dominates(const.f_a, inst.t),
@@ -222,7 +224,7 @@ def verify_corollary(inst: Instance, system: RootSystem, g: int, alpha: Fraction
     a_adjusted = _adjusted_divisors(system, g, inst.r, inst.t)
     _require_hypothesis(inst, a_adjusted)
     params = build_params(system.s, g)
-    poly = newton_polygon(char_poly(inst.matrix), inst.p)
+    poly = matrix_newton_polygon(inst.matrix, inst.p)
     dim = slope_le_dimension(poly, alpha)
     sharp = sharp_dimension_bound(params, alpha) if alpha >= params.M else None
     return CorollaryReport(alpha, dim, dimension_bound(params, alpha), sharp, params)

@@ -4,12 +4,16 @@ The polygon is the lower convex hull of (i, v_p(c_i)) over the non-zero
 characteristic-polynomial coefficients; its slopes with multiplicity are the
 p-adic valuations of the eigenvalues. Vanishing coefficients contribute no
 hull point and are reported separately as infinite slopes.
+
+The coefficients come from one O(t^3) kernel over Z/p^P that loses no
+precision (Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt, prod
 from operator import index, mul
 
 from ._value import Value
@@ -22,6 +26,7 @@ __all__ = [
     "NotPrime",
     "char_poly",
     "check_lower_bound",
+    "matrix_newton_polygon",
     "newton_polygon",
     "slope_le_dimension",
 ]
@@ -87,38 +92,69 @@ class NewtonPolygon(Value):
         return self.polygon.dominates(bound, self.finite_length)
 
 
+def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, P: int) -> list[int]:
+    """Residues in [0, p^P) of [1, c_1, ..., c_t], det(X*I - M) = sum c_i X^(t-i)."""
+    q = p**P
+    h = [[x % q for x in row] for row in entries]
+    n = len(h)
+    # Hessenberg reduction: column k pivots on an entry of least valuation (its content's),
+    # so each step is a similarity by an integer matrix with an integer inverse.
+    for k in range(n - 2):
+        column = [row[k] for row in h[k + 1:]]
+        if not (content := gcd(*column)):
+            continue
+        unit = p ** _valuation(content, p)
+        if column[0] % (unit * p) == 0:  # conjugate by a transposition first
+            piv = k + 1 + next(i for i, x in enumerate(column) if x % (unit * p))
+            h[k + 1], h[piv] = h[piv], h[k + 1]
+            for row in h:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+        pivot = h[k + 1][k + 1:]
+        inverse = pow(h[k + 1][k] // unit, -1, q)
+        # conjugate by I - sum f_i E_(i,k+1): rows i > k+1 lose f_i * row k+1, then column k+1
+        # gains sum f_i * column i, one row at a time
+        fs = [row[k] // unit * inverse % q for row in h[k + 2:]]
+        for row in h[:k + 2]:
+            row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % q
+        for row, f in zip(h[k + 2:], fs):
+            row[k] = 0
+            row[k + 1:] = [(a - f * b) % q for a, b in zip(row[k + 1:], pivot)]
+            row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % q
+    # p_(k+1) = (X - h_kk) p_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_i, where p_i is the
+    # polynomial of the leading i-block, highest power first
+    polys = [[1]]
+    for k in range(n):
+        prev = polys[-1]
+        d = h[k][k]
+        new = [a - d * b for a, b in zip(prev + [0], [0] + prev)]
+        product = 1
+        for i in range(k - 1, -1, -1):
+            product = product * h[i + 1][i] % q
+            c = h[i][k] * product
+            new[k + 1 - i:] = [a - c * b for a, b in zip(new[k + 1 - i:], polys[i])]
+        polys.append([x % q for x in new])
+    return polys[-1]
+
+
+def _exact_precision(entries: tuple[tuple[int, ...], ...], p: int) -> int:
+    """Least P with p^P > 2 * prod_l (1 + ceil|column l|), twice a Hadamard bound on every |c_i|."""
+    bound = 2
+    for column in zip(*entries):
+        norm2 = sum(x * x for x in column)
+        bound *= 2 + isqrt(norm2 - 1) if norm2 else 1
+    P = 1
+    while p**P <= bound:
+        P += 1
+    return P
+
+
 def char_poly(matrix: IntegerMatrix) -> list[int]:
     """Coefficients [1, c_1, ..., c_t] of det(X*I - M) = sum c_i X^(t-i).
 
-    Division-free Berkowitz over the integers. Results are memoized on the
-    (immutable) matrix for the few most recent matrices.
+    The kernel's residues mod 2^P, for 2^P past twice the Hadamard bound, lifted symmetrically.
     """
-    return list(_char_poly_cached(matrix))
-
-
-# Callers reuse a polynomial only right after computing it (once per alpha
-# in verify_corollary), so a small memo suffices; a large one keeps big
-# matrices and their coefficients alive for nothing.
-@lru_cache(maxsize=8)
-def _char_poly_cached(matrix: IntegerMatrix) -> tuple[int, ...]:
-    a = matrix.entries
-    coeffs = [1]
-    for k in range(len(a)):
-        # Leading (k+1)-block = [[A, col], [row, d]]: its polynomial is the
-        # Toeplitz product of q = (1, -d, -row.col, -row.A.col, ...,
-        # -row.A^(k-1).col) with the polynomial of A.
-        block = [r[:k] for r in a[:k]]
-        row = a[k][:k]
-        vec = [r[k] for r in a[:k]]
-        q = [1, -a[k][k]]
-        for j in range(k):
-            if j:
-                vec = [sum(map(mul, r, vec)) for r in block]
-            q.append(-sum(map(mul, row, vec)))
-        coeffs = [
-            sum(q[i - j] * coeffs[j] for j in range(min(i, k) + 1)) for i in range(k + 2)
-        ]
-    return tuple(coeffs)
+    q = 2 ** (P := _exact_precision(matrix.entries, 2))
+    return [c - q if 2 * c > q else c for c in _char_poly_mod(matrix.entries, 2, P)]
 
 
 def is_prime(n: int) -> bool:
@@ -169,6 +205,33 @@ def newton_polygon(coeffs: list[int], p: int) -> NewtonPolygon:
     return NewtonPolygon(PiecewiseLinear(_lower_hull(points)), finite_length, t - finite_length)
 
 
+# Callers reuse a polygon only right after computing it (once per alpha in
+# verify_corollary), so a small memo suffices; a large one keeps big matrices
+# alive for nothing.
+@lru_cache(maxsize=8)
+def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
+    """Newton polygon at p of the characteristic polynomial of `matrix`.
+
+    det is multilinear in the columns, so v_p(det) is at least the valuation of
+    the product of their contents; P starts 8 digits above that. Once c_t is not
+    0 mod p^P, v_p(c_t) < P, and each c_i that is 0 mod p^P has valuation at least
+    P, so it lies above the chord from (0, 0) to (t, v_p(c_t)) and off the hull.
+    Until then P doubles, up to the precision at which the residues are the
+    coefficients themselves (where a singular matrix ends).
+    """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    entries = matrix.entries
+    P = 8 + _valuation(prod(filter(None, map(gcd, *entries))), p)
+    exact = 0
+    while not (residues := _char_poly_mod(entries, p, P))[-1]:
+        exact = exact or _exact_precision(entries, p)
+        if P >= exact:
+            break
+        P = min(2 * P, exact)
+    return newton_polygon(residues, p)
+
+
 def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:
     """Total horizontal length of finite-slope segments with slope <= alpha."""
     alpha = Fraction(alpha)
@@ -184,4 +247,4 @@ def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:
 
 def check_lower_bound(matrix: IntegerMatrix, p: int, bound: PiecewiseLinear) -> bool:
     """Whether the Newton polygon of the matrix at p dominates `bound` on [0, t]."""
-    return newton_polygon(char_poly(matrix), p).dominates(bound)
+    return matrix_newton_polygon(matrix, p).dominates(bound)

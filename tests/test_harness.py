@@ -223,6 +223,13 @@ def test_gen_instance_validates_before_computing(t, r, b, message):
         gen_instance(0, 2, t, r, ElemDivSeq(b), 50)
 
 
+@pytest.mark.parametrize("t", [0, -1])
+def test_draw_b_seq_rejects_non_positive_t(t):
+    # before the divisor expansion, whose own errors would say nothing about t
+    with pytest.raises(ValueError, match="^t and r must be positive$"):
+        draw_b_seq(0, A2, 1, 2, t)
+
+
 def test_entry_bound_past_int64_raises():
     with pytest.raises(ValueError):
         gen_instance(1, 2, 3, 1, ElemDivSeq(()), 2**63)

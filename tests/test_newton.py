@@ -1,19 +1,24 @@
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopebound import newton
 from slopebound.counting import ElemDivSeq
 from slopebound.harness import gen_instance
 from slopebound.newton import (
     IntegerMatrix,
     NotMonic,
     NotPrime,
+    _char_poly_mod,
+    _exact_precision,
     char_poly,
     check_lower_bound,
+    matrix_newton_polygon,
     newton_polygon,
     slope_le_dimension,
 )
@@ -55,6 +60,25 @@ def charpoly_faddeev_leverrier(rows):
     return coeffs
 
 
+def charpoly_berkowitz(rows):
+    """Reference: division-free Berkowitz over the integers, O(t^4)."""
+    coeffs = [1]
+    for k in range(len(rows)):
+        # Leading (k+1)-block = [[A, col], [row, d]]: its polynomial is the
+        # Toeplitz product of q = (1, -d, -row.col, -row.A.col, ...,
+        # -row.A^(k-1).col) with the polynomial of A.
+        block = [r[:k] for r in rows[:k]]
+        row = rows[k][:k]
+        vec = [r[k] for r in rows[:k]]
+        q = [1, -rows[k][k]]
+        for j in range(k):
+            if j:
+                vec = [sum(map(mul, r, vec)) for r in block]
+            q.append(-sum(map(mul, row, vec)))
+        coeffs = [sum(q[i - j] * coeffs[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return coeffs
+
+
 def charpoly_sympy(rows):
     return [int(c) for c in sympy.Matrix(rows).charpoly(sympy.Symbol("x")).all_coeffs()]
 
@@ -89,6 +113,7 @@ class TestCharPolyOracles:
         coeffs = char_poly(IntegerMatrix(tuple(tuple(r) for r in rows)))
         assert coeffs == charpoly_faddeev_leverrier(rows)
         assert coeffs == charpoly_sympy(rows)
+        assert coeffs == charpoly_berkowitz(rows)
         if kind in ("zero", "nilpotent"):
             assert coeffs == [1] + [0] * len(rows)
         elif kind == "singular":
@@ -97,6 +122,84 @@ class TestCharPolyOracles:
     def test_generated_instance_at_t24(self):
         inst = gen_instance(5, p=2, t=24, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50)
         assert char_poly(inst.matrix) == charpoly_faddeev_leverrier(inst.matrix.entries)
+
+    def test_generated_instance_at_t40_against_berkowitz(self):
+        inst = gen_instance(9, p=3, t=40, r=3, b_seq=ElemDivSeq((3, 3, 2, 1)), entry_bound=50)
+        assert char_poly(inst.matrix) == charpoly_berkowitz(inst.matrix.entries)
+
+
+KINDS = ["random", "zero", "singular", "nilpotent", "scaled"]
+
+
+class TestKernel:
+    """_char_poly_mod loses no precision, and matrix_newton_polygon leaves each exit exact."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=30, deadline=None)
+    def test_residues_at_every_precision(self, kind, data, p):
+        rows = data.draw(shaped_matrices(kind))
+        exact = charpoly_faddeev_leverrier(rows)
+        entries = tuple(map(tuple, rows))
+        for P in range(1, 13):
+            assert _char_poly_mod(entries, p, P) == [c % p**P for c in exact]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=30, deadline=None)
+    def test_polygon_equals_polygon_of_exact_coefficients(self, kind, data, p):
+        rows = data.draw(shaped_matrices(kind))
+        matrix = IntegerMatrix(tuple(map(tuple, rows)))
+        assert matrix_newton_polygon(matrix, p) == newton_polygon(charpoly_faddeev_leverrier(rows), p)
+
+    @staticmethod
+    def precisions(monkeypatch, matrix, p):
+        """The polygon of `matrix` at p, and the precisions the kernel was run at."""
+        seen = []
+
+        def spy(entries, p, P):
+            seen.append(P)
+            return _char_poly_mod(entries, p, P)
+
+        monkeypatch.setattr(newton, "_char_poly_mod", spy)
+        matrix_newton_polygon.cache_clear()
+        return matrix_newton_polygon(matrix, p), seen
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_deep_determinant_doubles_the_precision(self, monkeypatch, p):
+        # v_p(det) = 40, far above the bound from the columns' contents, which is 0
+        matrix = IntegerMatrix(((1, 1), (1, 1 + p**40)))
+        poly, seen = self.precisions(monkeypatch, matrix, p)
+        assert poly == newton_polygon([1, -(2 + p**40), p**40], p)
+        assert poly.finite_length == 2
+        assert seen[0] == 8 and seen[-1] > 40
+        assert all(b == min(2 * a, _exact_precision(matrix.entries, p)) for a, b in zip(seen, seen[1:]))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_start_precision_covers_the_column_contents(self, monkeypatch, p):
+        # contents p^3 and p^5, det = p^8: one run at 8 digits above their product suffices
+        matrix = IntegerMatrix(((p**3, p**5), (2 * p**3, 3 * p**5)))
+        poly, seen = self.precisions(monkeypatch, matrix, p)
+        assert seen == [16]
+        assert poly == newton_polygon(charpoly_faddeev_leverrier(matrix.entries), p)
+
+    def test_singular_matrix_ends_at_the_exact_lift(self, monkeypatch):
+        rows = ((4, 2, 6), (2, 8, 10), (6, 10, 16))  # third column = first + second
+        matrix = IntegerMatrix(rows)
+        poly, seen = self.precisions(monkeypatch, matrix, 2)
+        assert seen[-1] == _exact_precision(rows, 2)
+        assert poly == newton_polygon(charpoly_faddeev_leverrier(rows), 2)
+        assert (poly.finite_length, poly.infinite_slopes) == (2, 1)
+
+    def test_polygon_is_cached_per_matrix_and_prime(self):
+        matrix = IntegerMatrix(((2, 1), (1, 3)))
+        assert matrix_newton_polygon(matrix, 2) is matrix_newton_polygon(matrix, 2)
+        assert matrix_newton_polygon(matrix, 5) == newton_polygon([1, -5, 5], 5)
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_not_prime(self, p):
+        with pytest.raises(NotPrime):
+            matrix_newton_polygon(IntegerMatrix.identity(2), p)
 
 
 class TestCharPoly:
