@@ -50,10 +50,14 @@ class HypothesisViolation(ValueError):
     """The b-sequence is not coordinatewise below the divisor sequence."""
 
 
-def _check_divisibility_data(t: int, r: int, b_seq: ElemDivSeq) -> None:
-    """The checks on (t, r, b) that an Instance needs, made before anything is computed from them."""
+def _check_t_r(t: int, r: int) -> None:
     if t < 1 or r < 1:
         raise ValueError("t and r must be positive")
+
+
+def _check_divisibility_data(t: int, r: int, b_seq: ElemDivSeq) -> None:
+    """The checks on (t, r, b) that an Instance needs, made before anything is computed from them."""
+    _check_t_r(t, r)
     if len(b_seq) > t:
         raise ValueError("b-sequence longer than t")
     if any(b > r for b in b_seq.exponents):
@@ -120,8 +124,7 @@ def draw_b_seq(seed: int, system: RootSystem, g: int, r: int, t: int) -> ElemDiv
     the a-sequence is itself non-increasing. Uses a stream separated from
     gen_instance's so matrices keep their documented seed contract.
     """
-    if t < 1 or r < 1:
-        raise ValueError("t and r must be positive")
+    _check_t_r(t, r)
     draws = PCG64([seed, 0xB]).bounded(_adjusted_divisors(system, g, r, t))
     draws.sort(reverse=True)
     return ElemDivSeq(tuple(filter(None, draws)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log, prod
 from operator import index, mul
 
 from ._value import Value
@@ -95,54 +95,53 @@ class NewtonPolygon(Value):
 def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, P: int) -> list[int]:
     """Residues in [0, p^P) of [1, c_1, ..., c_t], det(X*I - M) = sum c_i X^(t-i)."""
     q = p**P
-    h = [[x % q for x in row] for row in entries]
+    h = [list(row) for row in entries]
     n = len(h)
     # Hessenberg reduction: column k pivots on an entry of least valuation (its content's),
-    # so each step is a similarity by an integer matrix with an integer inverse.
+    # so each step is a similarity by an integer matrix with an integer inverse. A row is
+    # reduced mod q only when it becomes the pivot row: a row operation adds products of two
+    # reduced factors, and the column operation products of a reduced f_i with such sums, so
+    # nothing compounds from step to step.
     for k in range(n - 2):
-        column = [row[k] for row in h[k + 1:]]
-        if not (content := gcd(*column)):
+        if not (content := gcd(*[row[k] % q for row in h[k + 1:]])):
             continue
         unit = p ** _valuation(content, p)
-        if column[0] % (unit * p) == 0:  # conjugate by a transposition first
-            piv = k + 1 + next(i for i, x in enumerate(column) if x % (unit * p))
+        if h[k + 1][k] % (unit * p) == 0:  # conjugate by a transposition first
+            piv = next(i for i in range(k + 2, n) if h[i][k] % (unit * p))
             h[k + 1], h[piv] = h[piv], h[k + 1]
             for row in h:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
-        pivot = h[k + 1][k + 1:]
-        inverse = pow(h[k + 1][k] // unit, -1, q)
+        h[k + 1][k:] = pivot = [x % q for x in h[k + 1][k:]]
+        inverse = pow(pivot[0] // unit, -1, q)
         # conjugate by I - sum f_i E_(i,k+1): rows i > k+1 lose f_i * row k+1, then column k+1
-        # gains sum f_i * column i, one row at a time
+        # gains sum f_i * column i
         fs = [row[k] // unit * inverse % q for row in h[k + 2:]]
-        for row in h[:k + 2]:
-            row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % q
         for row, f in zip(h[k + 2:], fs):
-            row[k] = 0
-            row[k + 1:] = [(a - f * b) % q for a, b in zip(row[k + 1:], pivot)]
-            row[k + 1] = (row[k + 1] + sum(map(mul, fs, row[k + 2:]))) % q
-    # p_(k+1) = (X - h_kk) p_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_i, where p_i is the
-    # polynomial of the leading i-block, highest power first
-    polys = [[1]]
+            row[k:] = [a - f * b for a, b in zip(row[k:], pivot)]
+        for row in h:
+            row[k + 1] = sum(map(mul, fs, row[k + 2:]), row[k + 1])
+    # p_(k+1) = (X - h_kk) p_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_i for the polynomial
+    # p_i of the leading i-block, lowest power first; cols[m] holds the X^m coefficients of
+    # p_m, p_(m+1), ..., so each coefficient of p_(k+1) is one dot product
+    cols, poly = [[1]], [1]
     for k in range(n):
-        prev = polys[-1]
-        d = h[k][k]
-        new = [a - d * b for a, b in zip(prev + [0], [0] + prev)]
-        product = 1
+        cs, product = [0] * k, 1
         for i in range(k - 1, -1, -1):
             product = product * h[i + 1][i] % q
-            c = h[i][k] * product
-            new[k + 1 - i:] = [a - c * b for a, b in zip(new[k + 1 - i:], polys[i])]
-        polys.append([x % q for x in new])
-    return polys[-1]
+            cs[i] = h[i][k] * product % q
+        d = h[k][k] % q
+        poly = [(low - d * c - sum(map(mul, cs[m:], col))) % q
+                for m, (low, c, col) in enumerate(zip([0] + poly, poly, cols))] + [1]
+        for col, c in zip(cols, poly):
+            col.append(c)
+        cols.append([1])
+    return poly[::-1]
 
 
 def _exact_precision(entries: tuple[tuple[int, ...], ...], p: int) -> int:
-    """Least P with p^P > 2 * prod_l (1 + ceil|column l|), twice a Hadamard bound on every |c_i|."""
-    bound = 2
-    for column in zip(*entries):
-        norm2 = sum(x * x for x in column)
-        bound *= 2 + isqrt(norm2 - 1) if norm2 else 1
-    P = 1
+    """Least P with p^P > 2 * prod_l (2 + isqrt(|column l|^2)), twice a Hadamard bound on every |c_i|."""
+    bound = 2 * prod(2 + isqrt(sum(x * x for x in column)) for column in zip(*entries))
+    P = int(log(bound, p))  # the least P, or at most two below it
     while p**P <= bound:
         P += 1
     return P
@@ -213,22 +212,18 @@ def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
     """Newton polygon at p of the characteristic polynomial of `matrix`.
 
     det is multilinear in the columns, so v_p(det) is at least the valuation of
-    the product of their contents; P starts 8 digits above that. Once c_t is not
-    0 mod p^P, v_p(c_t) < P, and each c_i that is 0 mod p^P has valuation at least
-    P, so it lies above the chord from (0, 0) to (t, v_p(c_t)) and off the hull.
-    Until then P doubles, up to the precision at which the residues are the
-    coefficients themselves (where a singular matrix ends).
+    the product of their contents; the kernel runs 8 digits above that. If c_t is
+    not 0 mod p^P, v_p(c_t) < P, and each c_i that is 0 mod p^P has valuation at
+    least P, so it lies above the chord from (0, 0) to (t, v_p(c_t)) and off the
+    hull. Otherwise it runs once more, at the precision where the residues are
+    the coefficients themselves, which also settles a singular matrix.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     entries = matrix.entries
-    P = 8 + _valuation(prod(filter(None, map(gcd, *entries))), p)
-    exact = 0
-    while not (residues := _char_poly_mod(entries, p, P))[-1]:
-        exact = exact or _exact_precision(entries, p)
-        if P >= exact:
-            break
-        P = min(2 * P, exact)
+    residues = _char_poly_mod(entries, p, 8 + _valuation(prod(filter(None, map(gcd, *entries))), p))
+    if not residues[-1]:
+        residues = _char_poly_mod(entries, p, _exact_precision(entries, p))
     return newton_polygon(residues, p)
 
 

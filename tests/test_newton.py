@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import isqrt
 from operator import mul
 
 import pytest
@@ -166,14 +167,13 @@ class TestKernel:
         return matrix_newton_polygon(matrix, p), seen
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_deep_determinant_doubles_the_precision(self, monkeypatch, p):
+    def test_deep_determinant_runs_again_at_the_exact_precision(self, monkeypatch, p):
         # v_p(det) = 40, far above the bound from the columns' contents, which is 0
         matrix = IntegerMatrix(((1, 1), (1, 1 + p**40)))
         poly, seen = self.precisions(monkeypatch, matrix, p)
         assert poly == newton_polygon([1, -(2 + p**40), p**40], p)
         assert poly.finite_length == 2
-        assert seen[0] == 8 and seen[-1] > 40
-        assert all(b == min(2 * a, _exact_precision(matrix.entries, p)) for a, b in zip(seen, seen[1:]))
+        assert seen == [8, _exact_precision(matrix.entries, p)]
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_start_precision_covers_the_column_contents(self, monkeypatch, p):
@@ -187,9 +187,21 @@ class TestKernel:
         rows = ((4, 2, 6), (2, 8, 10), (6, 10, 16))  # third column = first + second
         matrix = IntegerMatrix(rows)
         poly, seen = self.precisions(monkeypatch, matrix, 2)
-        assert seen[-1] == _exact_precision(rows, 2)
+        assert seen == [8 + 3, _exact_precision(rows, 2)]  # each column's content is 2
         assert poly == newton_polygon(charpoly_faddeev_leverrier(rows), 2)
         assert (poly.finite_length, poly.infinite_slopes) == (2, 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_precision_is_the_least_above_the_bound(self, kind, data, p):
+        rows = data.draw(shaped_matrices(kind))
+        P = _exact_precision(tuple(map(tuple, rows)), p)
+        bound = 2
+        for column in zip(*rows):
+            bound *= 2 + isqrt(sum(x * x for x in column))
+        assert p ** (P - 1) <= bound < p**P
+        assert all(2 * abs(c) < p**P for c in charpoly_faddeev_leverrier(rows))
 
     def test_polygon_is_cached_per_matrix_and_prime(self):
         matrix = IntegerMatrix(((2, 1), (1, 3)))
