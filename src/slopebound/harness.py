@@ -37,7 +37,6 @@ __all__ = [
     "CorollaryReport",
     "HypothesisViolation",
     "Instance",
-    "column_divisibility_ok",
     "corrupt_instance",
     "draw_b_seq",
     "gen_instance",
@@ -86,16 +85,6 @@ def gen_instance(seed: int, p: int, t: int, r: int, b_seq: ElemDivSeq, entry_bou
     scales = [p ** (r - b) for b in b_seq.padded(t)]
     entries = tuple(tuple(map(mul, raw[i:i + t], scales)) for i in range(0, t * t, t))
     return Instance(p=p, t=t, r=r, b_seq=b_seq, matrix=IntegerMatrix(entries), seed=seed)
-
-
-def column_divisibility_ok(inst: Instance) -> bool:
-    """Whether every column l is divisible by p^(r - b_l)."""
-    padded = inst.b_seq.padded(inst.t)
-    for l in range(inst.t):
-        power = inst.p ** (inst.r - padded[l])
-        if any(inst.matrix.entries[i][l] % power for i in range(inst.t)):
-            return False
-    return True
 
 
 def corrupt_instance(inst: Instance) -> Instance:

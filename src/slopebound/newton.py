@@ -5,16 +5,28 @@ characteristic-polynomial coefficients; its slopes with multiplicity are the
 p-adic valuations of the eigenvalues. Vanishing coefficients contribute no
 hull point and are reported separately as infinite slopes.
 
-The coefficients come from one O(t^3) kernel over Z/p^P that loses no
-precision (Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014).
+The coefficients come from one O(t^3) kernel, a Hessenberg reduction followed
+by the Hessenberg recurrence, that tracks p-adic precision column by column
+(Caruso-Roe-Vaccon, "Tracking p-adic precision", 2014). It writes
+M = A * diag(p^e), e_j the valuation of column j's content, and keeps A mod
+p^s. A principal i-minor of M is p^(sum of its e_j) times the minor of A, so:
+  - p^H(i) divides c_i, H(i) the sum of the i least e_j (Newton lies above
+    Hodge; Mazur, "Frobenius and the Hodge filtration", 1972);
+  - changing a column of A by a multiple of p^s moves c_i by a multiple of
+    p^(H(i)+s), because det is multilinear in the columns.
+Each step of the reduction is a similarity of M by an integer matrix with an
+integer inverse, such a change of A, or a lowering of one e_j that leaves M as
+it is. Lowering only decreases H, so the kernel knows c_i mod p^(H(i)+s) for
+the final H.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, isqrt, log, prod
-from operator import index, mul
+from operator import floordiv, index, mul
 
 from ._value import Value
 from .plf import DomainTooShort, PiecewiseLinear
@@ -30,6 +42,10 @@ __all__ = [
     "newton_polygon",
     "slope_le_dimension",
 ]
+
+
+# digits kept above the Hodge bound: matrix_newton_polygon reads c_i mod p^(H(i) + _SLACK)
+_SLACK = 8
 
 
 class NotMonic(ValueError):
@@ -63,10 +79,6 @@ class IntegerMatrix(Value):
         n = len(values)
         return cls(tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls.diagonal([1] * n)
-
 
 class NewtonPolygon(Value):
     """Finite part of a Newton polygon plus the count of infinite slopes."""
@@ -92,50 +104,67 @@ class NewtonPolygon(Value):
         return self.polygon.dominates(bound, self.finite_length)
 
 
-def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, P: int) -> list[int]:
-    """Residues in [0, p^P) of [1, c_1, ..., c_t], det(X*I - M) = sum c_i X^(t-i)."""
-    q = p**P
-    h = [list(row) for row in entries]
-    n = len(h)
-    # Hessenberg reduction: column k pivots on an entry of least valuation (its content's),
-    # so each step is a similarity by an integer matrix with an integer inverse. A row is
-    # reduced mod q only when it becomes the pivot row: a row operation adds products of two
-    # reduced factors, and the column operation products of a reduced f_i with such sums, so
-    # nothing compounds from step to step.
+def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[int], list[int]]:
+    """Residues [1, c_1 mod p^(H(1)+s), ..., c_t mod p^(H(t)+s)] of det(X*I - M) = sum c_i X^(t-i),
+    and the Hodge bound [H(0), ..., H(t)], H(i) the sum of the i least column scales e_j."""
+    q = p**s
+    n = len(entries)
+    # M = A * diag(p^e), e_j at first the valuation of column j's content (0 for a zero column).
+    # Each step is a similarity of M by an integer matrix with an integer inverse, or changes a
+    # column of A by a multiple of q; a row of A is reduced mod q when it becomes the pivot row.
+    e = [_valuation(c, p) if c else 0 for c in map(gcd, *entries)]
+    scales = [p**x for x in e]
+    a = [list(map(floordiv, row, scales)) for row in entries]
     for k in range(n - 2):
-        if not (content := gcd(*[row[k] % q for row in h[k + 1:]])):
+        # column k pivots on an entry of least valuation
+        if not (content := gcd(*[row[k] % q for row in a[k + 1:]])):
             continue
         unit = p ** _valuation(content, p)
-        if h[k + 1][k] % (unit * p) == 0:  # conjugate by a transposition first
-            piv = next(i for i in range(k + 2, n) if h[i][k] % (unit * p))
-            h[k + 1], h[piv] = h[piv], h[k + 1]
-            for row in h:
+        if a[k + 1][k] % (unit * p) == 0:  # conjugate by a transposition first
+            piv = next(i for i in range(k + 2, n) if a[i][k] % (unit * p))
+            a[k + 1], a[piv] = a[piv], a[k + 1]
+            for row in a:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
-        h[k + 1][k:] = pivot = [x % q for x in h[k + 1][k:]]
+            e[k + 1], e[piv] = e[piv], e[k + 1]
+            scales[k + 1], scales[piv] = scales[piv], scales[k + 1]
+        a[k + 1][k:] = pivot = [x % q for x in a[k + 1][k:]]
         inverse = pow(pivot[0] // unit, -1, q)
         # conjugate by I - sum f_i E_(i,k+1): rows i > k+1 lose f_i * row k+1, then column k+1
-        # gains sum f_i * column i
-        fs = [row[k] // unit * inverse % q for row in h[k + 2:]]
-        for row, f in zip(h[k + 2:], fs):
-            row[k:] = [a - f * b for a, b in zip(row[k:], pivot)]
-        for row in h:
-            row[k + 1] = sum(map(mul, fs, row[k + 2:]), row[k + 1])
+        # of M gains sum f_i * column i, so column k+1 of A gains f_i p^e_i / p^e_(k+1) times
+        # column i of A. Where a quotient is fractional, e_(k+1) first drops to the least
+        # v_p(f_i p^e_i), which multiplies column k+1 of A and leaves M as it is.
+        fs = [row[k] // unit * inverse % q for row in a[k + 2:]]
+        for row, f in zip(a[k + 2:], fs):
+            row[k:] = [x - f * y for x, y in zip(row[k:], pivot)]
+        terms = list(map(mul, fs, scales[k + 2:]))
+        if (common := gcd(*terms)) % scales[k + 1]:
+            e[k + 1] = _valuation(common, p)
+            lift = scales[k + 1] // p ** e[k + 1] % q
+            scales[k + 1] = p ** e[k + 1]
+            for row in a:
+                row[k + 1] *= lift
+        scale = scales[k + 1]
+        for row in a:
+            row[k + 1] += sum(map(mul, terms, row[k + 2:])) // scale
     # p_(k+1) = (X - h_kk) p_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_i for the polynomial
-    # p_i of the leading i-block, lowest power first; cols[m] holds the X^m coefficients of
-    # p_m, p_(m+1), ..., so each coefficient of p_(k+1) is one dot product
+    # p_i of the leading i-block of h = A * diag(p^e), lowest power first; cols[m] holds the X^m
+    # coefficients of p_m, p_(m+1), ..., so each coefficient of p_(k+1) is one dot product
+    hodge = list(accumulate(sorted(e), initial=0))
+    Q = p ** (hodge[-1] + s)
+    sub = [a[i + 1][i] * scales[i] % Q for i in range(n - 1)]
     cols, poly = [[1]], [1]
     for k in range(n):
-        cs, product = [0] * k, 1
+        cs, product = [0] * k, scales[k]
         for i in range(k - 1, -1, -1):
-            product = product * h[i + 1][i] % q
-            cs[i] = h[i][k] * product % q
-        d = h[k][k] % q
-        poly = [(low - d * c - sum(map(mul, cs[m:], col))) % q
+            product = product * sub[i] % Q
+            cs[i] = a[i][k] * product % Q
+        d = a[k][k] * scales[k] % Q
+        poly = [(low - d * c - sum(map(mul, cs[m:], col))) % Q
                 for m, (low, c, col) in enumerate(zip([0] + poly, poly, cols))] + [1]
         for col, c in zip(cols, poly):
             col.append(c)
         cols.append([1])
-    return poly[::-1]
+    return [c % p ** (h + s) for c, h in zip(reversed(poly), hodge)], hodge
 
 
 def _exact_precision(entries: tuple[tuple[int, ...], ...], p: int) -> int:
@@ -150,10 +179,11 @@ def _exact_precision(entries: tuple[tuple[int, ...], ...], p: int) -> int:
 def char_poly(matrix: IntegerMatrix) -> list[int]:
     """Coefficients [1, c_1, ..., c_t] of det(X*I - M) = sum c_i X^(t-i).
 
-    The kernel's residues mod 2^P, for 2^P past twice the Hadamard bound, lifted symmetrically.
+    The kernel's residues at p = 2 with 2^s past twice the Hadamard bound, so every modulus
+    2^(H(i)+s) exceeds 2|c_i|, lifted symmetrically.
     """
-    q = 2 ** (P := _exact_precision(matrix.entries, 2))
-    return [c - q if 2 * c > q else c for c in _char_poly_mod(matrix.entries, 2, P)]
+    residues, hodge = _char_poly_mod(matrix.entries, 2, s := _exact_precision(matrix.entries, 2))
+    return [c - q if 2 * c > q else c for c, q in zip(residues, [2 ** (h + s) for h in hodge])]
 
 
 def is_prime(n: int) -> bool:
@@ -211,20 +241,25 @@ def newton_polygon(coeffs: list[int], p: int) -> NewtonPolygon:
 def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
     """Newton polygon at p of the characteristic polynomial of `matrix`.
 
-    det is multilinear in the columns, so v_p(det) is at least the valuation of
-    the product of their contents; the kernel runs 8 digits above that. If c_t is
-    not 0 mod p^P, v_p(c_t) < P, and each c_i that is 0 mod p^P has valuation at
-    least P, so it lies above the chord from (0, 0) to (t, v_p(c_t)) and off the
-    hull. Otherwise it runs once more, at the precision where the residues are
-    the coefficients themselves, which also settles a singular matrix.
+    The kernel gives each c_i mod p^(H(i)+s), s = _SLACK. A non-zero residue fixes
+    v_p(c_i), counted from H(i) on since p^H(i) divides c_i; a zero one only says
+    v_p(c_i) >= H(i)+s. So the hull of the known
+    points is the polygon when c_t's residue is non-zero and every point
+    (i, H(i)+s) of a zero residue lies on or above it, i.e. is no vertex of the
+    hull of all the points. Otherwise the kernel runs once more, at the precision
+    where the residues are the coefficients themselves, which also settles a
+    singular matrix.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     entries = matrix.entries
-    residues = _char_poly_mod(entries, p, 8 + _valuation(prod(filter(None, map(gcd, *entries))), p))
-    if not residues[-1]:
-        residues = _char_poly_mod(entries, p, _exact_precision(entries, p))
-    return newton_polygon(residues, p)
+    residues, hodge = _char_poly_mod(entries, p, _SLACK)
+    if residues[-1]:
+        hull = _lower_hull([(i, h + (_valuation(c // p**h, p) if c else _SLACK))
+                            for i, (c, h) in enumerate(zip(residues, hodge))])
+        if all(residues[i] for i, _ in hull):
+            return NewtonPolygon(PiecewiseLinear(hull), len(entries), 0)
+    return newton_polygon(_char_poly_mod(entries, p, _exact_precision(entries, p))[0], p)
 
 
 def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:
@@ -232,12 +267,14 @@ def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    total = 0
-    for slope, length in np_.slopes():
-        if slope > alpha:
+    # the slopes do not decrease, so the segments up to the first steeper one end at its start
+    pts = np_.polygon.breakpoints
+    end = 0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if y1 - y0 > alpha * (x1 - x0):
             break
-        total += length
-    return total
+        end = x1
+    return int(end)
 
 
 def check_lower_bound(matrix: IntegerMatrix, p: int, bound: PiecewiseLinear) -> bool:

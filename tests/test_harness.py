@@ -13,7 +13,6 @@ from slopebound.bernoulli import faulhaber_sum
 from slopebound.counting import ElemDivSeq, truncation_divisors
 from slopebound.harness import (
     HypothesisViolation,
-    column_divisibility_ok,
     corrupt_instance,
     draw_b_seq,
     gen_instance,
@@ -24,6 +23,13 @@ from slopebound.harness import Instance
 from slopebound.newton import IntegerMatrix, char_poly, newton_polygon
 from slopebound.plf import PiecewiseLinear, f_infinity, f_r, from_divisor_sequence
 from slopebound.rootsystems import build_root_system
+
+
+def column_divisibility_ok(inst):
+    """Whether every column l is divisible by p^(r - b_l)."""
+    padded = inst.b_seq.padded(inst.t)
+    return all(row[l] % inst.p ** (inst.r - padded[l]) == 0 for row in inst.matrix.entries for l in range(inst.t))
+
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 
 import pytest
@@ -32,6 +32,10 @@ small_matrices = st.integers(min_value=2, max_value=5).flatmap(
         max_size=n,
     )
 )
+
+
+def identity(n):
+    return IntegerMatrix.diagonal([1] * n)
 
 
 def charpoly_by_eigen_expansion(diag):
@@ -85,8 +89,8 @@ def charpoly_sympy(rows):
 
 
 @st.composite
-def shaped_matrices(draw, kind):
-    """t x t integer matrices, t <= 10, of the given kind."""
+def shaped_matrices(draw, kind, p):
+    """t x t integer matrices, t <= 10, of the given kind; "scaled" scales columns by powers of p."""
     t = draw(st.integers(min_value=1, max_value=10))
     rows = draw(st.lists(
         st.lists(st.integers(min_value=-30, max_value=30), min_size=t, max_size=t),
@@ -99,7 +103,6 @@ def shaped_matrices(draw, kind):
     elif kind == "nilpotent":  # strictly upper triangular
         rows = [[e if j > i else 0 for j, e in enumerate(row)] for i, row in enumerate(rows)]
     elif kind == "scaled":  # column l times p^k_l, as gen_instance scales them
-        p = draw(st.sampled_from([2, 3, 5]))
         ks = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=t, max_size=t))
         rows = [[e * p ** k for e, k in zip(row, ks)] for row in rows]
     return rows
@@ -107,10 +110,10 @@ def shaped_matrices(draw, kind):
 
 class TestCharPolyOracles:
     @pytest.mark.parametrize("kind", ["random", "zero", "singular", "nilpotent", "scaled"])
-    @given(data=st.data())
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5]))
     @settings(max_examples=40, deadline=None)
-    def test_matches_faddeev_leverrier_and_sympy(self, kind, data):
-        rows = data.draw(shaped_matrices(kind))
+    def test_matches_faddeev_leverrier_and_sympy(self, kind, data, p):
+        rows = data.draw(shaped_matrices(kind, p))
         coeffs = char_poly(IntegerMatrix(tuple(tuple(r) for r in rows)))
         assert coeffs == charpoly_faddeev_leverrier(rows)
         assert coeffs == charpoly_sympy(rows)
@@ -130,6 +133,7 @@ class TestCharPolyOracles:
 
 
 KINDS = ["random", "zero", "singular", "nilpotent", "scaled"]
+SLACK = newton._SLACK
 
 
 class TestKernel:
@@ -139,28 +143,42 @@ class TestKernel:
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
     @settings(max_examples=30, deadline=None)
     def test_residues_at_every_precision(self, kind, data, p):
-        rows = data.draw(shaped_matrices(kind))
+        rows = data.draw(shaped_matrices(kind, p))
         exact = charpoly_faddeev_leverrier(rows)
         entries = tuple(map(tuple, rows))
-        for P in range(1, 13):
-            assert _char_poly_mod(entries, p, P) == [c % p**P for c in exact]
+        for s in range(1, 13):
+            residues, hodge = _char_poly_mod(entries, p, s)
+            assert residues == [c % p ** (h + s) for c, h in zip(exact, hodge)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), s=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=30, deadline=None)
+    def test_hodge_bound_divides_every_coefficient(self, kind, data, p, s):
+        rows = data.draw(shaped_matrices(kind, p))
+        exact = charpoly_faddeev_leverrier(rows)
+        _, hodge = _char_poly_mod(tuple(map(tuple, rows)), p, s)
+        assert all(c % p**h == 0 for c, h in zip(exact, hodge))
+        # the sums of the i least of t scales, which start at the column contents and only drop
+        steps = [y - x for x, y in zip(hodge, hodge[1:])]
+        assert hodge[0] == 0 and 0 <= steps[0] and steps == sorted(steps)
+        assert hodge[-1] <= sum(newton._valuation(c, p) for c in map(gcd, *rows) if c)
 
     @pytest.mark.parametrize("kind", KINDS)
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
     @settings(max_examples=30, deadline=None)
     def test_polygon_equals_polygon_of_exact_coefficients(self, kind, data, p):
-        rows = data.draw(shaped_matrices(kind))
+        rows = data.draw(shaped_matrices(kind, p))
         matrix = IntegerMatrix(tuple(map(tuple, rows)))
         assert matrix_newton_polygon(matrix, p) == newton_polygon(charpoly_faddeev_leverrier(rows), p)
 
     @staticmethod
     def precisions(monkeypatch, matrix, p):
-        """The polygon of `matrix` at p, and the precisions the kernel was run at."""
+        """The polygon of `matrix` at p, and the digits s above the Hodge bound the kernel was run at."""
         seen = []
 
-        def spy(entries, p, P):
-            seen.append(P)
-            return _char_poly_mod(entries, p, P)
+        def spy(entries, p, s):
+            seen.append(s)
+            return _char_poly_mod(entries, p, s)
 
         monkeypatch.setattr(newton, "_char_poly_mod", spy)
         matrix_newton_polygon.cache_clear()
@@ -168,34 +186,74 @@ class TestKernel:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_deep_determinant_runs_again_at_the_exact_precision(self, monkeypatch, p):
-        # v_p(det) = 40, far above the bound from the columns' contents, which is 0
+        # v_p(det) = 40, far above the Hodge bound from the columns' contents, which is 0
         matrix = IntegerMatrix(((1, 1), (1, 1 + p**40)))
+        assert _char_poly_mod(matrix.entries, p, SLACK) == ([1, (-2 - p**40) % p**SLACK, 0], [0, 0, 0])
         poly, seen = self.precisions(monkeypatch, matrix, p)
         assert poly == newton_polygon([1, -(2 + p**40), p**40], p)
         assert poly.finite_length == 2
-        assert seen == [8, _exact_precision(matrix.entries, p)]
+        assert seen == [SLACK, _exact_precision(matrix.entries, p)]
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_start_precision_covers_the_column_contents(self, monkeypatch, p):
-        # contents p^3 and p^5, det = p^8: one run at 8 digits above their product suffices
+        # contents p^3 and p^5, det = p^8: the Hodge bound is [0, 3, 8], and one run at 8 digits
+        # above it suffices, where 8 digits above [0, 0, 0] would leave det at 0
+        assert SLACK == 8
         matrix = IntegerMatrix(((p**3, p**5), (2 * p**3, 3 * p**5)))
+        assert _char_poly_mod(matrix.entries, p, SLACK)[1] == [0, 3, 8]
         poly, seen = self.precisions(monkeypatch, matrix, p)
-        assert seen == [16]
+        assert seen == [SLACK]
         assert poly == newton_polygon(charpoly_faddeev_leverrier(matrix.entries), p)
 
     def test_singular_matrix_ends_at_the_exact_lift(self, monkeypatch):
         rows = ((4, 2, 6), (2, 8, 10), (6, 10, 16))  # third column = first + second
         matrix = IntegerMatrix(rows)
+        # each column's content is 2, and no column op needs a lower scale
+        assert _char_poly_mod(rows, 2, SLACK) == ([1, 484, 84, 0], [0, 1, 2, 3])
         poly, seen = self.precisions(monkeypatch, matrix, 2)
-        assert seen == [8 + 3, _exact_precision(rows, 2)]  # each column's content is 2
+        assert seen == [SLACK, _exact_precision(rows, 2)]
         assert poly == newton_polygon(charpoly_faddeev_leverrier(rows), 2)
         assert (poly.finite_length, poly.infinite_slopes) == (2, 1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_column_op_lowers_a_larger_scale_just_enough(self, monkeypatch, p):
+        # column 0 pivots on row 2, so the transposition brings column 2, scale 3, next to the
+        # pivot; adding f = p times column 2 (scale 0) to it lowers that scale to 1, not to 0.
+        # At s = 1, f is 0 mod p^s, and the scale stays.
+        rows = ((2, 5, 3 * p**3), (p, 1, 7 * p**3), (1, 4, 2 * p**3))
+        exact = charpoly_faddeev_leverrier(rows)
+        for s in range(1, 13):
+            residues, hodge = _char_poly_mod(rows, p, s)
+            assert hodge == [0, 0, 0, 3 if s == 1 else 1]
+            assert residues == [c % p ** (h + s) for c, h in zip(exact, hodge)]
+        poly, seen = self.precisions(monkeypatch, IntegerMatrix(rows), p)
+        assert seen == [SLACK]
+        assert poly == newton_polygon(exact, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zero_residue_below_the_known_hull_runs_again(self, monkeypatch, p):
+        # c_1 = -p^s is 0 mod p^(H(1)+s) = p^s, and (1, s) lies below the chord to (2, 2s+2)
+        matrix = IntegerMatrix(((p**SLACK, p ** (2 * SLACK + 2)), (1, 0)))
+        assert _char_poly_mod(matrix.entries, p, SLACK) == ([1, 0, -(p ** (2 * SLACK + 2)) % p ** (3 * SLACK + 2)],
+                                                             [0, 0, 2 * SLACK + 2])
+        poly, seen = self.precisions(monkeypatch, matrix, p)
+        assert seen == [SLACK, _exact_precision(matrix.entries, p)]
+        assert poly.slopes() == ((SLACK, 1), (SLACK + 2, 1))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zero_residue_above_the_known_hull_needs_no_second_run(self, monkeypatch, p):
+        # c_1 = 0 is 0 mod p^s, and (1, s) lies above the chord to (2, 2)
+        matrix = IntegerMatrix(((0, p**2), (1, 0)))
+        poly, seen = self.precisions(monkeypatch, matrix, p)
+        assert seen == [SLACK]
+        assert poly == newton_polygon([1, 0, -(p**2)], p)
+        assert poly.slopes() == ((1, 2),)
 
     @pytest.mark.parametrize("kind", KINDS)
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
     @settings(max_examples=30, deadline=None)
     def test_exact_precision_is_the_least_above_the_bound(self, kind, data, p):
-        rows = data.draw(shaped_matrices(kind))
+        rows = data.draw(shaped_matrices(kind, p))
         P = _exact_precision(tuple(map(tuple, rows)), p)
         bound = 2
         for column in zip(*rows):
@@ -211,12 +269,12 @@ class TestKernel:
     @pytest.mark.parametrize("p", [1, 4])
     def test_not_prime(self, p):
         with pytest.raises(NotPrime):
-            matrix_newton_polygon(IntegerMatrix.identity(2), p)
+            matrix_newton_polygon(identity(2), p)
 
 
 class TestCharPoly:
     def test_identity(self):
-        assert char_poly(IntegerMatrix.identity(2)) == [1, -2, 1]
+        assert char_poly(identity(2)) == [1, -2, 1]
 
     def test_diag_2_8(self):
         assert char_poly(IntegerMatrix.diagonal([2, 8])) == [1, -10, 16]
@@ -306,6 +364,14 @@ class TestSlopeDimension:
         poly = newton_polygon([1, -2, 1], 3)
         assert slope_le_dimension(poly, 0) == 2
 
+    @given(st.lists(st.tuples(st.integers(min_value=-9, max_value=9), st.integers(min_value=0, max_value=6)),
+                    min_size=1, max_size=8),
+           st.sampled_from([2, 3, 5]), st.fractions(min_value=0, max_value=7, max_denominator=4))
+    @settings(max_examples=100, deadline=None)
+    def test_sums_the_lengths_of_the_slopes_up_to_alpha(self, terms, p, alpha):
+        poly = newton_polygon([1] + [c * p**k for c, k in terms], p)
+        assert slope_le_dimension(poly, alpha) == sum(length for slope, length in poly.slopes() if slope <= alpha)
+
     def test_monotone_and_saturating(self):
         poly = newton_polygon(char_poly(IntegerMatrix.diagonal([1, 2, 4, 8])), 2)
         dims = [slope_le_dimension(poly, Fraction(k, 2)) for k in range(0, 9)]
@@ -324,9 +390,9 @@ class TestCheckLowerBound:
 
     def test_detects_violation(self):
         bound = from_divisor_sequence(ElemDivSeq((1,)), 1, 2)
-        assert not check_lower_bound(IntegerMatrix.identity(2), 5, bound)
+        assert not check_lower_bound(identity(2), 5, bound)
 
     def test_requires_domain(self):
         bound = from_divisor_sequence(ElemDivSeq((1,)), 1, 1)
         with pytest.raises(DomainTooShort):
-            check_lower_bound(IntegerMatrix.identity(3), 2, bound)
+            check_lower_bound(identity(3), 2, bound)
