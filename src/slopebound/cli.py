@@ -26,6 +26,9 @@ from .rootsystems import build_root_system, parse_label
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "SLOPE_BOUND_SEED"
+# most exponents `divisors` prints; a longer sequence (E8 at r = 20 has 628,801,414) is a usage
+# error, found from its length g * sum N_h before any exponent is built
+DIVISORS_CAP = 10**6
 
 
 def _positive_int(text: str) -> int:
@@ -158,6 +161,9 @@ def _cmd_count_nh(args: argparse.Namespace) -> int:
 
 def _cmd_divisors(args: argparse.Namespace) -> int:
     system = build_root_system(*parse_label(args.label))
+    length = args.g * sum(count_nh(system, args.r - 1).values)
+    if length > DIVISORS_CAP:
+        raise CliUsageError(f"the sequence has {length} exponents; divisors prints at most {DIVISORS_CAP}")
     seq = truncation_divisors(system, args.g, args.r)
     exps = ",".join(str(e) for e in seq.exponents)
     _emit(args, {"label": system.label, "g": args.g, "r": args.r,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, isqrt, log, prod
+from math import gcd, isqrt, prod
 from operator import floordiv, index, mul
 
 from ._value import Value
@@ -167,13 +167,9 @@ def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tupl
     return [c % p ** (h + s) for c, h in zip(reversed(poly), hodge)], hodge
 
 
-def _exact_precision(entries: tuple[tuple[int, ...], ...], p: int) -> int:
-    """Least P with p^P > 2 * prod_l (2 + isqrt(|column l|^2)), twice a Hadamard bound on every |c_i|."""
-    bound = 2 * prod(2 + isqrt(sum(x * x for x in column)) for column in zip(*entries))
-    P = int(log(bound, p))  # the least P, or at most two below it
-    while p**P <= bound:
-        P += 1
-    return P
+def _exact_precision(entries: tuple[tuple[int, ...], ...]) -> int:
+    """Least P with 2^P > 2 * prod_l (2 + isqrt(|column l|^2)), twice a Hadamard bound on every |c_i|."""
+    return (2 * prod(2 + isqrt(sum(x * x for x in column)) for column in zip(*entries))).bit_length()
 
 
 def char_poly(matrix: IntegerMatrix) -> list[int]:
@@ -182,7 +178,7 @@ def char_poly(matrix: IntegerMatrix) -> list[int]:
     The kernel's residues at p = 2 with 2^s past twice the Hadamard bound, so every modulus
     2^(H(i)+s) exceeds 2|c_i|, lifted symmetrically.
     """
-    residues, hodge = _char_poly_mod(matrix.entries, 2, s := _exact_precision(matrix.entries, 2))
+    residues, hodge = _char_poly_mod(matrix.entries, 2, s := _exact_precision(matrix.entries))
     return [c - q if 2 * c > q else c for c, q in zip(residues, [2 ** (h + s) for h in hodge])]
 
 
@@ -246,20 +242,18 @@ def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
     v_p(c_i) >= H(i)+s. So the hull of the known
     points is the polygon when c_t's residue is non-zero and every point
     (i, H(i)+s) of a zero residue lies on or above it, i.e. is no vertex of the
-    hull of all the points. Otherwise the kernel runs once more, at the precision
-    where the residues are the coefficients themselves, which also settles a
-    singular matrix.
+    hull of all the points. Otherwise the polygon comes from the exact
+    coefficients, through char_poly, which also settles a singular matrix.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    entries = matrix.entries
-    residues, hodge = _char_poly_mod(entries, p, _SLACK)
+    residues, hodge = _char_poly_mod(matrix.entries, p, _SLACK)
     if residues[-1]:
         hull = _lower_hull([(i, h + (_valuation(c // p**h, p) if c else _SLACK))
                             for i, (c, h) in enumerate(zip(residues, hodge))])
         if all(residues[i] for i, _ in hull):
-            return NewtonPolygon(PiecewiseLinear(hull), len(entries), 0)
-    return newton_polygon(_char_poly_mod(entries, p, _exact_precision(entries, p))[0], p)
+            return NewtonPolygon(PiecewiseLinear(hull), matrix.t, 0)
+    return newton_polygon(char_poly(matrix), p)
 
 
 def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:

@@ -11,7 +11,6 @@ which suffices for any piecewise-linear functions, convex or not.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 
 from ._value import Value
@@ -79,38 +78,6 @@ class PiecewiseLinear(Value):
     def defined_on(self, x_max: Fraction | int) -> bool:
         end = self.domain_end
         return end is None or end >= Fraction(x_max)
-
-    def segment_slopes(self) -> tuple[Fraction, ...]:
-        """Slopes of consecutive segments, final ray included if present."""
-        slopes = tuple(
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(self.breakpoints, self.breakpoints[1:])
-        )
-        if self.final_slope is not None:
-            slopes += (self.final_slope,)
-        return slopes
-
-    def is_convex(self) -> bool:
-        slopes = self.segment_slopes()
-        return all(a <= b for a, b in zip(slopes, slopes[1:]))
-
-    def value_at(self, x: Fraction | int) -> Fraction:
-        """Exact value by linear interpolation; OutOfDomain off the domain."""
-        x = Fraction(x)
-        if x < 0:
-            raise OutOfDomain(f"{x} < 0")
-        xs = [bx for bx, _ in self.breakpoints]
-        last_x, last_y = self.breakpoints[-1]
-        if x > last_x:
-            if self.final_slope is None:
-                raise OutOfDomain(f"{x} beyond domain end {last_x}")
-            return last_y + self.final_slope * (x - last_x)
-        i = bisect_right(xs, x) - 1
-        x0, y0 = self.breakpoints[i]
-        if x == x0:
-            return y0
-        x1, y1 = self.breakpoints[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def _value_from(self, i: int, x: Fraction) -> Fraction:
         """Value at x, given the index i of the last breakpoint at or left of x."""

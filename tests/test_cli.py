@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slopebound
 from slopebound import cli
@@ -75,6 +79,28 @@ def test_divisors(capsys):
     code, out, _ = invoke(capsys, "divisors", "A2", "--g", "1", "--r", "2")
     assert code == 0
     assert "exponents=[2,1,1]" in out
+
+
+def test_divisors_too_long_is_usage_error_before_expansion(capsys, monkeypatch):
+    # E8 at r = 20 has 628,801,414 exponents; the length check must come before any of them
+    def expand(*args):
+        raise AssertionError("the sequence was expanded")
+
+    monkeypatch.setattr(cli, "truncation_divisors", expand)
+    code, out, err = invoke(capsys, "divisors", "E8", "--g", "1", "--r", "20")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the sequence has 628801414 exponents; divisors prints at most {cli.DIVISORS_CAP}\n"
+
+
+def test_divisors_cap_is_inclusive(capsys, monkeypatch):
+    # A2 at g = 1, r = 2 has 3 exponents: printed at a cap of 3, refused at 2
+    monkeypatch.setattr(cli, "DIVISORS_CAP", 3)
+    assert invoke(capsys, "divisors", "A2", "--g", "1", "--r", "2") == (0, "exponents=[2,1,1] length=3\n", "")
+    monkeypatch.setattr(cli, "DIVISORS_CAP", 2)
+    code, out, err = invoke(capsys, "divisors", "A2", "--g", "1", "--r", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the sequence has 3 exponents")
 
 
 def test_bernoulli_eval(capsys):
@@ -321,3 +347,108 @@ def test_seed_env_var_fallback(capsys, monkeypatch):
     # explicit flag wins over the environment
     _, out_flag, _ = invoke(capsys, *args, "--seed", "5")
     assert json.loads(out_flag)["base_seed"] == 5
+
+
+# Generated argv for every subcommand. Valid sizes are capped so each call takes milliseconds;
+# one value in five is instead zero, negative, fractional or malformed.
+BAD_NUMBERS = ["0", "-1", "-7", "3/2", "-1/2", "1.5", "x", "", "1e2", "0x1"]
+
+
+def mostly(valid, bad):
+    """A draw from `valid`, or one time in five from `bad`."""
+    return st.sampled_from([valid] * 4 + [bad]).flatmap(lambda strategy: strategy)
+
+
+LABELS = mostly(
+    st.sampled_from(["A1", "A2", "A3", "B2", "B3", "C3", "D4", "E6", "E7", "E8", "F4", "G2"]),
+    st.builds("{}{}".format, st.sampled_from("ABCDEFGZa"),
+              st.sampled_from(["", "-1", "0", "1", "2", "5", "9", "x"])),
+)
+PRIMES = mostly(st.sampled_from(["2", "3", "5", "7"]), st.sampled_from(BAD_NUMBERS + ["4", "9"]))
+FRACTIONS = mostly(st.fractions(min_value=0, max_value=4, max_denominator=4).map(str),
+                   st.sampled_from(BAD_NUMBERS))
+# file contents; None leaves the file missing
+MATRIX_FILES = mostly(
+    st.integers(min_value=1, max_value=4).flatmap(lambda t: st.lists(
+        st.integers(min_value=-20, max_value=20), min_size=t * t, max_size=t * t,
+    ).map(lambda xs: f"{t}\n{' '.join(map(str, xs))}\n".encode())),
+    st.sampled_from([None, b"", b"x", b"0", b"-1\n", b"2\n1 2 3", b"1\n1.5", b"1\n1/2", b"2\n1 2\n3 x",
+                     b"3", b"1\n\xff", b"\xff\xfe"]),
+)
+BOUND_FILES = mostly(
+    st.sampled_from([f_r(1, 1, 2), f_infinity(2, 1, 2), f_infinity_star(1, 1, 3),
+                     PiecewiseLinear(((0, 0), (1, 0)))]).map(lambda fn: json.dumps(fn.to_json_dict()).encode()),
+    st.sampled_from([None, b"", b"{", b"[1, 2]", b'{"final_slope": null}',
+                     b'{"breakpoints": [["0", "0"], [0.1, "1"]]}', b'{"breakpoints": [["1", "0"]]}',
+                     b'{"breakpoints": [["0", "0"]], "final_slope": "-1"}', b"\xff"]),
+)
+
+
+def numbers(low, high):
+    return mostly(st.integers(min_value=low, max_value=high).map(str), st.sampled_from(BAD_NUMBERS))
+
+
+def flag(name, values, required=True):
+    """[name, value], or for an optional flag sometimes nothing."""
+    pair = values.map(lambda value: [name, value])
+    return pair if required else st.just([]) | pair
+
+
+def argv(command, *pieces):
+    return st.tuples(*pieces).map(lambda parts: [command] + [arg for part in parts for arg in part])
+
+
+def files(directory, matrix_content, bound_content):
+    """Write the matrix and --bound files; None leaves one missing."""
+    matrix, bound = directory / "m.txt", directory / "b.json"
+    for path, content in ((matrix, matrix_content), (bound, bound_content)):
+        path.unlink(missing_ok=True)
+        if content is not None:
+            path.write_bytes(content)
+    return str(matrix), str(bound)
+
+
+LABEL = LABELS.map(lambda label: [label])
+COMMANDS = {
+    "roots": argv("roots", LABEL),
+    "count-nh": argv("count-nh", LABEL, flag("--max-h", numbers(0, 30))),
+    "divisors": argv("divisors", LABEL, flag("--g", numbers(1, 3)), flag("--r", numbers(1, 6))),
+    "bernoulli": argv("bernoulli", flag("--s", numbers(0, 40)), flag("--eval", FRACTIONS, False)),
+    "plf": argv("plf", mostly(st.sampled_from([["finf"], ["finfstar"], ["fr"]]), st.just(["f"])),
+                flag("--s", numbers(1, 6)), flag("--g", numbers(1, 3)),
+                flag("--r", numbers(1, 8), False), flag("--jmax", numbers(1, 8), False)),
+    "newton": argv("newton", flag("--p", PRIMES), flag("--alpha", FRACTIONS, False)),
+    "bound": argv("bound", flag("--type", LABELS), flag("--g", numbers(1, 3)), flag("--alpha", FRACTIONS)),
+    "verify": argv("verify", mostly(st.sampled_from([["chain"], ["corollary"]]), st.just(["both"])),
+                   flag("--type", LABELS), flag("--g", numbers(1, 2)), flag("--p", PRIMES),
+                   flag("--t", numbers(1, 8)), flag("--r", numbers(1, 4)), flag("--trials", numbers(1, 3)),
+                   flag("--b", st.sampled_from(["3,2,1", "1", "2,2", "", "0", "1,2", "x", "-1", "5"]), False),
+                   flag("--alpha", FRACTIONS, False), flag("--seed", numbers(-2, 9), False),
+                   flag("--entry-bound", numbers(1, 50), False)),
+}
+
+
+@pytest.fixture(scope="module")
+def file_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_exit_code_keeps_the_contract(file_dir, command, data):
+    args = data.draw(COMMANDS[command])
+    if command == "newton":
+        matrix, bound = files(file_dir, data.draw(MATRIX_FILES), data.draw(BOUND_FILES))
+        args += ["--matrix", matrix] + data.draw(st.sampled_from([[], ["--bound", bound]]))
+    args += data.draw(st.sampled_from([[], ["--json"]]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(args)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (args, err)
+    assert "Traceback" not in out + err and "internal error" not in out + err, (args, err)
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (args, err)
+    else:
+        assert err == "", (args, err)

@@ -173,11 +173,11 @@ class TestKernel:
 
     @staticmethod
     def precisions(monkeypatch, matrix, p):
-        """The polygon of `matrix` at p, and the digits s above the Hodge bound the kernel was run at."""
+        """The polygon of `matrix` at p, and the (prime, digits s above the Hodge bound) of each kernel run."""
         seen = []
 
         def spy(entries, p, s):
-            seen.append(s)
+            seen.append((p, s))
             return _char_poly_mod(entries, p, s)
 
         monkeypatch.setattr(newton, "_char_poly_mod", spy)
@@ -192,7 +192,7 @@ class TestKernel:
         poly, seen = self.precisions(monkeypatch, matrix, p)
         assert poly == newton_polygon([1, -(2 + p**40), p**40], p)
         assert poly.finite_length == 2
-        assert seen == [SLACK, _exact_precision(matrix.entries, p)]
+        assert seen == [(p, SLACK), (2, _exact_precision(matrix.entries))]
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_start_precision_covers_the_column_contents(self, monkeypatch, p):
@@ -202,7 +202,7 @@ class TestKernel:
         matrix = IntegerMatrix(((p**3, p**5), (2 * p**3, 3 * p**5)))
         assert _char_poly_mod(matrix.entries, p, SLACK)[1] == [0, 3, 8]
         poly, seen = self.precisions(monkeypatch, matrix, p)
-        assert seen == [SLACK]
+        assert seen == [(p, SLACK)]
         assert poly == newton_polygon(charpoly_faddeev_leverrier(matrix.entries), p)
 
     def test_singular_matrix_ends_at_the_exact_lift(self, monkeypatch):
@@ -211,7 +211,7 @@ class TestKernel:
         # each column's content is 2, and no column op needs a lower scale
         assert _char_poly_mod(rows, 2, SLACK) == ([1, 484, 84, 0], [0, 1, 2, 3])
         poly, seen = self.precisions(monkeypatch, matrix, 2)
-        assert seen == [SLACK, _exact_precision(rows, 2)]
+        assert seen == [(2, SLACK), (2, _exact_precision(rows))]
         assert poly == newton_polygon(charpoly_faddeev_leverrier(rows), 2)
         assert (poly.finite_length, poly.infinite_slopes) == (2, 1)
 
@@ -227,7 +227,7 @@ class TestKernel:
             assert hodge == [0, 0, 0, 3 if s == 1 else 1]
             assert residues == [c % p ** (h + s) for c, h in zip(exact, hodge)]
         poly, seen = self.precisions(monkeypatch, IntegerMatrix(rows), p)
-        assert seen == [SLACK]
+        assert seen == [(p, SLACK)]
         assert poly == newton_polygon(exact, p)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -237,7 +237,7 @@ class TestKernel:
         assert _char_poly_mod(matrix.entries, p, SLACK) == ([1, 0, -(p ** (2 * SLACK + 2)) % p ** (3 * SLACK + 2)],
                                                              [0, 0, 2 * SLACK + 2])
         poly, seen = self.precisions(monkeypatch, matrix, p)
-        assert seen == [SLACK, _exact_precision(matrix.entries, p)]
+        assert seen == [(p, SLACK), (2, _exact_precision(matrix.entries))]
         assert poly.slopes() == ((SLACK, 1), (SLACK + 2, 1))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -245,7 +245,7 @@ class TestKernel:
         # c_1 = 0 is 0 mod p^s, and (1, s) lies above the chord to (2, 2)
         matrix = IntegerMatrix(((0, p**2), (1, 0)))
         poly, seen = self.precisions(monkeypatch, matrix, p)
-        assert seen == [SLACK]
+        assert seen == [(p, SLACK)]
         assert poly == newton_polygon([1, 0, -(p**2)], p)
         assert poly.slopes() == ((1, 2),)
 
@@ -254,12 +254,12 @@ class TestKernel:
     @settings(max_examples=30, deadline=None)
     def test_exact_precision_is_the_least_above_the_bound(self, kind, data, p):
         rows = data.draw(shaped_matrices(kind, p))
-        P = _exact_precision(tuple(map(tuple, rows)), p)
+        P = _exact_precision(tuple(map(tuple, rows)))
         bound = 2
         for column in zip(*rows):
             bound *= 2 + isqrt(sum(x * x for x in column))
-        assert p ** (P - 1) <= bound < p**P
-        assert all(2 * abs(c) < p**P for c in charpoly_faddeev_leverrier(rows))
+        assert 2 ** (P - 1) <= bound < 2**P
+        assert all(2 * abs(c) < 2**P for c in charpoly_faddeev_leverrier(rows))
 
     def test_polygon_is_cached_per_matrix_and_prime(self):
         matrix = IntegerMatrix(((2, 1), (1, 3)))
