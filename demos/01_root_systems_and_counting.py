@@ -14,15 +14,15 @@ for label in ("A1", "A2", "B2", "G2", "F4"):
 
 print()
 system = build_root_system("B", 2)
-table = count_nh(system, 10)
-print(f"N_h for {system.label}, h = 0..10: {list(table.values)}")
+counts = count_nh(system, 10)
+print(f"N_h for {system.label}, h = 0..10: {list(counts)}")
 print(f"bound (h+1)^(s-1) at h=10: {(10 + 1) ** (system.s - 1)}")
 
 # the brute-force enumerator agrees with the dynamic program
 oracle = count_nh_bruteforce(system, 10)
-print(f"independent enumeration agrees: {table.values == oracle.values}")
+print(f"independent enumeration agrees: {counts == oracle}")
 
 # the divisor multiset built from the counts: exponent r-h with multiplicity g*N_h
 seq = truncation_divisors(system, g=1, r=3)
 print(f"\ntruncation divisors for g=1, r=3: exponents {list(seq.exponents)}")
-print(f"length = g * (N_0 + N_1 + N_2) = {sum(table.values[:3])}")
+print(f"length = g * (N_0 + N_1 + N_2) = {sum(counts[:3])}")

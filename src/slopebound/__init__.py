@@ -14,7 +14,7 @@ from .bounds import (
     infimum_dimension_bound,
     sharp_dimension_bound,
 )
-from .counting import CountTable, ElemDivSeq, count_nh, count_nh_bruteforce, truncation_divisors
+from .counting import ElemDivSeq, count_nh, count_nh_bruteforce, truncation_divisors
 from .harness import (
     ChainReport,
     CorollaryReport,
@@ -43,7 +43,6 @@ __all__ = [
     "BoundParams",
     "ChainReport",
     "CorollaryReport",
-    "CountTable",
     "ElemDivSeq",
     "Instance",
     "IntegerMatrix",

@@ -29,7 +29,6 @@ class Value:
     assigning or deleting an attribute raises ``AttributeError``.
     """
 
-    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
@@ -48,7 +47,7 @@ class Value:
         # a name left over is unknown or repeats a positional field
         if kwargs or len(args) != len(names):
             raise TypeError(f"{type(self).__name__}() takes each of the fields {names} exactly once")
-        # not self.__dict__.update: a dict per instance costs memory and slows attribute reads
+        # through object.__setattr__, since Value.__setattr__ raises
         for name, value in zip(names, args):
             _store(self, name, value)
 

@@ -4,7 +4,7 @@ Subcommands: roots, count-nh, divisors, bernoulli, plf, newton, bound,
 verify. All numbers are printed as exact fractions "num/den" (or plain
 integers); --json switches to machine-readable output with the same exact
 values. Exit codes: 0 success / assertions hold, 1 assertion failure,
-2 usage error, 3 internal error.
+2 usage error (an input too large for memory included), 3 internal error.
 """
 
 from __future__ import annotations
@@ -151,17 +151,17 @@ def _cmd_roots(args: argparse.Namespace) -> int:
 
 def _cmd_count_nh(args: argparse.Namespace) -> int:
     system = build_root_system(*parse_label(args.label))
-    table = count_nh(system, args.max_h)
-    values = " ".join(str(v) for v in table.values)
+    counts = count_nh(system, args.max_h)
+    values = " ".join(map(str, counts))
     _emit(args, {"label": system.label, "s": system.s, "max_h": args.max_h,
-                 "values": list(table.values)},
+                 "values": list(counts)},
           f"N_h for h=0..{args.max_h}: {values}")
     return 0
 
 
 def _cmd_divisors(args: argparse.Namespace) -> int:
     system = build_root_system(*parse_label(args.label))
-    length = args.g * sum(count_nh(system, args.r - 1).values)
+    length = args.g * sum(count_nh(system, args.r - 1))
     if length > DIVISORS_CAP:
         raise CliUsageError(f"the sequence has {length} exponents; divisors prints at most {DIVISORS_CAP}")
     seq = truncation_divisors(system, args.g, args.r)
@@ -375,6 +375,9 @@ def run(argv: list[str]) -> int:
             return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
     except Exception as exc:
         # a defect, not a failed assertion (1) or bad input (2)

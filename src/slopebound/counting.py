@@ -14,26 +14,13 @@ from itertools import accumulate, chain, product, repeat
 from ._value import Value
 from .rootsystems import RootSystem
 
-__all__ = ["TooLarge", "CountTable", "ElemDivSeq", "count_nh", "count_nh_bruteforce", "truncation_divisors"]
+__all__ = ["TooLarge", "ElemDivSeq", "count_nh", "count_nh_bruteforce", "truncation_divisors"]
 
 BRUTEFORCE_GUARD = 10**8
 
 
 class TooLarge(ValueError):
     """Raised when a brute-force enumeration would exceed the guard."""
-
-
-class CountTable(Value):
-    """Values N_0..N_H for one root system."""
-
-    _fields = ("system", "values")
-
-    def __init__(self, system: RootSystem, values: tuple[int, ...]) -> None:
-        if not values or values[0] != 1:
-            raise ValueError("N_0 must be 1")
-        if any(v < 0 for v in values):
-            raise ValueError("counts must be non-negative")
-        super().__init__(system, values)
 
 
 class ElemDivSeq(Value):
@@ -63,8 +50,8 @@ class ElemDivSeq(Value):
         return self.exponents + (0,) * (t - len(self.exponents))
 
 
-def count_nh(system: RootSystem, H: int) -> CountTable:
-    """Exact table N_0..N_H by coin-counting DP over the height multiset."""
+def count_nh(system: RootSystem, H: int) -> tuple[int, ...]:
+    """Exact counts (N_0, ..., N_H) by coin-counting DP over the height multiset."""
     if H < 0:
         raise ValueError("H must be non-negative")
     values = [0] * (H + 1)
@@ -73,10 +60,10 @@ def count_nh(system: RootSystem, H: int) -> CountTable:
         # multiplying by 1/(1 - x^ht) is a prefix sum along each residue class mod ht
         for c in range(min(ht, H + 1)):
             values[c::ht] = accumulate(values[c::ht])
-    return CountTable(system=system, values=tuple(values))
+    return tuple(values)
 
 
-def count_nh_bruteforce(system: RootSystem, H: int) -> CountTable:
+def count_nh_bruteforce(system: RootSystem, H: int) -> tuple[int, ...]:
     """Independent oracle for count_nh by direct tuple enumeration.
 
     Enumerates every tuple with n_i <= H // ht_i (a coordinate beyond that
@@ -92,15 +79,14 @@ def count_nh_bruteforce(system: RootSystem, H: int) -> CountTable:
         total = sum(n * ht for n, ht in zip(tup, heights))
         if total <= H:
             values[total] += 1
-    return CountTable(system=system, values=tuple(values))
+    return tuple(values)
 
 
 def _divisor_exponents(system: RootSystem, g: int, r: int) -> Iterator[int]:
     """The exponents r - h, each repeated g*N_h times for h = 0..r-1, lazily in that order."""
     if g < 1 or r < 1:
         raise ValueError("g and r must be positive")
-    counts = count_nh(system, r - 1).values
-    return chain.from_iterable(repeat(r - h, g * n) for h, n in enumerate(counts))
+    return chain.from_iterable(repeat(r - h, g * n) for h, n in enumerate(count_nh(system, r - 1)))
 
 
 def truncation_divisors(system: RootSystem, g: int, r: int) -> ElemDivSeq:

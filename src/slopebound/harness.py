@@ -64,15 +64,17 @@ def _check_divisibility_data(t: int, r: int, b_seq: ElemDivSeq) -> None:
 
 
 class Instance(Value):
-    """One synthetic operator with its divisibility data."""
+    """One synthetic operator with its divisibility data; its size t is the matrix's."""
 
-    _fields = ("p", "t", "r", "b_seq", "matrix", "seed")
+    _fields = ("p", "r", "b_seq", "matrix", "seed")
 
-    def __init__(self, p: int, t: int, r: int, b_seq: ElemDivSeq, matrix: IntegerMatrix, seed: int) -> None:
-        _check_divisibility_data(t, r, b_seq)
-        if matrix.t != t:
-            raise ValueError("matrix dimension must equal t")
-        super().__init__(p, t, r, b_seq, matrix, seed)
+    def __init__(self, p: int, r: int, b_seq: ElemDivSeq, matrix: IntegerMatrix, seed: int) -> None:
+        _check_divisibility_data(matrix.t, r, b_seq)
+        super().__init__(p, r, b_seq, matrix, seed)
+
+    @property
+    def t(self) -> int:
+        return self.matrix.t
 
 
 def gen_instance(seed: int, p: int, t: int, r: int, b_seq: ElemDivSeq, entry_bound: int) -> Instance:
@@ -84,7 +86,7 @@ def gen_instance(seed: int, p: int, t: int, r: int, b_seq: ElemDivSeq, entry_bou
     raw = PCG64(seed).integers(-entry_bound, entry_bound + 1, t * t)
     scales = [p ** (r - b) for b in b_seq.padded(t)]
     entries = tuple(tuple(map(mul, raw[i:i + t], scales)) for i in range(0, t * t, t))
-    return Instance(p=p, t=t, r=r, b_seq=b_seq, matrix=IntegerMatrix(entries), seed=seed)
+    return Instance(p=p, r=r, b_seq=b_seq, matrix=IntegerMatrix(entries), seed=seed)
 
 
 def corrupt_instance(inst: Instance) -> Instance:
@@ -100,10 +102,8 @@ def corrupt_instance(inst: Instance) -> Instance:
         raise ValueError("no column has forced divisibility; nothing to corrupt")
     rows = inst.matrix.entries
     bumped = rows[l][:l] + (rows[l][l] + 1,)
-    return Instance(
-        p=inst.p, t=inst.t, r=inst.r, b_seq=inst.b_seq,
-        matrix=IntegerMatrix(rows[:l] + (bumped,)), seed=inst.seed,
-    )
+    matrix = IntegerMatrix(rows[:l] + (bumped,))
+    return Instance(p=inst.p, r=inst.r, b_seq=inst.b_seq, matrix=matrix, seed=inst.seed)
 
 
 def draw_b_seq(seed: int, system: RootSystem, g: int, r: int, t: int) -> ElemDivSeq:

@@ -83,7 +83,12 @@ class IntegerMatrix(Value):
 class NewtonPolygon(Value):
     """Finite part of a Newton polygon plus the count of infinite slopes."""
 
-    _fields = ("polygon", "finite_length", "infinite_slopes")
+    _fields = ("polygon", "infinite_slopes")
+
+    @property
+    def finite_length(self) -> int:
+        """Where the finite part ends: the x of the hull's last vertex, the last non-zero coefficient."""
+        return int(self.polygon.breakpoints[-1][0])
 
     def slopes(self) -> tuple[tuple[Fraction, int], ...]:
         """Finite (slope, horizontal length) pairs, slopes non-decreasing."""
@@ -98,10 +103,11 @@ class NewtonPolygon(Value):
         The bound must be defined on [0, t]; dominance is decided on the finite
         part [0, finite_length], the infinite-slope columns dominating trivially.
         """
-        t = self.finite_length + self.infinite_slopes
+        finite_length = self.finite_length
+        t = finite_length + self.infinite_slopes
         if not bound.defined_on(t):
             raise DomainTooShort(f"bound only defined up to {bound.domain_end}, need {t}")
-        return self.polygon.dominates(bound, self.finite_length)
+        return self.polygon.dominates(bound, finite_length)
 
 
 def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[int], list[int]]:
@@ -224,10 +230,9 @@ def newton_polygon(coeffs: list[int], p: int) -> NewtonPolygon:
         raise NotMonic(f"leading coefficient must be 1, got {coeffs[:1]}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    t = len(coeffs) - 1
     points = [(i, _valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]
-    finite_length = points[-1][0]
-    return NewtonPolygon(PiecewiseLinear(_lower_hull(points)), finite_length, t - finite_length)
+    # the coefficients after the last non-zero one are the infinite slopes
+    return NewtonPolygon(PiecewiseLinear(_lower_hull(points)), len(coeffs) - 1 - points[-1][0])
 
 
 # Callers reuse a polygon only right after computing it (once per alpha in
@@ -252,7 +257,7 @@ def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
         hull = _lower_hull([(i, h + (_valuation(c // p**h, p) if c else _SLACK))
                             for i, (c, h) in enumerate(zip(residues, hodge))])
         if all(residues[i] for i, _ in hull):
-            return NewtonPolygon(PiecewiseLinear(hull), matrix.t, 0)
+            return NewtonPolygon(PiecewiseLinear(hull), 0)
     return newton_polygon(char_poly(matrix), p)
 
 

@@ -53,12 +53,11 @@ def test_criterion_2_counting_oracle():
     failures = []
     for label in ("A1", "A2", "B2", "G2"):
         system = build_root_system(label[0], int(label[1]))
-        if count_nh(system, 20).values != count_nh_bruteforce(system, 20).values:
+        if count_nh(system, 20) != count_nh_bruteforce(system, 20):
             failures.append(("oracle", label))
     for letter, rank in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("G", 2)):
         system = build_root_system(letter, rank)
-        table = count_nh(system, 50)
-        for h, value in enumerate(table.values):
+        for h, value in enumerate(count_nh(system, 50)):
             if value > (h + 1) ** (system.s - 1):
                 failures.append(("bound", system.label, h))
     report(2, "counting DP vs enumeration and (h+1)^(s-1) bound", failures)
@@ -156,5 +155,11 @@ def test_criterion_8_constants_spot_check():
         for g in range(1, 6):
             params = build_params(s, g)
             if params.m * params.c_pow_s != 1:
-                failures.append((s, g))
-    report(8, "m = 16 at (1,1) and m*c^s = 1 exactly", failures)
+                failures.append(("m*c^s", s, g))
+            # the paper's constants, recomputed here rather than read back from build_params
+            if params.c_pow_s != Fraction(s, g * 2 ** (3 * s + 1)):
+                failures.append(("c^s", s, g))
+            # 0 ** 0 == 1 gives the closed form's uncorrected value at s = 1
+            if params.n != g * sum(h ** (s - 1) for h in range(params.M + 2)):
+                failures.append(("n", s, g))
+    report(8, "m = 16 at (1,1), c^s = s/(g*2^(3s+1)), m*c^s = 1 and n = g*sum h^(s-1) exactly", failures)

@@ -69,6 +69,39 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+# runs in a child under a 1 GiB address-space limit, so the parent keeps its own
+OUT_OF_MEMORY_CHILD = """
+import contextlib, io, json, resource, sys
+from slopebound import cli
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    results.append((code, err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def test_out_of_memory_is_a_usage_error():
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    huge = [
+        ["count-nh", "A1", "--max-h", "1000000000000"],
+        ["verify", "chain", "--type", "A2", "--g", "1", "--p", "2", "--t", "100000", "--r", "2", "--trials", "1"],
+        ["bernoulli", "--s", "1000000000000"],
+    ]
+    proc = fresh_interpreter("-c", OUT_OF_MEMORY_CHILD, json.dumps(huge))
+    assert proc.returncode == 0, proc.stderr
+    for argv, (code, err) in zip(huge, json.loads(proc.stdout)):
+        assert code == 2, (argv, err)
+        assert err == "error: out of memory; the input is too large\n", (argv, err)
+
+
 def test_count_nh(capsys):
     code, out, _ = invoke(capsys, "count-nh", "A2", "--max-h", "4", "--json")
     assert code == 0

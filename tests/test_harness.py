@@ -165,7 +165,7 @@ def test_diagonal_instances_hold_link_1_with_zero_slack(system):
         b = draw_b_seq(seed, system, 1, r, t)
         units = [u if u % p else u + 1 for u in PCG64(seed).integers(1, 50, t)]
         diagonal = [u * p ** (r - bl) for u, bl in zip(units, b.padded(t))]
-        inst = Instance(p=p, t=t, r=r, b_seq=b, matrix=IntegerMatrix.diagonal(diagonal), seed=seed)
+        inst = Instance(p=p, r=r, b_seq=b, matrix=IntegerMatrix.diagonal(diagonal), seed=seed)
         report = verify_chain(inst, system, 1)
         assert report.all_hold
         assert report.polygon.polygon.breakpoints == tuple(_vertices(report.f_b.breakpoints))
@@ -173,7 +173,7 @@ def test_diagonal_instances_hold_link_1_with_zero_slack(system):
         if not forced:
             continue
         diagonal[forced[0]] //= p
-        lowered = Instance(p=p, t=t, r=r, b_seq=b, matrix=IntegerMatrix.diagonal(diagonal), seed=seed)
+        lowered = Instance(p=p, r=r, b_seq=b, matrix=IntegerMatrix.diagonal(diagonal), seed=seed)
         assert not verify_chain(lowered, system, 1).newton_ge_fb
         controls += 1
     assert controls >= 30

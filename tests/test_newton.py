@@ -13,6 +13,7 @@ from slopebound.counting import ElemDivSeq
 from slopebound.harness import gen_instance
 from slopebound.newton import (
     IntegerMatrix,
+    NewtonPolygon,
     NotMonic,
     NotPrime,
     _char_poly_mod,
@@ -171,6 +172,16 @@ class TestKernel:
         matrix = IntegerMatrix(tuple(map(tuple, rows)))
         assert matrix_newton_polygon(matrix, p) == newton_polygon(charpoly_faddeev_leverrier(rows), p)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5]))
+    @settings(max_examples=30, deadline=None)
+    def test_finite_length_is_the_last_non_zero_coefficient(self, kind, data, p):
+        rows = data.draw(shaped_matrices(kind, p))
+        exact = charpoly_faddeev_leverrier(rows)
+        poly = matrix_newton_polygon(IntegerMatrix(tuple(map(tuple, rows))), p)
+        assert poly.finite_length == max(i for i, c in enumerate(exact) if c)
+        assert poly.finite_length + poly.infinite_slopes == len(rows)
+
     @staticmethod
     def precisions(monkeypatch, matrix, p):
         """The polygon of `matrix` at p, and the (prime, digits s above the Hodge bound) of each kernel run."""
@@ -317,6 +328,23 @@ class TestPolygon:
         assert poly.finite_length == 0
         assert poly.infinite_slopes == 3
         assert poly.polygon.breakpoints == ((Fraction(0), Fraction(0)),)
+
+    @given(st.lists(st.tuples(st.integers(min_value=-9, max_value=9), st.integers(min_value=0, max_value=6)),
+                    max_size=8),
+           st.integers(min_value=0, max_value=3), st.sampled_from([2, 3, 5]))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_length_is_the_last_non_zero_coefficient(self, terms, zeros, p):
+        coeffs = [1] + [c * p**k for c, k in terms] + [0] * zeros
+        poly = newton_polygon(coeffs, p)
+        assert poly.finite_length == max(i for i, c in enumerate(coeffs) if c)
+        assert poly.finite_length + poly.infinite_slopes == len(coeffs) - 1
+
+    def test_dominance_is_decided_on_the_whole_finite_part(self):
+        # the hull ends at x = 2, where it lies below the bound; one infinite slope follows
+        poly = NewtonPolygon(PiecewiseLinear(((0, 0), (1, 0), (2, 5))), 1)
+        assert poly.finite_length == 2
+        assert not poly.dominates(PiecewiseLinear(((0, 0), (1, 0), (2, 6)), final_slope=0))
+        assert poly.dominates(PiecewiseLinear(((0, 0), (1, 0), (2, 5)), final_slope=0))
 
     def test_validation(self):
         with pytest.raises(NotMonic):

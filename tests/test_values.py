@@ -1,7 +1,8 @@
 """Value semantics of the immutable types: equality, hashing, repr, immutability, pickling.
 
 The repr literals were recorded from the frozen dataclasses these classes replace,
-less RootSystem's heights, which are now derived from the roots rather than stored.
+less the fields now derived rather than stored: RootSystem's heights (from the roots),
+Instance's t (the matrix's size) and NewtonPolygon's finite_length (the hull's end).
 """
 
 import copy
@@ -13,7 +14,7 @@ import pytest
 from slopebound import harness
 from slopebound.bernoulli import RationalPolynomial
 from slopebound.bounds import BoundParams
-from slopebound.counting import CountTable, ElemDivSeq, count_nh
+from slopebound.counting import ElemDivSeq
 from slopebound.harness import ChainReport, CorollaryReport, Instance, gen_instance
 from slopebound.newton import IntegerMatrix, NewtonPolygon, newton_polygon
 from slopebound.plf import PiecewiseLinear
@@ -36,10 +37,6 @@ SAMPLES = {
         lambda: build_root_system("A", 2),
         "RootSystem(letter='A', rank=2, positive_roots=((0, 1), (1, 0), (1, 1)))",
     ),
-    "CountTable": (
-        lambda: count_nh(A1, 2),
-        "CountTable(system=RootSystem(letter='A', rank=1, positive_roots=((1,),)), values=(1, 1, 1))",
-    ),
     "ElemDivSeq": (lambda: ElemDivSeq((2, 1, 1)), "ElemDivSeq(exponents=(2, 1, 1))"),
     "RationalPolynomial": (
         lambda: RationalPolynomial((Fraction(1, 2), 0, 1)),
@@ -54,7 +51,7 @@ SAMPLES = {
     "NewtonPolygon": (
         lambda: newton_polygon([1, 2, 4], 2),
         "NewtonPolygon(polygon=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), "
-        "(Fraction(2, 1), Fraction(2, 1))), final_slope=None), finite_length=2, infinite_slopes=0)",
+        "(Fraction(2, 1), Fraction(2, 1))), final_slope=None), infinite_slopes=0)",
     ),
     "BoundParams": (
         _params,
@@ -62,7 +59,7 @@ SAMPLES = {
     ),
     "Instance": (
         lambda: gen_instance(0, 2, 2, 1, ElemDivSeq((1,)), 5),
-        "Instance(p=2, t=2, r=1, b_seq=ElemDivSeq(exponents=(1,)), matrix=IntegerMatrix(entries=((4, 4), (0, -6))), "
+        "Instance(p=2, r=1, b_seq=ElemDivSeq(exponents=(1,)), matrix=IntegerMatrix(entries=((4, 4), (0, -6))), "
         "seed=0)",
     ),
     "ChainReport": (
@@ -70,7 +67,7 @@ SAMPLES = {
                             PiecewiseLinear(((0, 0), (1, 0)), final_slope=1), _line()),
         "ChainReport(newton_ge_fb=True, fb_ge_fa=True, fa_ge_fr=False, fr_eq_finf_on_window=True, "
         "polygon=NewtonPolygon(polygon=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)),), "
-        "final_slope=None), finite_length=0, infinite_slopes=1), "
+        "final_slope=None), infinite_slopes=1), "
         "f_b=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(1, 1))), "
         "final_slope=None), "
         "f_a=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(1, 1))), "
@@ -207,9 +204,6 @@ def _pl(*points, final_slope=None):
 
 
 VALIDATION = {
-    "N_0": (lambda: CountTable(A1, (2, 1)), "N_0 must be 1"),
-    "empty counts": (lambda: CountTable(A1, ()), "N_0 must be 1"),
-    "negative count": (lambda: CountTable(A1, (1, -1)), "non-negative"),
     "exponent zero": (lambda: ElemDivSeq((2, 0)), "strictly positive"),
     "exponents increase": (lambda: ElemDivSeq((1, 2)), "non-increasing"),
     "first breakpoint": (_pl((1, 0), (2, 1)), r"\(0, 0\)"),
@@ -223,10 +217,8 @@ VALIDATION = {
     "m times c^s": (lambda: BoundParams(1, 1, 4, Fraction(1, 16), Fraction(15), Fraction(6)), "1/c"),
     "negative n": (lambda: BoundParams(1, 1, 4, Fraction(1, 16), Fraction(16), Fraction(-1)), "M >= 1"),
     "M below 1": (lambda: BoundParams(1, 1, 0, Fraction(1, 16), Fraction(16), Fraction(6)), "M >= 1"),
-    "instance t": (lambda: Instance(2, 0, 1, ElemDivSeq(()), IntegerMatrix(((1,),)), 0), "positive"),
-    "instance b too long": (lambda: Instance(2, 1, 2, ElemDivSeq((2, 1)), IntegerMatrix(((1,),)), 0), "longer than t"),
-    "instance b above r": (lambda: Instance(2, 1, 1, ElemDivSeq((2,)), IntegerMatrix(((1,),)), 0), "exceed r"),
-    "instance matrix size": (lambda: Instance(2, 2, 1, ElemDivSeq(()), IntegerMatrix(((1,),)), 0), "dimension"),
+    "instance b too long": (lambda: Instance(2, 2, ElemDivSeq((2, 1)), IntegerMatrix(((1,),)), 0), "longer than t"),
+    "instance b above r": (lambda: Instance(2, 1, ElemDivSeq((2,)), IntegerMatrix(((1,),)), 0), "exceed r"),
 }
 
 
