@@ -4,7 +4,8 @@ Subcommands: roots, count-nh, divisors, bernoulli, plf, newton, bound,
 verify. All numbers are printed as exact fractions "num/den" (or plain
 integers); --json switches to machine-readable output with the same exact
 values. Exit codes: 0 success / assertions hold, 1 assertion failure,
-2 usage error (an input too large for memory included), 3 internal error.
+2 usage error (an input above a size cap or too large for memory
+included), 3 internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -29,6 +31,16 @@ SEED_ENV_VAR = "SLOPE_BOUND_SEED"
 # most exponents `divisors` prints; a longer sequence (E8 at r = 20 has 628,801,414) is a usage
 # error, found from its length g * sum N_h before any exponent is built
 DIVISORS_CAP = 10**6
+# most bits of x^s for an exact input x that a subcommand raises to the power s and prints: alpha
+# in `bound` and `verify corollary` (the bound m * alpha^s + n) and --eval in `bernoulli`. The
+# size comes from s and the bit lengths of x before any power is taken; 2^16 bits print in under
+# 10 ms, where --alpha 1e1000000 (3.3 million bits) never ended. A fraction flag whose decimal
+# exponent is above the cap in size is refused while parsing, since Fraction builds 10^exponent
+POWER_BITS_CAP = 2**16
+# most breakpoints `plf` builds, one per unit of --jmax (finf, finfstar) or --r (fr); --jmax 10^5
+# took 4 s and --jmax 10^12 never ended
+BREAKPOINTS_CAP = 10**4
+_EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
 
 
 def _positive_int(text: str) -> int:
@@ -47,6 +59,8 @@ def _nonneg_int(text: str) -> int:
 
 def _fraction(text: str) -> Fraction:
     try:
+        if (exponent := _EXPONENT.search(text)) and abs(int(exponent[1])) > POWER_BITS_CAP:
+            raise argparse.ArgumentTypeError(f"the exponent of {text} is more than {POWER_BITS_CAP} in size")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"expected a fraction like 3/2, got {text}") from exc
@@ -67,6 +81,14 @@ def _exponent_list(text: str) -> tuple[int, ...]:
         return tuple(int(piece) for piece in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f'expected a comma list like "3,2,1", got {text}') from exc
+
+
+def _check_power_size(flag: str, x: Fraction, s: int) -> None:
+    """Refuse an x whose power x^s would have more than POWER_BITS_CAP bits."""
+    bits = s * (x.numerator.bit_length() + x.denominator.bit_length())
+    if bits > POWER_BITS_CAP:
+        raise CliUsageError(f"{flag} to the power {s} would have about {bits} bits; "
+                            f"at most {POWER_BITS_CAP} are allowed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,6 +197,7 @@ def _cmd_divisors(args: argparse.Namespace) -> int:
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
     poly = bernoulli_poly(args.s)
     if args.eval is not None:
+        _check_power_size("--eval", args.eval, args.s)
         value = poly(args.eval)
         _emit(args, {"s": args.s, "x": str(args.eval), "value": str(value)},
               f"B_{args.s}({args.eval}) = {value}")
@@ -192,13 +215,14 @@ def _plf_text(fn: PiecewiseLinear) -> str:
 
 
 def _cmd_plf(args: argparse.Namespace) -> int:
+    flag, count = ("--r", args.r) if args.kind == "fr" else ("--jmax", args.jmax)
+    if count is None:
+        raise CliUsageError(f"{args.kind} requires {flag}")
+    if count > BREAKPOINTS_CAP:
+        raise CliUsageError(f"{flag} {count} is above {BREAKPOINTS_CAP}, the most breakpoints plf builds")
     if args.kind == "fr":
-        if args.r is None:
-            raise CliUsageError("fr requires --r")
         fn = f_r(args.s, args.g, args.r)
     else:
-        if args.jmax is None:
-            raise CliUsageError(f"{args.kind} requires --jmax")
         maker = f_infinity if args.kind == "finf" else f_infinity_star
         fn = maker(args.s, args.g, args.jmax)
     _emit(args, fn.to_json_dict(), _plf_text(fn))
@@ -255,6 +279,7 @@ def _cmd_newton(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     system = build_root_system(*parse_label(args.label))
+    _check_power_size("--alpha", args.alpha, system.s)
     params = build_params(system.s, args.g)
     bound = dimension_bound(params, args.alpha)
     infimum = infimum_dimension_bound(params, args.alpha)
@@ -277,8 +302,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     system = build_root_system(*parse_label(args.label))
-    if args.what == "corollary" and args.alpha is None:
-        raise CliUsageError("verify corollary requires --alpha")
+    if args.what == "corollary":
+        if args.alpha is None:
+            raise CliUsageError("verify corollary requires --alpha")
+        _check_power_size("--alpha", args.alpha, system.s)
     seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)

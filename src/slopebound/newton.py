@@ -17,7 +17,9 @@ p^s. A principal i-minor of M is p^(sum of its e_j) times the minor of A, so:
 Each step of the reduction is a similarity of M by an integer matrix with an
 integer inverse, such a change of A, or a lowering of one e_j that leaves M as
 it is. Lowering only decreases H, so the kernel knows c_i mod p^(H(i)+s) for
-the final H.
+the final H. For t >= 10 and a modulus below 2^64 the reduction runs on one
+int per column with fixed-width fields (Kronecker substitution), with the
+same steps and values as on rows of ints.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, isqrt, prod
-from operator import floordiv, index, mul
+from operator import floordiv, index, lshift, mul
 
 from ._value import Value
 from .plf import DomainTooShort, PiecewiseLinear
@@ -46,6 +48,32 @@ __all__ = [
 
 # digits kept above the Hodge bound: matrix_newton_polygon reads c_i mod p^(H(i) + _SLACK)
 _SLACK = 8
+# _char_poly_mod reduces packed columns when t >= _PACK_FROM_T and p^s < _PACK_BELOW_Q. Per-call
+# time (ms) of _char_poly_mod at s = 8, rows/packed: gen_instance matrices, r = 3, b = (2, 1),
+# entries up to 50, six per cell, each the least of 7 alternating runs (Python 3.11.7):
+#    t  p = 2        p = 3        p = 5        p = 101      p = 65537
+#    2  0.015/0.023  0.017/0.026  0.017/0.026  0.018/0.028  0.019/0.031
+#    3  0.040/0.057  0.039/0.057  0.040/0.056  0.040/0.061  0.046/0.072
+#    4  0.062/0.084  0.063/0.084  0.070/0.091  0.076/0.100  0.100/0.129
+#    5  0.103/0.129  0.113/0.138  0.113/0.133  0.125/0.150  0.160/0.204
+#    6  0.133/0.154  0.116/0.135  0.144/0.168  0.169/0.202  0.252/0.304
+#    7  0.176/0.197  0.200/0.223  0.164/0.190  0.266/0.280  0.321/0.391
+#    8  0.188/0.209  0.259/0.271  0.272/0.277  0.368/0.377  0.575/0.653
+#    9  0.343/0.339  0.350/0.346  0.372/0.362  0.507/0.500  0.761/0.871
+#   10  0.406/0.385  0.434/0.407  0.467/0.424  0.620/0.607  1.001/1.051
+#   11  0.451/0.425  0.471/0.433  0.496/0.455  0.742/0.706  1.267/1.372
+#   12  0.602/0.545  0.560/0.511  0.698/0.627  0.871/0.794  1.437/1.564
+#   14  0.775/0.655  0.783/0.677  0.885/0.730  1.252/1.128  2.199/2.229
+#   16  0.904/0.746  0.948/0.774  1.095/0.862  1.541/1.340  2.823/2.931
+#   20  1.577/1.182  1.833/1.441  2.191/1.564  3.394/2.842  6.127/6.247
+#   24  2.648/1.871  2.931/2.127  3.535/2.419  5.347/4.437  12.239/12.360
+# While q = p^8 is at most 101^8 < 2^54, packing's fixed cost loses below t = 9, ties at t = 9
+# and wins from t = 10 on. The fields are about three times as wide as q, so the gain shrinks as
+# q grows: at 257^8 > 2^64 packing still loses at t = 10 (0.568/0.574) and at 65537^8 = 2^128 it
+# ties at best up to t = 40 (81.6/80.6). So char_poly, whose 2^s passes the Hadamard bound, keeps
+# rows unless the entries are tiny.
+_PACK_FROM_T = 10
+_PACK_BELOW_Q = 2**64
 
 
 class NotMonic(ValueError):
@@ -116,11 +144,41 @@ def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tupl
     q = p**s
     n = len(entries)
     # M = A * diag(p^e), e_j at first the valuation of column j's content (0 for a zero column).
-    # Each step is a similarity of M by an integer matrix with an integer inverse, or changes a
-    # column of A by a multiple of q; a row of A is reduced mod q when it becomes the pivot row.
     e = [_valuation(c, p) if c else 0 for c in map(gcd, *entries)]
     scales = [p**x for x in e]
     a = [list(map(floordiv, row, scales)) for row in entries]
+    if n >= _PACK_FROM_T and q < _PACK_BELOW_Q:
+        _hessenberg_packed(a, e, scales, p, q)
+    else:
+        _hessenberg_rows(a, e, scales, p, q)
+    # p_(k+1) = (X - h_kk) p_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_i for the polynomial
+    # p_i of the leading i-block of h = A * diag(p^e), lowest power first; cols[m] holds the X^m
+    # coefficients of p_m, p_(m+1), ..., so each coefficient of p_(k+1) is one dot product
+    hodge = list(accumulate(sorted(e), initial=0))
+    Q = p ** (hodge[-1] + s)
+    sub = [a[i + 1][i] * scales[i] % Q for i in range(n - 1)]
+    cols, poly = [[1]], [1]
+    for k in range(n):
+        cs, product = [0] * k, scales[k]
+        for i in range(k - 1, -1, -1):
+            product = product * sub[i] % Q
+            cs[i] = a[i][k] * product % Q
+        d = a[k][k] * scales[k] % Q
+        poly = [(low - d * c - sum(map(mul, cs[m:], col))) % Q
+                for m, (low, c, col) in enumerate(zip([0] + poly, poly, cols))] + [1]
+        for col, c in zip(cols, poly):
+            col.append(c)
+        cols.append([1])
+    return [c % p ** (h + s) for c, h in zip(reversed(poly), hodge)], hodge
+
+
+def _hessenberg_rows(a: list[list[int]], e: list[int], scales: list[int], p: int, q: int) -> None:
+    """Bring the rows `a` of A to upper Hessenberg form in place, lowering `e` and `scales` as needed.
+
+    Each step is a similarity of M by an integer matrix with an integer inverse, or changes a
+    column of A by a multiple of q; a row of A is reduced mod q when it becomes the pivot row.
+    """
+    n = len(a)
     for k in range(n - 2):
         # column k pivots on an entry of least valuation
         if not (content := gcd(*[row[k] % q for row in a[k + 1:]])):
@@ -152,25 +210,74 @@ def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tupl
         scale = scales[k + 1]
         for row in a:
             row[k + 1] += sum(map(mul, terms, row[k + 2:])) // scale
-    # p_(k+1) = (X - h_kk) p_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_i for the polynomial
-    # p_i of the leading i-block of h = A * diag(p^e), lowest power first; cols[m] holds the X^m
-    # coefficients of p_m, p_(m+1), ..., so each coefficient of p_(k+1) is one dot product
-    hodge = list(accumulate(sorted(e), initial=0))
-    Q = p ** (hodge[-1] + s)
-    sub = [a[i + 1][i] * scales[i] % Q for i in range(n - 1)]
-    cols, poly = [[1]], [1]
-    for k in range(n):
-        cs, product = [0] * k, scales[k]
-        for i in range(k - 1, -1, -1):
-            product = product * sub[i] % Q
-            cs[i] = a[i][k] * product % Q
-        d = a[k][k] * scales[k] % Q
-        poly = [(low - d * c - sum(map(mul, cs[m:], col))) % Q
-                for m, (low, c, col) in enumerate(zip([0] + poly, poly, cols))] + [1]
-        for col, c in zip(cols, poly):
-            col.append(c)
-        cols.append([1])
-    return [c % p ** (h + s) for c, h in zip(reversed(poly), hodge)], hodge
+
+
+def _field_width(a: list[list[int]], e: list[int], p: int, q: int) -> int:
+    """Bits w of a packed field: every value _hessenberg_rows makes from `a` lies in (-2^(w-1), 2^(w-1)).
+
+    The values stay below V = p^E (a0 + t q^2)(1 + t q) + q^2 in absolute value, E the largest
+    e_j and a0 the largest |a_ij| at the start:
+      - a row step subtracts f * y with f, y in [0, q), at most t - 2 times from one entry, and
+        pivot entries are reduced into [0, q), so a column before its column step holds values
+        below a0 + t q^2;
+      - column j's step, at k = j - 1, multiplies it by lift = p^(e_old - e_new) mod q <= p^E and
+        adds at most t - 2 such columns times f_i p^e_i / p^e_j <= q p^E, which makes at most
+        p^E (a0 + t q^2)(1 + t q); after it only the row step at k = j changes column j, by < q^2.
+    """
+    t = len(a)
+    a0 = max(max(map(abs, row)) for row in a)
+    return (p ** max(e) * (a0 + t * q * q) * (1 + t * q) + q * q).bit_length() + 1
+
+
+def _hessenberg_packed(a: list[list[int]], e: list[int], scales: list[int], p: int, q: int) -> None:
+    """The steps of _hessenberg_rows, with the same values, on A held as one int per column.
+
+    Column j is sum_i (a_ij + bias) 2^at[i], bias = 2^(w-1): the w-bit field at bit at[i], read
+    as (c >> at[i] & mask) - bias, holds a_ij, and stays in [0, 2^w) by _field_width, so no
+    carry crosses fields. A row operation is one multiply-add on each column, and a row swap
+    only swaps two offsets. Only the Hessenberg entries, rows 0..j+1 of column j, are written
+    back to `a`.
+    """
+    n = len(a)
+    w = _field_width(a, e, p, q)
+    bias = 1 << (w - 1)
+    mask = (1 << w) - 1
+    biases = bias * ((1 << w * n) - 1) // mask  # every field at bias: the column of zeros
+    at = list(range(0, w * n, w))
+    cols = [sum(map(lshift, col, at)) + biases for col in zip(*a)]
+    for k in range(n - 2):
+        column = [(cols[k] >> x & mask) - bias for x in at[k + 1:]]
+        if not (content := gcd(*[x % q for x in column])):
+            continue
+        unit = p ** _valuation(content, p)
+        if column[0] % (unit * p) == 0:  # conjugate by a transposition first
+            i = next(i for i, x in enumerate(column) if x % (unit * p))
+            piv = k + 1 + i
+            column[0], column[i] = column[i], column[0]
+            at[k + 1], at[piv] = at[piv], at[k + 1]
+            cols[k + 1], cols[piv] = cols[piv], cols[k + 1]
+            e[k + 1], e[piv] = e[piv], e[k + 1]
+            scales[k + 1], scales[piv] = scales[piv], scales[k + 1]
+        inverse = pow(column[0] % q // unit, -1, q)
+        fs = [x // unit * inverse % q for x in column[1:]]
+        # row k+1 is reduced mod q, then rows i > k+1 lose f_i times it: column j's pivot field x
+        # becomes r = x mod q and field i loses f_i r, so the column gains r (2^shift - F) - x 2^shift
+        shift = at[k + 1]
+        lows = (1 << shift) - sum(map(lshift, fs, at[k + 2:]))
+        pivots = [(c >> shift & mask) - bias for c in cols[k:]]
+        cols[k:] = [c - (x << shift) + x % q * lows for c, x in zip(cols[k:], pivots)]
+        terms = list(map(mul, fs, scales[k + 2:]))
+        if (common := gcd(*terms)) % scales[k + 1]:
+            e[k + 1] = _valuation(common, p)
+            lift = scales[k + 1] // p ** e[k + 1] % q
+            scales[k + 1] = p ** e[k + 1]
+            cols[k + 1] = cols[k + 1] * lift - (lift - 1) * biases
+        # every term is a multiple of scale, so dividing the terms is the rows' exact division
+        multiples = [x // scales[k + 1] for x in terms]
+        cols[k + 1] += sum(map(mul, multiples, cols[k + 2:])) - sum(multiples) * biases
+    for j, c in enumerate(cols):
+        for i, x in enumerate(at[:j + 2]):
+            a[i][j] = (c >> x & mask) - bias
 
 
 def _exact_precision(entries: tuple[tuple[int, ...], ...]) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -134,6 +135,67 @@ def test_divisors_cap_is_inclusive(capsys, monkeypatch):
     code, out, err = invoke(capsys, "divisors", "A2", "--g", "1", "--r", "2")
     assert (code, out) == (2, "")
     assert err.startswith("error: the sequence has 3 exponents")
+
+
+def usage_error_before_any_work(capsys, monkeypatch, names, argv):
+    """Run argv in process with every function in `names` replaced by one that fails the test."""
+    def work(*args):
+        raise AssertionError("the refused input was computed with")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, work)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--type", "A1", "--g", "1", "--alpha", "1e1000000"],
+    ["verify", "corollary", "--type", "A2", "--g", "1", "--p", "2", "--t", "4", "--r", "2", "--trials", "1",
+     "--alpha", "1e1000000"],
+])
+def test_alpha_with_a_huge_exponent_is_refused_while_parsing(capsys, monkeypatch, argv):
+    err = usage_error_before_any_work(capsys, monkeypatch, ["build_params", "gen_instance"], argv)
+    assert f"the exponent of 1e1000000 is more than {cli.POWER_BITS_CAP} in size" in err
+
+
+@pytest.mark.parametrize(("argv", "bits"), [
+    (["bound", "--type", "E8", "--g", "1", "--alpha", "1e200"], 120 * (665 + 1)),
+    (["bound", "--type", "E8", "--g", "1", "--alpha", "1e-200"], 120 * (1 + 665)),
+    (["bound", "--type", "A1", "--g", "1", "--alpha", "1e20000"], 66439 + 1),
+    (["verify", "corollary", "--type", "B2", "--g", "1", "--p", "2", "--t", "4", "--r", "2",
+      "--alpha", "1e10000"], 4 * (33220 + 1)),
+    (["bernoulli", "--s", "3", "--eval", "1e8000"], 3 * (26576 + 1)),
+])
+def test_power_above_the_cap_is_refused_before_it_is_taken(capsys, monkeypatch, argv, bits):
+    err = usage_error_before_any_work(capsys, monkeypatch, ["build_params", "gen_instance"], argv)
+    assert err.endswith(f"would have about {bits} bits; at most {cli.POWER_BITS_CAP} are allowed\n")
+
+
+def test_power_cap_is_inclusive(capsys, monkeypatch):
+    # alpha = 4 has 3 + 1 bits, so at s = 1 (A1) alpha^s is estimated at 4 bits
+    monkeypatch.setattr(cli, "POWER_BITS_CAP", 4)
+    assert invoke(capsys, "bound", "--type", "A1", "--g", "1", "--alpha", "4")[0] == 0
+    monkeypatch.setattr(cli, "POWER_BITS_CAP", 3)
+    assert invoke(capsys, "bound", "--type", "A1", "--g", "1", "--alpha", "4")[0] == 2
+
+
+@pytest.mark.parametrize(("kind", "flag", "maker"), [
+    ("finf", "--jmax", "f_infinity"), ("finfstar", "--jmax", "f_infinity_star"), ("fr", "--r", "f_r"),
+])
+def test_plf_breakpoints_above_the_cap_are_refused_before_any_is_built(capsys, monkeypatch, kind, flag, maker):
+    argv = ["plf", kind, "--s", "2", "--g", "1", flag, "1000000000000"]
+    err = usage_error_before_any_work(capsys, monkeypatch, [maker], argv)
+    assert err == f"error: {flag} 1000000000000 is above {cli.BREAKPOINTS_CAP}, the most breakpoints plf builds\n"
+
+
+def test_plf_breakpoints_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "BREAKPOINTS_CAP", 5)
+    assert invoke(capsys, "plf", "finf", "--s", "3", "--g", "2", "--jmax", "5")[0] == 0
+    assert invoke(capsys, "plf", "finf", "--s", "3", "--g", "2", "--jmax", "6")[0] == 2
 
 
 def test_bernoulli_eval(capsys):
@@ -384,7 +446,7 @@ def test_seed_env_var_fallback(capsys, monkeypatch):
 
 # Generated argv for every subcommand. Valid sizes are capped so each call takes milliseconds;
 # one value in five is instead zero, negative, fractional or malformed.
-BAD_NUMBERS = ["0", "-1", "-7", "3/2", "-1/2", "1.5", "x", "", "1e2", "0x1"]
+BAD_NUMBERS = ["0", "-1", "-7", "3/2", "-1/2", "1.5", "x", "", "1e2", "0x1", "1e1000000"]
 
 
 def mostly(valid, bad):

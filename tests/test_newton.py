@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd, isqrt
 from operator import mul
+from unittest.mock import patch
 
 import pytest
 import sympy
@@ -18,6 +19,9 @@ from slopebound.newton import (
     NotPrime,
     _char_poly_mod,
     _exact_precision,
+    _field_width,
+    _hessenberg_packed,
+    _hessenberg_rows,
     char_poly,
     check_lower_bound,
     matrix_newton_polygon,
@@ -62,7 +66,8 @@ def charpoly_faddeev_leverrier(rows):
         if k < n:
             for i in range(n):
                 work[i][i] += c
-            work = [[sum(rows[i][l] * work[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+            columns = list(zip(*work))
+            work = [[sum(map(mul, row, column)) for column in columns] for row in rows]
     return coeffs
 
 
@@ -90,9 +95,10 @@ def charpoly_sympy(rows):
 
 
 @st.composite
-def shaped_matrices(draw, kind, p):
-    """t x t integer matrices, t <= 10, of the given kind; "scaled" scales columns by powers of p."""
-    t = draw(st.integers(min_value=1, max_value=10))
+def shaped_matrices(draw, kind, p, max_t=10):
+    """t x t integer matrices, t <= max_t, of the given kind; "scaled" and "deep" scale columns by
+    powers of p, "deep" up to p^10."""
+    t = draw(st.integers(min_value=1, max_value=max_t))
     rows = draw(st.lists(
         st.lists(st.integers(min_value=-30, max_value=30), min_size=t, max_size=t),
         min_size=t, max_size=t,
@@ -103,8 +109,9 @@ def shaped_matrices(draw, kind, p):
         rows[-1] = [sum(col) for col in zip(*rows[:-1])] if t > 1 else [0]
     elif kind == "nilpotent":  # strictly upper triangular
         rows = [[e if j > i else 0 for j, e in enumerate(row)] for i, row in enumerate(rows)]
-    elif kind == "scaled":  # column l times p^k_l, as gen_instance scales them
-        ks = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=t, max_size=t))
+    elif kind in ("scaled", "deep"):  # column l times p^k_l, as gen_instance scales them
+        top = 4 if kind == "scaled" else 10
+        ks = draw(st.lists(st.integers(min_value=0, max_value=top), min_size=t, max_size=t))
         rows = [[e * p ** k for e, k in zip(row, ks)] for row in rows]
     return rows
 
@@ -281,6 +288,66 @@ class TestKernel:
     def test_not_prime(self, p):
         with pytest.raises(NotPrime):
             matrix_newton_polygon(identity(2), p)
+
+
+def char_poly_mod_by(reduction, entries, p, s):
+    """_char_poly_mod with `reduction` in place of whichever Hessenberg reduction it selects."""
+    with patch.object(newton, "_hessenberg_rows", reduction), \
+            patch.object(newton, "_hessenberg_packed", reduction):
+        return _char_poly_mod(entries, p, s)
+
+
+class TestPackedReduction:
+    """_hessenberg_packed makes the values of _hessenberg_rows, and _char_poly_mod picks it by t and q."""
+
+    @pytest.mark.parametrize("kind", KINDS + ["deep"])
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=40, deadline=None)
+    def test_same_residues_and_hodge_bound_as_rows(self, kind, data, p, s):
+        entries = tuple(map(tuple, data.draw(shaped_matrices(kind, p, max_t=16))))
+        packed = char_poly_mod_by(_hessenberg_packed, entries, p, s)
+        assert packed == char_poly_mod_by(_hessenberg_rows, entries, p, s)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_values_reach_a_quarter_of_the_field(self, p):
+        # column 0 pivots on row 1 with f_i = q - 1 for every lower row, and every column after
+        # column 1 has scale p^E and entries a0, so row 0 of column 1 gains (t - 2)(q - 1) p^E a0
+        t, s, E, a0 = 10, 4, 6, 10**6 + 1
+        q = p**s
+        a = [[a0, a0], [1, 1]] + [[q - 1, 1] for _ in range(t - 2)]
+        for row in a:
+            row += [a0] * (t - 2)
+        e = [0, 0] + [E] * (t - 2)
+        entries = tuple(tuple(x * p**k for x, k in zip(row, e)) for row in a)
+        w = _field_width(a, e, p, q)
+        h = [row[:] for row in a]
+        _hessenberg_rows(h, e[:], [p**k for k in e], p, q)
+        biggest = max(abs(h[i][j]) for j in range(t) for i in range(min(j + 2, t)))
+        assert 2 ** (w - 1) // 4 < biggest < 2 ** (w - 1)
+        residues, hodge = char_poly_mod_by(_hessenberg_packed, entries, p, s)
+        assert (residues, hodge) == char_poly_mod_by(_hessenberg_rows, entries, p, s)
+        assert residues == [c % p ** (k + s) for c, k in zip(charpoly_faddeev_leverrier(entries), hodge)]
+
+    @pytest.mark.parametrize(("t", "p", "s", "packed"), [
+        (newton._PACK_FROM_T - 1, 2, SLACK, False),
+        (newton._PACK_FROM_T, 2, SLACK, True),
+        (newton._PACK_FROM_T, 2, 63, True),
+        (newton._PACK_FROM_T, 2, 64, False),
+        (newton._PACK_FROM_T, 257, SLACK, False),
+    ])
+    def test_selection_by_size_and_modulus(self, t, p, s, packed):
+        calls = []
+        with patch.object(newton, "_hessenberg_rows", lambda *args: calls.append("rows")), \
+                patch.object(newton, "_hessenberg_packed", lambda *args: calls.append("packed")):
+            _char_poly_mod(IntegerMatrix.diagonal(list(range(1, t + 1))).entries, p, s)
+        assert calls == ["packed" if packed else "rows"]
+
+    @pytest.mark.parametrize(("seed", "p", "t"), [(5, 2, 24), (9, 3, 40), (11, 2, 64)])
+    def test_generated_instances_against_faddeev_leverrier(self, seed, p, t):
+        inst = gen_instance(seed, p=p, t=t, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50)
+        matrix_newton_polygon.cache_clear()
+        expected = newton_polygon(charpoly_faddeev_leverrier(inst.matrix.entries), p)
+        assert matrix_newton_polygon(inst.matrix, p) == expected
 
 
 class TestCharPoly:
