@@ -40,6 +40,18 @@ POWER_BITS_CAP = 2**16
 # most breakpoints `plf` builds, one per unit of --jmax (finf, finfstar) or --r (fr); --jmax 10^5
 # took 4 s and --jmax 10^12 never ended
 BREAKPOINTS_CAP = 10**4
+# largest degree s of a Bernoulli polynomial B_s that `bernoulli --s` and `plf finf|finfstar --s`
+# build (finfstar builds B_{s+1} too), checked before any Bernoulli number is. Fresh-interpreter
+# `bernoulli --s` took 0.26 s at s = 1000, 0.66 s at 1500, 1.41 s at 2000, 2.66 s at 2500,
+# 4.31 s at 3000 and 21.9 s at 5000 (Python 3.11.7)
+DEGREE_CAP = 2000
+# most --s times breakpoints (--jmax or --r) that `plf` computes: each breakpoint of finf and
+# finfstar evaluates a Bernoulli polynomial of degree about s, and each coordinate of fr has about
+# s * log2(r) bits. With B_s already built, finf/finfstar took (in seconds, Python 3.11.7)
+#   s = 2, jmax 10^4: 0.35/0.68     s = 30, jmax 5000: 0.37/0.85    s = 120, jmax 2000: 0.47/0.88
+#   s = 500, jmax 400: 0.39/0.90    s = 1000, jmax 150: 0.52/1.01   s = 2000, jmax 40: 0.30/0.64
+# and fr at most 0.05 s on the same grid; finfstar at s = 400, jmax 2000 took 3.7 s
+PLF_SIZE_CAP = 10**5
 _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
 
 
@@ -194,7 +206,13 @@ def _cmd_divisors(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_degree(s: int) -> None:
+    if s > DEGREE_CAP:
+        raise CliUsageError(f"--s {s} is above {DEGREE_CAP}, the largest Bernoulli degree built")
+
+
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
+    _check_degree(args.s)
     poly = bernoulli_poly(args.s)
     if args.eval is not None:
         _check_power_size("--eval", args.eval, args.s)
@@ -220,9 +238,12 @@ def _cmd_plf(args: argparse.Namespace) -> int:
         raise CliUsageError(f"{args.kind} requires {flag}")
     if count > BREAKPOINTS_CAP:
         raise CliUsageError(f"{flag} {count} is above {BREAKPOINTS_CAP}, the most breakpoints plf builds")
+    if count * args.s > PLF_SIZE_CAP:
+        raise CliUsageError(f"--s {args.s} times {flag} {count} is above {PLF_SIZE_CAP}, the most plf computes")
     if args.kind == "fr":
         fn = f_r(args.s, args.g, args.r)
     else:
+        _check_degree(args.s)
         maker = f_infinity if args.kind == "finf" else f_infinity_star
         fn = maker(args.s, args.g, args.jmax)
     _emit(args, fn.to_json_dict(), _plf_text(fn))
@@ -313,6 +334,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     fixed_b = None if args.b is None else ElemDivSeq(args.b)
     trials = []
     first_bad = None
+    # the corollary's bound and sharp bound as text; they depend only on (s, g, alpha), so
+    # the first trial's conversion serves every trial
+    decimals = None
     for i in range(args.trials):
         trial_seed = seed + i
         b_seq = fixed_b if fixed_b is not None else draw_b_seq(trial_seed, system, args.g, args.r, args.t)
@@ -330,12 +354,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             }
         else:
             report = verify_corollary(inst, system, args.g, args.alpha)
+            if decimals is None:
+                decimals = str(report.bound), None if report.sharp_bound is None else str(report.sharp_bound)
             record = {
                 "seed": trial_seed,
                 "b": list(b_seq.exponents),
                 "dimension": report.dimension,
-                "bound": str(report.bound),
-                "sharp_bound": None if report.sharp_bound is None else str(report.sharp_bound),
+                "bound": decimals[0],
+                "sharp_bound": decimals[1],
                 "ok": report.holds,
             }
         trials.append(record)

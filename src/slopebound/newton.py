@@ -295,18 +295,37 @@ def char_poly(matrix: IntegerMatrix) -> list[int]:
     return [c - q if 2 * c > q else c for c, q in zip(residues, [2 ** (h + s) for h in hodge])]
 
 
+# Miller-Rabin with these bases decides primality exactly below _PRIME_BOUND, the least
+# composite that passes them all (Jiang-Deng 2014; Sorenson-Webster 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin with the twelve prime bases 2..37.
+
+    Exact for n < _PRIME_BOUND (about 3.18e23); a larger n with no prime factor up to 37
+    raises ValueError.
+    """
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    if n % 3 == 0:
-        return n == 3
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: only numbers below {_PRIME_BOUND} are decided")
+    k = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^k with d odd
+    d = (n - 1) >> k
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(k - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 

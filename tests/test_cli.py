@@ -17,6 +17,7 @@ import slopebound
 from slopebound import cli
 from slopebound.bounds import BoundParams, build_params
 from slopebound.cli import run
+from slopebound.harness import CorollaryReport, verify_corollary
 from slopebound.plf import PiecewiseLinear, f_infinity, f_infinity_star, f_r
 
 
@@ -94,7 +95,7 @@ def test_out_of_memory_is_a_usage_error():
     huge = [
         ["count-nh", "A1", "--max-h", "1000000000000"],
         ["verify", "chain", "--type", "A2", "--g", "1", "--p", "2", "--t", "100000", "--r", "2", "--trials", "1"],
-        ["bernoulli", "--s", "1000000000000"],
+        ["roots", "A10000000000"],
     ]
     proc = fresh_interpreter("-c", OUT_OF_MEMORY_CHILD, json.dumps(huge))
     assert proc.returncode == 0, proc.stderr
@@ -198,6 +199,69 @@ def test_plf_breakpoints_cap_is_inclusive(capsys, monkeypatch):
     assert invoke(capsys, "plf", "finf", "--s", "3", "--g", "2", "--jmax", "6")[0] == 2
 
 
+@pytest.mark.parametrize(("argv", "maker"), [
+    (["bernoulli", "--s", "5000"], "bernoulli_poly"),
+    (["bernoulli", "--s", "1000000000000", "--eval", "2"], "bernoulli_poly"),
+    (["plf", "finf", "--s", "2001", "--g", "1", "--jmax", "1"], "f_infinity"),
+    (["plf", "finfstar", "--s", "2001", "--g", "1", "--jmax", "1"], "f_infinity_star"),
+])
+def test_bernoulli_degree_above_the_cap_is_refused_before_any_number_is_built(capsys, monkeypatch, argv, maker):
+    err = usage_error_before_any_work(capsys, monkeypatch, [maker], argv)
+    assert err.endswith(f"is above {cli.DEGREE_CAP}, the largest Bernoulli degree built\n")
+
+
+def test_bernoulli_degree_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DEGREE_CAP", 3)
+    assert invoke(capsys, "bernoulli", "--s", "3")[0] == 0
+    assert invoke(capsys, "plf", "finfstar", "--s", "3", "--g", "1", "--jmax", "2")[0] == 0
+    assert invoke(capsys, "bernoulli", "--s", "4")[0] == 2
+    assert invoke(capsys, "plf", "finfstar", "--s", "4", "--g", "1", "--jmax", "2")[0] == 2
+
+
+@pytest.mark.parametrize(("kind", "s", "flag", "count", "maker"), [
+    ("finf", "1000000", "--jmax", "1", "f_infinity"),
+    ("finfstar", "400", "--jmax", "2000", "f_infinity_star"),
+    ("finf", "120", "--jmax", "10000", "f_infinity"),
+    ("fr", "1000000", "--r", "10000", "f_r"),
+])
+def test_plf_size_above_the_cap_is_refused_before_any_breakpoint_is_built(capsys, monkeypatch, kind, s, flag,
+                                                                          count, maker):
+    argv = ["plf", kind, "--s", s, "--g", "1", flag, count]
+    err = usage_error_before_any_work(capsys, monkeypatch, [maker], argv)
+    assert err == f"error: --s {s} times {flag} {count} is above {cli.PLF_SIZE_CAP}, the most plf computes\n"
+
+
+def test_plf_size_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PLF_SIZE_CAP", 15)
+    assert invoke(capsys, "plf", "finf", "--s", "3", "--g", "2", "--jmax", "5")[0] == 0
+    assert invoke(capsys, "plf", "fr", "--s", "5", "--g", "2", "--r", "3")[0] == 0
+    assert invoke(capsys, "plf", "finf", "--s", "3", "--g", "2", "--jmax", "6")[0] == 2
+    assert invoke(capsys, "plf", "fr", "--s", "4", "--g", "2", "--r", "4")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "chain", "--type", "A1", "--g", "1", "--p", str(10**30 + 57), "--t", "2", "--r", "1", "--trials", "1"],
+    ["verify", "corollary", "--type", "A1", "--g", "1", "--p", str(10**30 + 57), "--t", "2", "--r", "1",
+     "--trials", "1", "--alpha", "1"],
+])
+def test_prime_too_large_to_decide_is_a_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot decide whether {10**30 + 57} is prime") and err.count("\n") == 1
+
+
+def test_newton_at_an_18_digit_prime(capsys, tmp_path):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2\n1 2\n3 4\n")
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "newton", "--p", str(10**18 + 3), "--matrix", str(matrix))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.startswith("char_poly: 1 -5 -2\n")
+
+
 def test_bernoulli_eval(capsys):
     code, out, _ = invoke(capsys, "bernoulli", "--s", "2", "--eval", "0")
     assert code == 0
@@ -262,8 +326,8 @@ def test_bound_e8_in_process_leaves_digit_limit_as_found(capsys):
         assert sys.get_int_max_str_digits() == before
 
 
-@pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
-def test_bound_converts_each_value_to_decimal_once(capsys, monkeypatch, output):
+def decimal_counter():
+    """A Counter of decimal conversions by name, and a maker of Fractions that count theirs in it."""
     conversions = Counter()
 
     class Counted(Fraction):
@@ -275,6 +339,13 @@ def test_bound_converts_each_value_to_decimal_once(capsys, monkeypatch, output):
         value = Counted(value)
         value.name = name
         return value
+
+    return conversions, counted
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+def test_bound_converts_each_value_to_decimal_once(capsys, monkeypatch, output):
+    conversions, counted = decimal_counter()
 
     def params(s, g):
         p = build_params(s, g)
@@ -290,6 +361,26 @@ def test_bound_converts_each_value_to_decimal_once(capsys, monkeypatch, output):
     assert ("86" if output else "bound=86 infimum=80 sharp=80") in out
     names = ("m", "n", "c_pow_s", "dimension_bound", "infimum_dimension_bound", "sharp_dimension_bound")
     assert conversions == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+def test_verify_corollary_converts_each_value_to_decimal_once(capsys, monkeypatch, output):
+    conversions, counted = decimal_counter()
+
+    def corollary(*args):
+        report = verify_corollary(*args)
+        return CorollaryReport(report.alpha, report.dimension, counted("bound", report.bound),
+                               counted("sharp_bound", report.sharp_bound), report.params)
+
+    monkeypatch.setattr(cli, "verify_corollary", corollary)
+    code, out, _ = invoke(capsys, "verify", "corollary", "--type", "A1", "--g", "1", "--p", "2", "--t", "4",
+                          "--r", "2", "--trials", "5", "--alpha", "5", *output)
+    assert code == 0
+    if output:
+        trials = json.loads(out)["per_trial"]
+        assert len(trials) == 5
+        assert all((rec["bound"], rec["sharp_bound"]) == ("86", "80") for rec in trials)
+    assert conversions == {"bound": 1, "sharp_bound": 1}
 
 
 def test_cli_import_leaves_numpy_out():

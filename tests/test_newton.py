@@ -491,3 +491,40 @@ class TestCheckLowerBound:
         bound = from_divisor_sequence(ElemDivSeq((1,)), 1, 1)
         with pytest.raises(DomainTooShort):
             check_lower_bound(identity(3), 2, bound)
+
+
+def prime_by_trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_10_to_the_5(self):
+        assert [n for n in range(-3, 10**5) if newton.is_prime(n) != prime_by_trial_division(n)] == []
+
+    # the least odd composite passing Miller-Rabin at the first k prime bases, k = 1..11 (OEIS A014233),
+    # and Carmichael numbers, which pass the plain Fermat test at every coprime base
+    @pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                                   341550071728321, 3825123056546413051, 561, 41041, 825265, 321197185])
+    def test_strong_pseudoprimes_to_small_bases_are_composite(self, n):
+        assert not newton.is_prime(n)
+
+    def test_near_10_to_the_23(self):
+        # n = k * 2^40 + 1 with k < 2^40 is prime iff some a has a^((n-1)/2) = -1 mod n (Proth)
+        k = 90949470261
+        prime = k * 2**40 + 1
+        assert k < 2**40 and pow(5, (prime - 1) // 2, prime) == prime - 1
+        assert newton.is_prime(prime)
+        # two primes near 10^11.5: no small factor to find
+        q1, q2 = 316227766003, 316227766069
+        assert prime_by_trial_division(q1) and prime_by_trial_division(q2)
+        assert newton.is_prime(q1) and newton.is_prime(q2)
+        assert not newton.is_prime(q1 * q2)
+        assert 10**23 < q1 * q2 < prime < 10**23 + 10**14
+
+    def test_refused_from_the_least_composite_passing_every_base(self):
+        bound = 318665857834031151167461  # OEIS A014233 at k = 12: composite, passes bases 2..37
+        assert not newton.is_prime(bound - 2)
+        for n in (bound, 10**30 + 57):
+            with pytest.raises(ValueError, match=f"cannot decide whether {n} is prime"):
+                newton.is_prime(n)
+        assert not newton.is_prime(2 * bound)  # a factor among the bases still decides

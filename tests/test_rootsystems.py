@@ -2,14 +2,52 @@ from collections import Counter
 
 import pytest
 
-from slopebound.rootsystems import InvalidType, build_root_system, cartan_matrix, parse_label
+from slopebound.rootsystems import InvalidType, RootSystem, build_root_system, parse_label
+
+
+def cartan_matrix(letter, rank):
+    """Cartan matrix with C[i][j] = 2(a_i, a_j)/(a_j, a_j), Bourbaki numbering.
+
+    For a k-fold bond the entry is -k on the (long row, short column) side
+    and -1 on the transposed one.
+    """
+    n = rank
+    C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def bond(i, j, cij=-1, cji=-1):
+        C[i][j] = cij
+        C[j][i] = cji
+
+    if letter in "ABC":
+        for i in range(n - 1):
+            bond(i, i + 1)
+        if letter == "B":  # a_n short
+            bond(n - 2, n - 1, -2, -1)
+        elif letter == "C":  # a_n long
+            bond(n - 2, n - 1, -1, -2)
+    elif letter == "D":
+        for i in range(n - 2):
+            bond(i, i + 1)
+        bond(n - 3, n - 1)
+    elif letter == "E":
+        for i, j in ((0, 2), (2, 3), (3, 4), (1, 3)):
+            bond(i, j)
+        for i in range(4, n - 1):
+            bond(i, i + 1)
+    elif letter == "F":
+        bond(0, 1)
+        bond(1, 2, -2, -1)  # a_1, a_2 long; a_3, a_4 short
+        bond(2, 3)
+    elif letter == "G":
+        bond(0, 1, -1, -3)  # a_1 short, a_2 long
+    return C
 
 
 def brute_force_closure(cartan):
     """Oracle: grow the positive-root set by simple roots using the root-string
     criterion (beta + a_i is a root iff back - <beta, a_i^v> >= 1, where back
     counts the steps beta - k*a_i stays a root), independently of the
-    library's closure under simple reflections."""
+    library's heights from the exponents."""
     n = len(cartan)
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     roots = set(simple)
@@ -41,16 +79,15 @@ def test_a1_single_root():
 
 
 ORACLE_LABELS = [
-    f"{letter}{rank}" for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for rank in range(low, 9)
+    f"{letter}{rank}" for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for rank in range(low, 13)
 ] + ["E6", "E7", "E8", "F4", "G2"]
 
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)
 def test_against_closure_oracle(label):
     letter, rank = parse_label(label)
-    roots = build_root_system(letter, rank).positive_roots
-    assert len(set(roots)) == len(roots)
-    assert set(roots) == brute_force_closure(cartan_matrix(letter, rank))
+    roots = brute_force_closure(cartan_matrix(letter, rank))
+    assert build_root_system(letter, rank).heights == tuple(sorted(map(sum, roots)))
 
 
 @pytest.mark.parametrize("letter,rank,expected", [
@@ -99,15 +136,40 @@ def test_height_profile(label):
 def test_deterministic_ordering():
     first = build_root_system("F", 4)
     second = build_root_system("F", 4)
-    assert first.positive_roots == second.positive_roots
-    heights = first.heights
-    assert list(heights) == sorted(heights)
+    assert first == second and hash(first) == hash(second)
+    assert first.heights == second.heights
+    assert list(first.heights) == sorted(first.heights)
 
 
-@pytest.mark.parametrize("letter,rank", [("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("A", 0), ("B", 1), ("H", 4)])
+def test_only_type_and_rank_are_stored():
+    assert RootSystem._fields == ("letter", "rank")
+    assert build_root_system("e", 8) == RootSystem("E", 8)
+    assert hash(build_root_system("e", 8)) == hash(RootSystem("E", 8))
+    assert build_root_system("B", 3) != build_root_system("C", 3)
+
+
+def test_large_rank_from_the_exponents():
+    rs = build_root_system("A", 1000)
+    assert rs.s == 500500
+    counts = Counter(rs.heights)
+    assert counts[1] == rs.rank
+    assert [counts[h] for h in range(1, 1001)] == list(range(1000, 0, -1))
+
+
+@pytest.mark.parametrize("letter,rank", [
+    ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("A", 0), ("B", 1), ("H", 4), ("Q", 2),
+])
 def test_invalid_types_rejected(letter, rank):
     with pytest.raises(InvalidType):
         build_root_system(letter, rank)
+    with pytest.raises(InvalidType):
+        RootSystem(letter, rank)
+
+
+@pytest.mark.parametrize("letter,rank", [("a", 2), ("A", 2.0)])
+def test_constructor_takes_an_upper_case_letter_and_an_int_rank(letter, rank):
+    with pytest.raises(InvalidType):
+        RootSystem(letter, rank)
 
 
 def test_parse_label():

@@ -1,8 +1,9 @@
 """Value semantics of the immutable types: equality, hashing, repr, immutability, pickling.
 
 The repr literals were recorded from the frozen dataclasses these classes replace,
-less the fields now derived rather than stored: RootSystem's heights (from the roots),
-Instance's t (the matrix's size) and NewtonPolygon's finite_length (the hull's end).
+less the fields now derived rather than stored: RootSystem's heights and positive
+roots (its heights come from the exponents of its type), Instance's t (the matrix's
+size) and NewtonPolygon's finite_length (the hull's end).
 """
 
 import copy
@@ -18,7 +19,7 @@ from slopebound.counting import ElemDivSeq
 from slopebound.harness import ChainReport, CorollaryReport, Instance, gen_instance
 from slopebound.newton import IntegerMatrix, NewtonPolygon, newton_polygon
 from slopebound.plf import PiecewiseLinear
-from slopebound.rootsystems import build_root_system
+from slopebound.rootsystems import RootSystem, build_root_system
 
 A1 = build_root_system("A", 1)
 
@@ -35,7 +36,7 @@ def _line():
 SAMPLES = {
     "RootSystem": (
         lambda: build_root_system("A", 2),
-        "RootSystem(letter='A', rank=2, positive_roots=((0, 1), (1, 0), (1, 1)))",
+        "RootSystem(letter='A', rank=2)",
     ),
     "ElemDivSeq": (lambda: ElemDivSeq((2, 1, 1)), "ElemDivSeq(exponents=(2, 1, 1))"),
     "RationalPolynomial": (
@@ -204,6 +205,7 @@ def _pl(*points, final_slope=None):
 
 
 VALIDATION = {
+    "root system E9": (lambda: RootSystem("E", 9), "no simple root system"),
     "exponent zero": (lambda: ElemDivSeq((2, 0)), "strictly positive"),
     "exponents increase": (lambda: ElemDivSeq((1, 2)), "non-increasing"),
     "first breakpoint": (_pl((1, 0), (2, 1)), r"\(0, 0\)"),
