@@ -187,7 +187,10 @@ def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
     """Check polygon >= f_b >= f_a >= f_r plus the f_r/f_infinity coincidence window.
 
     Only the first two links depend on the instance; the rest are computed
-    once per (system, g, r, t).
+    once per (system, g, r, t). The b-sequence is non-increasing, so f_b is
+    convex and the polygon minus f_b is concave on each hull segment: the
+    polygon dominates f_b exactly when its vertices do. Link 1 compares only
+    those, each with f_b's breakpoint at the same integer x.
     """
     if g < 1:
         raise ValueError("g must be positive")
@@ -196,7 +199,7 @@ def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
     f_b = from_divisor_sequence(inst.b_seq, inst.r, inst.t)
     polygon = matrix_newton_polygon(inst.matrix, inst.p)
     return ChainReport(
-        newton_ge_fb=polygon.dominates(f_b),
+        newton_ge_fb=all(y >= f_b.breakpoints[int(x)][1] for x, y in polygon.polygon.breakpoints),
         fb_ge_fa=f_b.dominates(const.f_a, inst.t),
         fa_ge_fr=const.fa_ge_fr,
         fr_eq_finf_on_window=const.fr_eq_finf_on_window,

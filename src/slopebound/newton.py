@@ -20,6 +20,10 @@ it is. Lowering only decreases H, so the kernel knows c_i mod p^(H(i)+s) for
 the final H. For t >= 10 and a modulus below 2^64 the reduction runs on one
 int per column with fixed-width fields (Kronecker substitution), with the
 same steps and values as on rows of ints.
+
+A matrix's polygon takes the kernel at s = 8, and again at s = 16 when 8 digits
+cannot certify the hull; only a polygon neither run certifies (a singular or a
+very deep matrix) takes the exact coefficients.
 """
 
 from __future__ import annotations
@@ -46,7 +50,12 @@ __all__ = [
 ]
 
 
-# digits kept above the Hodge bound: matrix_newton_polygon reads c_i mod p^(H(i) + _SLACK)
+# digits kept above the Hodge bound: matrix_newton_polygon reads c_i mod p^(H(i) + s) at
+# s = _SLACK, and at s = 2 * _SLACK where that leaves the hull uncertified, before any exact run.
+# On the verify_chain cells A2/B2, r = 3, p = 2, 3, t = 24, 32, 40 (432 polygons, Python 3.11.7)
+# 10 needed the second run and none the exact one; the kernel took 1.03-1.15 times as long at
+# s = 16 as at s = 8, the exact run at t = 40 about 8 times. A first rung at 4 or 6 left more
+# polygons to the second run and saved no time.
 _SLACK = 8
 # _char_poly_mod reduces packed columns when t >= _PACK_FROM_T and p^s < _PACK_BELOW_Q. Per-call
 # time (ms) of _char_poly_mod at s = 8, rows/packed: gen_instance matrices, r = 3, b = (2, 1),
@@ -368,22 +377,24 @@ def newton_polygon(coeffs: list[int], p: int) -> NewtonPolygon:
 def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
     """Newton polygon at p of the characteristic polynomial of `matrix`.
 
-    The kernel gives each c_i mod p^(H(i)+s), s = _SLACK. A non-zero residue fixes
-    v_p(c_i), counted from H(i) on since p^H(i) divides c_i; a zero one only says
-    v_p(c_i) >= H(i)+s. So the hull of the known
-    points is the polygon when c_t's residue is non-zero and every point
-    (i, H(i)+s) of a zero residue lies on or above it, i.e. is no vertex of the
-    hull of all the points. Otherwise the polygon comes from the exact
-    coefficients, through char_poly, which also settles a singular matrix.
+    The kernel gives each c_i mod p^(H(i)+s). A non-zero residue fixes v_p(c_i),
+    counted from H(i) on since p^H(i) divides c_i; a zero one only says
+    v_p(c_i) >= H(i)+s. So the hull of the known points is the polygon when
+    c_t's residue is non-zero and every point (i, H(i)+s) of a zero residue lies
+    on or above it, i.e. is no vertex of the hull of all the points. The kernel
+    runs at s = _SLACK and, if that does not certify the hull, at s = 2 * _SLACK;
+    if neither does, the polygon comes from the exact coefficients, through
+    char_poly, which also settles a singular matrix.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    residues, hodge = _char_poly_mod(matrix.entries, p, _SLACK)
-    if residues[-1]:
-        hull = _lower_hull([(i, h + (_valuation(c // p**h, p) if c else _SLACK))
-                            for i, (c, h) in enumerate(zip(residues, hodge))])
-        if all(residues[i] for i, _ in hull):
-            return NewtonPolygon(PiecewiseLinear(hull), 0)
+    for s in (_SLACK, 2 * _SLACK):
+        residues, hodge = _char_poly_mod(matrix.entries, p, s)
+        if residues[-1]:
+            hull = _lower_hull([(i, h + (_valuation(c // p**h, p) if c else s))
+                                for i, (c, h) in enumerate(zip(residues, hodge))])
+            if all(residues[i] for i, _ in hull):
+                return NewtonPolygon(PiecewiseLinear(hull), 0)
     return newton_polygon(char_poly(matrix), p)
 
 

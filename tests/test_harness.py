@@ -2,6 +2,7 @@ import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +267,7 @@ def test_cached_links_equal_direct_recomputation(fresh_chain_cache):
             ramp, limit = f_r(system.s, g, r), f_infinity(system.s, g, r)
             f_b = from_divisor_sequence(b_seq, r, t)
             assert (report.f_a, report.f_r, report.f_inf, report.f_b) == (f_a, ramp, limit, f_b)
+            assert report.newton_ge_fb == report.polygon.dominates(report.f_b)
             assert report.fb_ge_fa == f_b.dominates(f_a, t)
             assert report.fa_ge_fr == f_a.dominates(ramp, t)
             assert report.fr_eq_finf_on_window == ramp.agrees_with(limit, g * faulhaber_sum(system.s, r + 1))
@@ -303,6 +305,35 @@ def test_link_2_can_fail_past_the_hypothesis_guard(monkeypatch):
     report = verify_chain(inst, A1, 1)
     assert report.fb_ge_fa is False
     assert report.all_hold is False
+
+
+@st.composite
+def link_1_cases(draw):
+    """(instance, system): a clean instance, its corrupt_instance control, or a matrix whose columns
+    follow one non-increasing b while the instance claims another, which may lie above the divisors."""
+    system = draw(st.sampled_from([A1, A2, B2, G2]))
+    p, r, t = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32))
+    kind = draw(st.sampled_from(["clean", "corrupt", "unguarded"]))
+    if kind == "unguarded":
+        b_seqs = [ElemDivSeq(tuple(sorted(draw(st.lists(st.integers(1, r), max_size=t)), reverse=True)))
+                  for _ in range(2)]
+    else:
+        b_seqs = [draw_b_seq(seed, system, 1, r, t)] * 2
+    inst = gen_instance(seed, p=p, t=t, r=r, b_seq=b_seqs[0], entry_bound=50)
+    if kind == "corrupt" and r > b_seqs[0].padded(t)[-1]:
+        inst = corrupt_instance(inst)
+    return Instance(p=p, r=r, b_seq=b_seqs[1], matrix=inst.matrix, seed=seed), system
+
+
+@given(link_1_cases())
+@settings(max_examples=300, deadline=None)
+def test_link_1_from_the_vertices_equals_the_merge_walk(case):
+    """f_b is convex, so checking the polygon's vertices decides what the merge walk over both profiles does."""
+    inst, system = case
+    with patch.object(harness, "_require_hypothesis", lambda inst, a_adjusted: None):
+        report = verify_chain(inst, system, 1)
+    assert report.newton_ge_fb == report.polygon.dominates(report.f_b)
 
 
 @given(st.sampled_from([A1, A2, B2, G2]), st.integers(1, 3), st.integers(1, 8), st.integers(1, 12))

@@ -210,7 +210,7 @@ class TestKernel:
         poly, seen = self.precisions(monkeypatch, matrix, p)
         assert poly == newton_polygon([1, -(2 + p**40), p**40], p)
         assert poly.finite_length == 2
-        assert seen == [(p, SLACK), (2, _exact_precision(matrix.entries))]
+        assert seen == [(p, SLACK), (p, 2 * SLACK), (2, _exact_precision(matrix.entries))]
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_start_precision_covers_the_column_contents(self, monkeypatch, p):
@@ -229,7 +229,7 @@ class TestKernel:
         # each column's content is 2, and no column op needs a lower scale
         assert _char_poly_mod(rows, 2, SLACK) == ([1, 484, 84, 0], [0, 1, 2, 3])
         poly, seen = self.precisions(monkeypatch, matrix, 2)
-        assert seen == [(2, SLACK), (2, _exact_precision(rows))]
+        assert seen == [(2, SLACK), (2, 2 * SLACK), (2, _exact_precision(rows))]
         assert poly == newton_polygon(charpoly_faddeev_leverrier(rows), 2)
         assert (poly.finite_length, poly.infinite_slopes) == (2, 1)
 
@@ -250,12 +250,13 @@ class TestKernel:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_zero_residue_below_the_known_hull_runs_again(self, monkeypatch, p):
-        # c_1 = -p^s is 0 mod p^(H(1)+s) = p^s, and (1, s) lies below the chord to (2, 2s+2)
+        # c_1 = -p^s is 0 mod p^(H(1)+s) = p^s, and (1, s) lies below the chord to (2, 2s+2);
+        # at 2s digits c_1's residue is non-zero, and the second run certifies the hull
         matrix = IntegerMatrix(((p**SLACK, p ** (2 * SLACK + 2)), (1, 0)))
         assert _char_poly_mod(matrix.entries, p, SLACK) == ([1, 0, -(p ** (2 * SLACK + 2)) % p ** (3 * SLACK + 2)],
                                                              [0, 0, 2 * SLACK + 2])
         poly, seen = self.precisions(monkeypatch, matrix, p)
-        assert seen == [(p, SLACK), (2, _exact_precision(matrix.entries))]
+        assert seen == [(p, SLACK), (p, 2 * SLACK)]
         assert poly.slopes() == ((SLACK, 1), (SLACK + 2, 1))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -491,6 +492,15 @@ class TestCheckLowerBound:
         bound = from_divisor_sequence(ElemDivSeq((1,)), 1, 1)
         with pytest.raises(DomainTooShort):
             check_lower_bound(identity(3), 2, bound)
+
+    def test_rejects_a_non_convex_bound_above_a_segment(self):
+        # the polygon of diag(4, 4) at 2 has vertices (0, 0) and (2, 4) (c_1 = -8 sits above the
+        # chord); the bound meets both vertices but reaches 3 > 2 at x = 1, so comparing the
+        # vertices alone would accept it
+        matrix = IntegerMatrix.diagonal([4, 4])
+        assert matrix_newton_polygon(matrix, 2).polygon.breakpoints == ((0, 0), (2, 4))
+        assert not check_lower_bound(matrix, 2, PiecewiseLinear(((0, 0), (1, 3), (2, 4))))
+        assert check_lower_bound(matrix, 2, PiecewiseLinear(((0, 0), (1, 2), (2, 4))))
 
 
 def prime_by_trial_division(n):
