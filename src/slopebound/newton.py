@@ -19,7 +19,11 @@ integer inverse, such a change of A, or a lowering of one e_j that leaves M as
 it is. Lowering only decreases H, so the kernel knows c_i mod p^(H(i)+s) for
 the final H. For t >= 10 and a modulus below 2^64 the reduction runs on one
 int per column with fixed-width fields (Kronecker substitution), with the
-same steps and values as on rows of ints.
+same steps and values as on rows of ints. The recurrence then runs mod
+Q = p^(H(t)+s); for t >= 10 and Q below 2^256 it holds each polynomial as one
+int with fixed-width fields and reduces every field at once (Barrett), with
+the same coefficients mod Q as on lists of ints. The exact run, char_poly,
+takes the recurrence mod 2^s alone, which already exceeds 2|c_i|.
 
 A matrix's polygon takes the kernel at s = 8, and again at s = 16 when 8 digits
 cannot certify the hull; only a polygon neither run certifies (a singular or a
@@ -83,6 +87,25 @@ _SLACK = 8
 # rows unless the entries are tiny.
 _PACK_FROM_T = 10
 _PACK_BELOW_Q = 2**64
+# _recurrence packs the polynomials when t >= _PACK_FROM_T and Q < _PACK_RECURRENCE_BELOW_Q, Q the
+# recurrence's modulus. Per-call time (ms) of the recurrence, rows/packed, after the reduction at
+# s = 8, and the median size of Q = p^(H(t)+s): gen_instance matrices, r = 3, b = (3, 2, 1),
+# entries up to 50, three per cell, each the least of 5 alternating runs (Python 3.11.7):
+#    t  p = 2                 p = 3                 p = 5
+#   10  2^33:  0.066/0.033    2^51:  0.073/0.037    2^75:  0.076/0.041
+#   16  2^51:  0.188/0.080    2^80:  0.200/0.090    2^117: 0.217/0.119
+#   24  2^75:  0.515/0.219    2^118: 0.783/0.408    2^172: 0.854/0.546
+#   32  2^98:  1.050/0.480    2^156: 1.223/0.656    2^228: 1.441/1.052
+#   40  2^121: 1.896/0.815    2^194: 2.313/1.392    2^284: 2.807/2.350
+#   48  2^147: 3.043/1.500    2^230: 3.947/2.699    2^340: 5.295/4.911
+#   64  2^191: 10.02/5.962    2^308: 14.96/12.62    2^451: 21.89/23.88
+#   96  2^287: 32.10/22.68    2^460: 58.25/63.08    2^674: 90.94/128.7
+# Packing wins by a quarter or more below 2^256. Its fields are about twice as wide as Q, so as Q
+# grows the digit work takes over: the gain falls to 7% at 2^340, packing ties at about 2^390
+# (t = 80 at p = 3 and t = 128 at p = 2) and loses from 2^410 on (t = 48, p = 7). The bound keeps
+# a margin below the tie: verify at p = 3, t = 64 (Q about 2^304) and at p = 2, t = 128, r = 4
+# (about 2^496) keeps rows.
+_PACK_RECURRENCE_BELOW_Q = 2**256
 
 
 class NotMonic(ValueError):
@@ -150,21 +173,43 @@ class NewtonPolygon(Value):
 def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[int], list[int]]:
     """Residues [1, c_1 mod p^(H(1)+s), ..., c_t mod p^(H(t)+s)] of det(X*I - M) = sum c_i X^(t-i),
     and the Hodge bound [H(0), ..., H(t)], H(i) the sum of the i least column scales e_j."""
+    a, scales, hodge = _hessenberg(entries, p, s)
+    coeffs = _recurrence(a, scales, p ** (hodge[-1] + s))
+    return [c % p ** (h + s) for c, h in zip(coeffs, hodge)], hodge
+
+
+def _hessenberg(entries: tuple[tuple[int, ...], ...], p: int, s: int
+                ) -> tuple[list[list[int]], list[int], list[int]]:
+    """The reduction's rows of A, upper Hessenberg, its scales p^e_j and the Hodge bound
+    [H(0), ..., H(t)]: the coefficients of h = A * diag(scales) are those of M mod p^(H(i)+s)."""
     q = p**s
-    n = len(entries)
     # M = A * diag(p^e), e_j at first the valuation of column j's content (0 for a zero column).
     e = [_valuation(c, p) if c else 0 for c in map(gcd, *entries)]
     scales = [p**x for x in e]
     a = [list(map(floordiv, row, scales)) for row in entries]
-    if n >= _PACK_FROM_T and q < _PACK_BELOW_Q:
+    if len(a) >= _PACK_FROM_T and q < _PACK_BELOW_Q:
         _hessenberg_packed(a, e, scales, p, q)
     else:
         _hessenberg_rows(a, e, scales, p, q)
+    return a, scales, list(accumulate(sorted(e), initial=0))
+
+
+def _recurrence(a: list[list[int]], scales: list[int], Q: int) -> list[int]:
+    """[1, c_1, ..., c_t] mod Q, in [0, Q), for the upper Hessenberg h = A * diag(scales)."""
+    if len(a) >= _PACK_FROM_T and Q < _PACK_RECURRENCE_BELOW_Q:
+        return _recurrence_packed(a, scales, Q)[::-1]
+    return _recurrence_rows(a, scales, Q)[::-1]
+
+
+def _recurrence_rows(a: list[list[int]], scales: list[int], Q: int) -> list[int]:
+    """The coefficients of det(X*I - h) mod Q, lowest power first, h = A * diag(scales) upper Hessenberg.
+
+    Only the Hessenberg entries of `a`, rows 0..j+1 of column j, are read.
+    """
+    n = len(a)
     # p_(k+1) = (X - h_kk) p_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_i for the polynomial
     # p_i of the leading i-block of h = A * diag(p^e), lowest power first; cols[m] holds the X^m
     # coefficients of p_m, p_(m+1), ..., so each coefficient of p_(k+1) is one dot product
-    hodge = list(accumulate(sorted(e), initial=0))
-    Q = p ** (hodge[-1] + s)
     sub = [a[i + 1][i] * scales[i] % Q for i in range(n - 1)]
     cols, poly = [[1]], [1]
     for k in range(n):
@@ -178,7 +223,48 @@ def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tupl
         for col, c in zip(cols, poly):
             col.append(c)
         cols.append([1])
-    return [c % p ** (h + s) for c, h in zip(reversed(poly), hodge)], hodge
+    return poly
+
+
+def _recurrence_packed(a: list[list[int]], scales: list[int], Q: int) -> list[int]:
+    """The coefficients of _recurrence_rows, from p_0, ..., p_t held as one int each.
+
+    P_i = sum_m x_m 2^(w m) with every field x_m in [0, 2Q) and congruent to p_i's X^m coefficient
+    mod Q. With cs_i and d in [0, Q), each field of S = sum_(i<k) cs_i P_i + d P_k is below
+    beta = 2 t Q^2, a multiple of Q, so T = P_k 2^w + beta (in fields 0..k) - S has every field in
+    (0, beta + 2Q), below 2^w, and no borrow crosses a field; field k+1 is p_k's leading 1.
+    _reduce_fields brings T's fields back into [0, 2Q), which makes P_(k+1).
+    """
+    n = len(a)
+    beta = 2 * n * Q * Q
+    w = (beta + 2 * Q).bit_length()
+    mask = (1 << w) - 1
+    even = mask * ((1 << 2 * w * (n // 2 + 1)) - 1) // ((1 << 2 * w) - 1)  # fields 0, 2, 4, ...
+    r = (1 << w) // Q
+    sub = [a[i + 1][i] * scales[i] % Q for i in range(n - 1)]
+    polys, betas = [1], 0
+    for k in range(n):
+        cs, product = [0] * k, scales[k]
+        for i in range(k - 1, -1, -1):
+            product = product * sub[i] % Q
+            cs[i] = a[i][k] * product % Q
+        d = a[k][k] * scales[k] % Q
+        betas += beta << w * k
+        last = polys[k]
+        polys.append(_reduce_fields((last << w) + betas - d * last - sum(map(mul, cs, polys)), Q, r, w, even))
+    return [(polys[n] >> x & mask) % Q for x in range(0, w * (n + 1), w)]
+
+
+def _reduce_fields(x: int, q: int, r: int, w: int, even: int) -> int:
+    """x with every w-bit field y replaced by y - q * floor(y r / 2^w), r = floor(2^w / q): the
+    value is congruent to y mod q and lies in [0, 2q) (Barrett, 1986).
+
+    `even` has every bit of fields 0, 2, 4, ... set. A product y r < 2^(2w) fills two fields, so
+    the even and the odd fields are multiplied apart. For y = m q + (y mod q) the estimate is m or
+    m - 1: y r / 2^w > y / q - y / 2^w > m - 1 as r > 2^w / q - 1 and y < 2^w, and y r / 2^w <= y / q.
+    """
+    quot = ((x & even) * r >> w & even) + (((x >> w & even) * r >> w & even) << w)
+    return x - q * quot
 
 
 def _hessenberg_rows(a: list[list[int]], e: list[int], scales: list[int], p: int, q: int) -> None:
@@ -297,11 +383,13 @@ def _exact_precision(entries: tuple[tuple[int, ...], ...]) -> int:
 def char_poly(matrix: IntegerMatrix) -> list[int]:
     """Coefficients [1, c_1, ..., c_t] of det(X*I - M) = sum c_i X^(t-i).
 
-    The kernel's residues at p = 2 with 2^s past twice the Hadamard bound, so every modulus
-    2^(H(i)+s) exceeds 2|c_i|, lifted symmetrically.
+    The kernel's reduction at p = 2 with 2^s past twice the Hadamard bound, then the recurrence
+    mod 2^s: it gives every c_i mod 2^s, as 2^s divides 2^(H(i)+s), and 2^s exceeds 2|c_i|, so
+    the symmetric lift is c_i.
     """
-    residues, hodge = _char_poly_mod(matrix.entries, 2, s := _exact_precision(matrix.entries))
-    return [c - q if 2 * c > q else c for c, q in zip(residues, [2 ** (h + s) for h in hodge])]
+    a, scales, _ = _hessenberg(matrix.entries, 2, s := _exact_precision(matrix.entries))
+    q = 2**s
+    return [c - q if 2 * c > q else c for c in _recurrence(a, scales, q)]
 
 
 # Miller-Rabin with these bases decides primality exactly below _PRIME_BOUND, the least

@@ -20,8 +20,12 @@ from slopebound.newton import (
     _char_poly_mod,
     _exact_precision,
     _field_width,
+    _hessenberg,
     _hessenberg_packed,
     _hessenberg_rows,
+    _recurrence_packed,
+    _recurrence_rows,
+    _reduce_fields,
     char_poly,
     check_lower_bound,
     matrix_newton_polygon,
@@ -196,9 +200,9 @@ class TestKernel:
 
         def spy(entries, p, s):
             seen.append((p, s))
-            return _char_poly_mod(entries, p, s)
+            return _hessenberg(entries, p, s)
 
-        monkeypatch.setattr(newton, "_char_poly_mod", spy)
+        monkeypatch.setattr(newton, "_hessenberg", spy)
         matrix_newton_polygon.cache_clear()
         return matrix_newton_polygon(matrix, p), seen
 
@@ -349,6 +353,138 @@ class TestPackedReduction:
         matrix_newton_polygon.cache_clear()
         expected = newton_polygon(charpoly_faddeev_leverrier(inst.matrix.entries), p)
         assert matrix_newton_polygon(inst.matrix, p) == expected
+
+
+def recurrence_by(recurrence, kernel, *args):
+    """`kernel(*args)` with `recurrence` in place of whichever Hessenberg recurrence it selects."""
+    with patch.object(newton, "_recurrence_rows", recurrence), \
+            patch.object(newton, "_recurrence_packed", recurrence):
+        return kernel(*args)
+
+
+def fields(x, w, count):
+    return [x >> w * m & (1 << w) - 1 for m in range(count)]
+
+
+@st.composite
+def hessenberg_inputs(draw, max_t=16):
+    """Rows of any t x t integer matrix (the recurrence reads its Hessenberg part), positive scales
+    and a modulus Q >= 2 that need not be a prime power."""
+    t = draw(st.integers(min_value=1, max_value=max_t))
+    entries = st.integers(min_value=-(2**70), max_value=2**70)
+    a = draw(st.lists(st.lists(entries, min_size=t, max_size=t), min_size=t, max_size=t))
+    scales = draw(st.lists(st.integers(min_value=1, max_value=2**40), min_size=t, max_size=t))
+    return a, scales, draw(st.integers(min_value=2, max_value=2**300))
+
+
+class TestPackedRecurrence:
+    """_recurrence_packed makes the coefficients of _recurrence_rows, and _recurrence picks it by t and Q."""
+
+    @pytest.mark.parametrize("kind", KINDS + ["deep"])
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=40, deadline=None)
+    def test_same_residues_as_rows(self, kind, data, p, s):
+        rows = data.draw(shaped_matrices(kind, p, max_t=16))
+        entries = tuple(map(tuple, rows))
+        packed = recurrence_by(_recurrence_packed, _char_poly_mod, entries, p, s)
+        assert packed == recurrence_by(_recurrence_rows, _char_poly_mod, entries, p, s)
+        # char_poly runs the recurrence mod 2^s alone
+        matrix = IntegerMatrix(entries)
+        exact = recurrence_by(_recurrence_packed, char_poly, matrix)
+        assert exact == recurrence_by(_recurrence_rows, char_poly, matrix)
+        assert exact == charpoly_faddeev_leverrier(rows)
+
+    @given(hessenberg_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_same_coefficients_as_rows_for_any_modulus(self, inputs):
+        assert _recurrence_packed(*inputs) == _recurrence_rows(*inputs)
+
+    @given(data=st.data(), w=st.integers(min_value=2, max_value=200),
+           count=st.integers(min_value=1, max_value=9))
+    @settings(max_examples=200, deadline=None)
+    def test_barrett_leaves_each_field_congruent_and_below_twice_the_modulus(self, data, w, count):
+        q = data.draw(st.integers(min_value=2, max_value=2**w - 1))
+        ys = data.draw(st.lists(st.integers(min_value=0, max_value=2**w - 1),
+                                min_size=count, max_size=count))
+        x = sum(y << w * m for m, y in enumerate(ys))
+        even = sum(((1 << w) - 1) << w * m for m in range(0, count, 2))
+        reduced = fields(_reduce_fields(x, q, (1 << w) // q, w, even), w, count + 1)
+        assert all(0 <= z < 2 * q and (z - y) % q == 0 for y, z in zip(ys, reduced))
+        assert reduced[count] == 0
+
+    @staticmethod
+    def steps(kernel, *args):
+        """kernel(*args) on the packed recurrence, and (T, P_(k+1), Q, w) of each of its steps."""
+        seen = []
+
+        def spy(x, q, r, w, even):
+            reduced = _reduce_fields(x, q, r, w, even)
+            seen.append((x, reduced, q, w))
+            return reduced
+
+        with patch.object(newton, "_reduce_fields", spy):
+            return recurrence_by(_recurrence_packed, kernel, *args), seen
+
+    @pytest.mark.parametrize("kind", KINDS + ["deep"])
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=20, deadline=None)
+    def test_every_field_after_every_step_is_below_twice_the_modulus(self, kind, data, p, s):
+        entries = tuple(map(tuple, data.draw(shaped_matrices(kind, p, max_t=16))))
+        t = len(entries)
+        residues, seen = self.steps(_char_poly_mod, entries, p, s)
+        assert len(seen) == t
+        Q = p ** (residues[1][-1] + s)
+        for k, (before, after, q, w) in enumerate(seen):
+            assert q == Q
+            assert all(0 < y < 2**w for y in fields(before, w, k + 1)) and before >> w * (k + 1) == 1
+            assert all(0 <= y < 2 * Q for y in fields(after, w, k + 1)) and after >> w * (k + 1) == 1
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_fields_reach_the_top_bit_of_the_width(self, p):
+        # a zero column k makes S = 0 at step k, so every field of T is beta plus a field of P_k,
+        # at least beta >= 2^(w-1): one bit less and the fields of T would carry into each other
+        t, k, Q = 16, 9, p**40
+        a = [[(7**i * 11**j) % (2**60) * (-1) ** (i + j) if i <= j + 1 else 0 for j in range(t)]
+             for i in range(t)]
+        for row in a[:k + 1]:
+            row[k] = 0
+        scales = [p ** (j % 4) for j in range(t)]
+        h = [[x * c for x, c in zip(row, scales)] for row in a]
+        expected = [c % Q for c in reversed(charpoly_faddeev_leverrier(h))]
+        coeffs, seen = self.steps(_recurrence_packed, a, scales, Q)
+        assert coeffs == expected == _recurrence_rows(a, scales, Q)
+        w = seen[0][3]
+        biggest = max(max(fields(before, w, i + 1)) for i, (before, *_) in enumerate(seen))
+        assert 2 ** (w - 1) <= biggest < 2**w
+
+    @staticmethod
+    def taken(kernel, *args):
+        """The recurrences kernel(*args) runs, in order."""
+        calls = []
+
+        def spy(name, recurrence):
+            return lambda *xs: calls.append(name) or recurrence(*xs)
+
+        with patch.object(newton, "_recurrence_rows", spy("rows", _recurrence_rows)), \
+                patch.object(newton, "_recurrence_packed", spy("packed", _recurrence_packed)):
+            kernel(*args)
+        return calls
+
+    @pytest.mark.parametrize(("t", "s", "packed"), [
+        (newton._PACK_FROM_T - 1, SLACK, False),
+        (newton._PACK_FROM_T, SLACK, True),
+        (newton._PACK_FROM_T, 255, True),
+        (newton._PACK_FROM_T, 256, False),
+    ])
+    def test_selection_by_size_and_modulus(self, t, s, packed):
+        # the identity has every column scale 0, so Q = 2^s
+        assert newton._PACK_RECURRENCE_BELOW_Q == 2**256
+        assert self.taken(_char_poly_mod, identity(t).entries, 2, s) == ["packed" if packed else "rows"]
+
+    @pytest.mark.parametrize(("diagonal", "packed"), [([1] * 10, True), ([2**30] * 10, False)])
+    def test_exact_run_selects_by_its_own_modulus(self, diagonal, packed):
+        # 2^s passes twice the Hadamard bound: 2 * 3^10 < 2^17 for the identity, above 2^300 for 2^30 I
+        assert self.taken(char_poly, IntegerMatrix.diagonal(diagonal)) == ["packed" if packed else "rows"]
 
 
 class TestCharPoly:
