@@ -28,8 +28,9 @@ from .rootsystems import build_root_system, parse_label
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "SLOPE_BOUND_SEED"
-# most exponents `divisors` prints; a longer sequence (E8 at r = 20 has 628,801,414) is a usage
-# error, found from its length g * sum N_h before any exponent is built
+# most exponents `divisors` prints, and most heights `roots` prints; a longer sequence (E8 at r = 20
+# has 628,801,414 exponents, A100000 has 5,000,050,000 positive roots) is a usage error, found from
+# its length (g * sum N_h, or s from the exponents) before any entry is built
 DIVISORS_CAP = 10**6
 # most bits of x^s for an exact input x that a subcommand raises to the power s and prints: alpha
 # in `bound` and `verify corollary` (the bound m * alpha^s + n) and --eval in `bernoulli`. The
@@ -176,6 +177,9 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 def _cmd_roots(args: argparse.Namespace) -> int:
     system = build_root_system(*parse_label(args.label))
+    if system.s > DIVISORS_CAP:
+        raise CliUsageError(f"{system.label} has {system.s} positive roots; "
+                            f"roots prints at most {DIVISORS_CAP} heights")
     heights = ",".join(str(h) for h in system.heights)
     _emit(args, {"label": system.label, "rank": system.rank, "s": system.s,
                  "heights": list(system.heights)},

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import accumulate, chain, product, repeat
+from operator import mul
 
 from ._value import Value
 from .rootsystems import RootSystem
@@ -51,15 +52,28 @@ class ElemDivSeq(Value):
 
 
 def count_nh(system: RootSystem, H: int) -> tuple[int, ...]:
-    """Exact counts (N_0, ..., N_H) by coin-counting DP over the height multiset."""
+    """Exact counts (N_0, ..., N_H): the series prod_h (1 - x^h)^(-k_h) up to x^H, k_h the number
+    of positive roots of height h, so only h <= H takes part.
+
+    Along each residue class mod h, multiplying by (1 - x^h)^(-k) is a k-fold prefix sum, and
+    also the convolution with the binomial series sum_j C(k+j-1, j) x^(hj); a class has
+    L + 1 <= H // h + 1 terms, so the k prefix sums cost k (L + 1) and the convolution about
+    (L + 1)^2 / 2, and the cheaper one is taken.
+    """
     if H < 0:
         raise ValueError("H must be non-negative")
     values = [0] * (H + 1)
     values[0] = 1
-    for ht in system.heights:
-        # multiplying by 1/(1 - x^ht) is a prefix sum along each residue class mod ht
-        for c in range(min(ht, H + 1)):
-            values[c::ht] = accumulate(values[c::ht])
+    for h, k in enumerate(system.height_counts[:H], 1):
+        if k <= H // h:
+            for _ in range(k):
+                for c in range(h):
+                    values[c::h] = accumulate(values[c::h])
+        else:
+            series = list(accumulate(range(1, H // h + 1), lambda b, j: b * (k + j - 1) // j, initial=1))
+            for c in range(h):
+                terms = values[c::h]
+                values[c::h] = [sum(map(mul, series, terms[m::-1])) for m in range(len(terms))]
     return tuple(values)
 
 

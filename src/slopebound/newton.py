@@ -19,11 +19,18 @@ integer inverse, such a change of A, or a lowering of one e_j that leaves M as
 it is. Lowering only decreases H, so the kernel knows c_i mod p^(H(i)+s) for
 the final H. For t >= 10 and a modulus below 2^64 the reduction runs on one
 int per column with fixed-width fields (Kronecker substitution), with the
-same steps and values as on rows of ints. The recurrence then runs mod
-Q = p^(H(t)+s); for t >= 10 and Q below 2^256 it holds each polynomial as one
-int with fixed-width fields and reduces every field at once (Barrett), with
-the same coefficients mod Q as on lists of ints. The exact run, char_poly,
-takes the recurrence mod 2^s alone, which already exceeds 2|c_i|.
+same steps and values as on rows of ints. The recurrence then runs at a
+balanced column scale lam, near the mean of the e_j: it computes
+g(Y) = det(Y diag(p^d+) - A diag(p^d-)) = p^(D+ - lam t) det(p^lam Y - M), with
+d+_j = (lam - e_j)+, d-_j = (e_j - lam)+ and D+, E- their sums, so
+c_i = p^(lam i - D+) g_(t-i). The residues c_i mod p^(H(i)+s) need g only mod
+Q = p^(s + max(D+, E-)), where the plain recurrence (lam = 0) needs
+p^(H(t)+s): about 2^20 against 2^120 at t = 40 and p = 2 when most e_j are
+alike. For t >= 10 and Q below 2^256 the recurrence holds each polynomial as
+one int with fixed-width fields and reduces every field at once (Barrett),
+with the same coefficients mod Q as on lists of ints. The exact run,
+char_poly, takes the plain recurrence mod 2^s alone, which already exceeds
+2|c_i|.
 
 A matrix's polygon takes the kernel at s = 8, and again at s = 16 when 8 digits
 cannot certify the hull; only a polygon neither run certifies (a singular or a
@@ -32,6 +39,7 @@ very deep matrix) takes the exact coefficients.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -102,9 +110,11 @@ _PACK_BELOW_Q = 2**64
 #   96  2^287: 32.10/22.68    2^460: 58.25/63.08    2^674: 90.94/128.7
 # Packing wins by a quarter or more below 2^256. Its fields are about twice as wide as Q, so as Q
 # grows the digit work takes over: the gain falls to 7% at 2^340, packing ties at about 2^390
-# (t = 80 at p = 3 and t = 128 at p = 2) and loses from 2^410 on (t = 48, p = 7). The bound keeps
-# a margin below the tie: verify at p = 3, t = 64 (Q about 2^304) and at p = 2, t = 128, r = 4
-# (about 2^496) keeps rows.
+# and loses from 2^410 on. The table was taken on the plain recurrence, Q = p^(H(t)+s); at the
+# balanced scale verify's Q on these matrices is far smaller (about 2^23 at p = 3, t = 64 and
+# 2^21 at p = 2, t = 128, r = 4), so verify packs from t = 10 on. The bound keeps a margin below
+# the tie for the exact run's Q = 2^s, which keeps rows once twice the Hadamard bound passes 2^256
+# (2^375 for CLI newton on a t = 32 matrix with entries up to 1000).
 _PACK_RECURRENCE_BELOW_Q = 2**256
 
 
@@ -172,16 +182,53 @@ class NewtonPolygon(Value):
 
 def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[int], list[int]]:
     """Residues [1, c_1 mod p^(H(1)+s), ..., c_t mod p^(H(t)+s)] of det(X*I - M) = sum c_i X^(t-i),
-    and the Hodge bound [H(0), ..., H(t)], H(i) the sum of the i least column scales e_j."""
-    a, scales, hodge = _hessenberg(entries, p, s)
-    coeffs = _recurrence(a, scales, p ** (hodge[-1] + s))
-    return [c % p ** (h + s) for c, h in zip(coeffs, hodge)], hodge
+    and the Hodge bound [H(0), ..., H(t)], H(i) the sum of the i least column scales e_j.
+
+    The recurrence runs at the balanced column scale lam of _balanced_scale. With
+    d+_j = (lam - e_j)+ and d-_j = (e_j - lam)+, so that e_j = lam - d+_j + d-_j, and D+, E- their sums,
+      chi_M(p^lam Y) = det(p^lam Y - A diag(p^e)) = p^(lam t - D+) g(Y),
+      g(Y) = det(Y diag(p^d+) - A diag(p^d-)),
+    so c_i = p^(lam i - D+) g_(t-i). Expanding g by principal minors,
+      g_(t-i) = (-1)^i sum_(|J| = i) p^(d+(J^c) + d-(J)) minor_J(A),
+    and d+(J^c) + d-(J) + lam i - D+ = sum_(j in J) e_j. So changing a column of A by a multiple of
+    p^s moves c_i by a multiple of p^(H(i)+s), and c_i mod p^(H(i)+s) needs g_(t-i) mod
+    p^(H(i) - lam i + D+ + s). H(i) - lam i is the prefix sum of the sorted e_j - lam, convex in i,
+    so the exponent is greatest at i = 0 (D+) or i = t (E-), and the recurrence runs mod
+    Q = p^(s + max(D+, E-)). p^D+ divides p^(lam i) g_(t-i) (as d+(J) <= lam i) and Q, so the
+    division of p^(lam i) (g_(t-i) mod Q) by p^D+ is exact. lam = 0 is the plain recurrence mod
+    p^(H(t)+s), and the residues are the same for every lam.
+    """
+    a, e = _hessenberg(entries, p, s)
+    ordered = sorted(e)
+    hodge = list(accumulate(ordered, initial=0))
+    lam, D, E = _balanced_scale(ordered, hodge)
+    g = _recurrence(a, [p ** (lam - x) if x < lam else 1 for x in e],
+                    [p ** (x - lam) if x > lam else 1 for x in e], p ** (s + max(D, E)))
+    unit = p**D
+    return [y * p ** (lam * i) // unit % p ** (h + s) for i, (y, h) in enumerate(zip(g, hodge))], hodge
 
 
-def _hessenberg(entries: tuple[tuple[int, ...], ...], p: int, s: int
-                ) -> tuple[list[list[int]], list[int], list[int]]:
-    """The reduction's rows of A, upper Hessenberg, its scales p^e_j and the Hodge bound
-    [H(0), ..., H(t)]: the coefficients of h = A * diag(scales) are those of M mod p^(H(i)+s)."""
+def _balanced_scale(ordered: list[int], hodge: list[int]) -> tuple[int, int, int]:
+    """(lam, D+, E-) for the integer lam that minimises max(D+, E-), D+ = sum_j (lam - e_j)+ and
+    E- = sum_j (e_j - lam)+, from the sorted scales e and their prefix sums `hodge`.
+
+    D+ - E- = t lam - sum e, so D+ <= E- exactly when lam is at most the mean of e. Below the mean
+    the maximum is E-, which does not grow with lam, and above it D+, which does not fall, so the
+    least is at the mean's floor or ceiling; both lie in [min e, max e].
+    """
+    t, total = len(ordered), hodge[-1]
+    low = total // t
+    j = bisect_right(ordered, low)  # the scales at most low
+    above, below = total - hodge[j] - low * (t - j), (low + 1) * j - hodge[j]  # E-(low), D+(low + 1)
+    if above <= below:
+        k = bisect_left(ordered, low)  # the scales below low
+        return low, low * k - hodge[k], above
+    return low + 1, below, above - (t - j)
+
+
+def _hessenberg(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[list[int]], list[int]]:
+    """The reduction's rows of A, upper Hessenberg, and its column scales e_j: the coefficients of
+    h = A * diag(p^e) are those of M mod p^(H(i)+s), H(i) the sum of the i least e_j."""
     q = p**s
     # M = A * diag(p^e), e_j at first the valuation of column j's content (0 for a zero column).
     e = [_valuation(c, p) if c else 0 for c in map(gcd, *entries)]
@@ -191,25 +238,27 @@ def _hessenberg(entries: tuple[tuple[int, ...], ...], p: int, s: int
         _hessenberg_packed(a, e, scales, p, q)
     else:
         _hessenberg_rows(a, e, scales, p, q)
-    return a, scales, list(accumulate(sorted(e), initial=0))
+    return a, e
 
 
-def _recurrence(a: list[list[int]], scales: list[int], Q: int) -> list[int]:
-    """[1, c_1, ..., c_t] mod Q, in [0, Q), for the upper Hessenberg h = A * diag(scales)."""
+def _recurrence(a: list[list[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
+    """The coefficients of det(X*W - h) mod Q, in [0, Q), highest power first, for W = diag(weights)
+    and the upper Hessenberg h = A * diag(scales)."""
     if len(a) >= _PACK_FROM_T and Q < _PACK_RECURRENCE_BELOW_Q:
-        return _recurrence_packed(a, scales, Q)[::-1]
-    return _recurrence_rows(a, scales, Q)[::-1]
+        return _recurrence_packed(a, weights, scales, Q)[::-1]
+    return _recurrence_rows(a, weights, scales, Q)[::-1]
 
 
-def _recurrence_rows(a: list[list[int]], scales: list[int], Q: int) -> list[int]:
-    """The coefficients of det(X*I - h) mod Q, lowest power first, h = A * diag(scales) upper Hessenberg.
+def _recurrence_rows(a: list[list[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
+    """The coefficients of det(X*W - h) mod Q, lowest power first, W = diag(weights) and
+    h = A * diag(scales) upper Hessenberg.
 
     Only the Hessenberg entries of `a`, rows 0..j+1 of column j, are read.
     """
     n = len(a)
-    # p_(k+1) = (X - h_kk) p_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_i for the polynomial
-    # p_i of the leading i-block of h = A * diag(p^e), lowest power first; cols[m] holds the X^m
-    # coefficients of p_m, p_(m+1), ..., so each coefficient of p_(k+1) is one dot product
+    # p_(k+1) = (w_k X - h_kk) p_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_i for the polynomial
+    # p_i of the leading i-block of X*W - h, h = A * diag(scales), lowest power first; cols[m]
+    # holds the X^m coefficients of p_m, p_(m+1), ..., so each coefficient of p_(k+1) is one dot product
     sub = [a[i + 1][i] * scales[i] % Q for i in range(n - 1)]
     cols, poly = [[1]], [1]
     for k in range(n):
@@ -217,27 +266,28 @@ def _recurrence_rows(a: list[list[int]], scales: list[int], Q: int) -> list[int]
         for i in range(k - 1, -1, -1):
             product = product * sub[i] % Q
             cs[i] = a[i][k] * product % Q
-        d = a[k][k] * scales[k] % Q
-        poly = [(low - d * c - sum(map(mul, cs[m:], col))) % Q
-                for m, (low, c, col) in enumerate(zip([0] + poly, poly, cols))] + [1]
+        d, weight = a[k][k] * scales[k] % Q, weights[k]
+        poly = [(weight * low - d * c - sum(map(mul, cs[m:], col))) % Q
+                for m, (low, c, col) in enumerate(zip([0] + poly, poly, cols))] + [weight * poly[-1] % Q]
         for col, c in zip(cols, poly):
             col.append(c)
-        cols.append([1])
+        cols.append([poly[-1]])
     return poly
 
 
-def _recurrence_packed(a: list[list[int]], scales: list[int], Q: int) -> list[int]:
+def _recurrence_packed(a: list[list[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
     """The coefficients of _recurrence_rows, from p_0, ..., p_t held as one int each.
 
     P_i = sum_m x_m 2^(w m) with every field x_m in [0, 2Q) and congruent to p_i's X^m coefficient
     mod Q. With cs_i and d in [0, Q), each field of S = sum_(i<k) cs_i P_i + d P_k is below
-    beta = 2 t Q^2, a multiple of Q, so T = P_k 2^w + beta (in fields 0..k) - S has every field in
-    (0, beta + 2Q), below 2^w, and no borrow crosses a field; field k+1 is p_k's leading 1.
-    _reduce_fields brings T's fields back into [0, 2Q), which makes P_(k+1).
+    beta = 2 t Q^2, a multiple of Q, and each field of w_k P_k 2^w below 2 Q W, W the largest
+    weight. So T = w_k P_k 2^w + beta (in fields 0..k) - S has fields 0..k in (0, beta + 2 Q W)
+    and field k+1 below 2 Q W, all below 2^w, and no borrow crosses a field. _reduce_fields
+    brings T's fields back into [0, 2Q), which makes P_(k+1).
     """
     n = len(a)
     beta = 2 * n * Q * Q
-    w = (beta + 2 * Q).bit_length()
+    w = (beta + 2 * Q * max(weights)).bit_length()
     mask = (1 << w) - 1
     even = mask * ((1 << 2 * w * (n // 2 + 1)) - 1) // ((1 << 2 * w) - 1)  # fields 0, 2, 4, ...
     r = (1 << w) // Q
@@ -251,7 +301,8 @@ def _recurrence_packed(a: list[list[int]], scales: list[int], Q: int) -> list[in
         d = a[k][k] * scales[k] % Q
         betas += beta << w * k
         last = polys[k]
-        polys.append(_reduce_fields((last << w) + betas - d * last - sum(map(mul, cs, polys)), Q, r, w, even))
+        polys.append(_reduce_fields((weights[k] * last << w) + betas - d * last - sum(map(mul, cs, polys)),
+                                    Q, r, w, even))
     return [(polys[n] >> x & mask) % Q for x in range(0, w * (n + 1), w)]
 
 
@@ -387,9 +438,9 @@ def char_poly(matrix: IntegerMatrix) -> list[int]:
     mod 2^s: it gives every c_i mod 2^s, as 2^s divides 2^(H(i)+s), and 2^s exceeds 2|c_i|, so
     the symmetric lift is c_i.
     """
-    a, scales, _ = _hessenberg(matrix.entries, 2, s := _exact_precision(matrix.entries))
+    a, e = _hessenberg(matrix.entries, 2, s := _exact_precision(matrix.entries))
     q = 2**s
-    return [c - q if 2 * c > q else c for c in _recurrence(a, scales, q)]
+    return [c - q if 2 * c > q else c for c in _recurrence(a, [1] * len(a), [2**x for x in e], q)]
 
 
 # Miller-Rabin with these bases decides primality exactly below _PRIME_BOUND, the least

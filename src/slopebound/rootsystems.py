@@ -9,6 +9,8 @@ positive roots is the sum of the exponents, and no root is ever built.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain, count, repeat
+
 from ._value import Value
 
 __all__ = ["InvalidType", "RootSystem", "build_root_system", "parse_label"]
@@ -64,10 +66,17 @@ class RootSystem(Value):
         return sum(self._exponents())
 
     @property
+    def height_counts(self) -> tuple[int, ...]:
+        """(k_1, ..., k_M), M the largest exponent: k_h = #{i : m_i >= h} positive roots have height h."""
+        ends = [0] * (max(exponents := self._exponents()) + 1)  # ends[m] = #{i : m_i = m}
+        for m in exponents:
+            ends[m] += 1
+        return tuple(accumulate(reversed(ends[1:])))[::-1]
+
+    @property
     def heights(self) -> tuple[int, ...]:
-        """Height of each positive root, non-decreasing: h appears #{i : m_i >= h} times."""
-        exponents = self._exponents()
-        return tuple(h for h in range(1, max(exponents) + 1) for m in exponents if m >= h)
+        """Height of each positive root, non-decreasing: h appears k_h times."""
+        return tuple(chain.from_iterable(map(repeat, count(1), self.height_counts)))
 
 
 def build_root_system(letter: str, rank: int) -> RootSystem:

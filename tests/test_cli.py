@@ -19,6 +19,7 @@ from slopebound.bounds import BoundParams, build_params
 from slopebound.cli import run
 from slopebound.harness import CorollaryReport, verify_corollary
 from slopebound.plf import PiecewiseLinear, f_infinity, f_infinity_star, f_r
+from slopebound.rootsystems import RootSystem
 
 
 SRC = Path(slopebound.__file__).resolve().parent.parent
@@ -612,6 +613,27 @@ COMMANDS = {
                    flag("--alpha", FRACTIONS, False), flag("--seed", numbers(-2, 9), False),
                    flag("--entry-bound", numbers(1, 50), False)),
 }
+
+
+def test_roots_refuses_more_heights_than_it_prints_before_building_them(capsys, monkeypatch):
+    monkeypatch.setattr(RootSystem, "heights", property(lambda self: pytest.fail("heights were built")))
+    code, out, err = invoke(capsys, "roots", "A100000")
+    assert (code, out) == (2, "")
+    assert err == f"error: A100000 has 5000050000 positive roots; roots prints at most {cli.DIVISORS_CAP} heights\n"
+
+
+def test_roots_cap_is_on_the_number_of_heights(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DIVISORS_CAP", 3)
+    assert invoke(capsys, "roots", "A2") == (0, "s=3 heights=[1,1,2]\n", "")
+    assert invoke(capsys, "roots", "A3") == (2, "", "error: A3 has 6 positive roots; roots prints at most 3 heights\n")
+
+
+def test_count_nh_at_rank_100000_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "count-nh", "A100000", "--max-h", "10", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["values"][:2] == [1, 100000]
+    assert time.perf_counter() - start < 5
 
 
 @pytest.fixture(scope="module")

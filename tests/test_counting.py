@@ -1,5 +1,5 @@
 import hashlib
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 
 import pytest
@@ -14,7 +14,7 @@ from slopebound.counting import (
     count_nh_bruteforce,
     truncation_divisors,
 )
-from slopebound.rootsystems import build_root_system
+from slopebound.rootsystems import RootSystem, build_root_system
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -107,6 +107,35 @@ def test_generating_function_identity():
             for i in range(ht, H + 1):
                 series[i] += series[i - ht]
         assert tuple(series) == count_nh(system, H)
+
+
+def prefix_sum_series(heights, H):
+    """prod of 1/(1 - x^ht) over the heights up to H, one prefix sum per height (the parent's DP)."""
+    series = [1] + [0] * H
+    for ht in heights:
+        if ht <= H:
+            for c in range(ht):
+                series[c::ht] = accumulate(series[c::ht])
+    return tuple(series)
+
+
+@pytest.mark.parametrize("label", [f"A{n}" for n in range(1, 31)] + ["B7", "C4", "D6", "E6", "E7", "E8", "F4", "G2"])
+def test_height_counts_give_the_per_height_series(label):
+    # H = 10 takes the binomial convolution at every h <= 10 for A11 and up, H = 200 takes the
+    # prefix sums at small h and the convolution at large h
+    system = build_root_system(label[0], int(label[1:]))
+    for H in (0, 1, 2, 5, 10, 37, 200):
+        assert count_nh(system, H) == prefix_sum_series(system.heights, H)
+
+
+def test_rank_100000_reads_only_the_height_counts(monkeypatch):
+    # 5 * 10^9 positive roots; N_1 counts the n roots of height 1, N_2 the multisets of two of
+    # them and the n - 1 roots of height 2
+    monkeypatch.setattr(RootSystem, "heights", property(lambda self: pytest.fail("heights were built")))
+    n = 100000
+    counts = count_nh(build_root_system("A", n), 10)
+    assert counts[:3] == (1, n, n * (n + 1) // 2 + n - 1)
+    assert all(x < y for x, y in zip(counts, counts[1:]))
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4))

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import gcd, isqrt
 from operator import mul
 from unittest.mock import patch
@@ -17,12 +17,14 @@ from slopebound.newton import (
     NewtonPolygon,
     NotMonic,
     NotPrime,
+    _balanced_scale,
     _char_poly_mod,
     _exact_precision,
     _field_width,
     _hessenberg,
     _hessenberg_packed,
     _hessenberg_rows,
+    _recurrence,
     _recurrence_packed,
     _recurrence_rows,
     _reduce_fields,
@@ -101,8 +103,9 @@ def charpoly_sympy(rows):
 @st.composite
 def shaped_matrices(draw, kind, p, max_t=10):
     """t x t integer matrices, t <= max_t, of the given kind; "scaled" and "deep" scale columns by
-    powers of p, "deep" up to p^10."""
-    t = draw(st.integers(min_value=1, max_value=max_t))
+    powers of p, "deep" up to p^10; "spread" has t >= 10 and column contents p^0..p^2 and
+    p^8..p^10, each at least once, on both sides of the balanced scale unless the reduction lowers them."""
+    t = draw(st.integers(min_value=10 if kind == "spread" else 1, max_value=max_t))
     rows = draw(st.lists(
         st.lists(st.integers(min_value=-30, max_value=30), min_size=t, max_size=t),
         min_size=t, max_size=t,
@@ -117,6 +120,10 @@ def shaped_matrices(draw, kind, p, max_t=10):
         top = 4 if kind == "scaled" else 10
         ks = draw(st.lists(st.integers(min_value=0, max_value=top), min_size=t, max_size=t))
         rows = [[e * p ** k for e, k in zip(row, ks)] for row in rows]
+    elif kind == "spread":  # entries prime to p, so column l's content is p^k_l
+        ks = draw(st.lists(st.sampled_from([0, 1, 2, 8, 9, 10]), min_size=t - 2, max_size=t - 2))
+        ks = draw(st.permutations(ks + [draw(st.integers(0, 2)), draw(st.integers(8, 10))]))
+        rows = [[(e if e % p else e + 1) * p ** k for e, k in zip(row, ks)] for row in rows]
     return rows
 
 
@@ -295,6 +302,85 @@ class TestKernel:
             matrix_newton_polygon(identity(2), p)
 
 
+def moduli(kernel, *args):
+    """kernel(*args), and the modulus Q of each recurrence it runs."""
+    seen = []
+
+    def spy(a, weights, scales, Q):
+        seen.append(Q)
+        return _recurrence(a, weights, scales, Q)
+
+    with patch.object(newton, "_recurrence", spy):
+        return kernel(*args), seen
+
+
+def balance(hodge):
+    """(lam, D+, E-) for the column scales behind `hodge`, lam the least maximum of D+ and E- found
+    by trying every lam from min e to max e."""
+    e = [y - x for x, y in zip(hodge, hodge[1:])]
+    sums = {lam: (sum(max(lam - x, 0) for x in e), sum(max(x - lam, 0) for x in e))
+            for lam in range(min(e), max(e) + 1)}
+    lam = min(sums, key=lambda lam: max(sums[lam]))
+    return (lam, *sums[lam])
+
+
+SPREAD_KINDS = KINDS + ["deep", "spread"]
+
+
+class TestBalancedRecurrence:
+    """The recurrence at the balanced column scale gives the residues of the plain one (lam = 0),
+    mod p^(s + max(D+, E-)), never more than p^(H(t)+s)."""
+
+    @pytest.mark.parametrize("kind", SPREAD_KINDS)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), s=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=30, deadline=None)
+    def test_same_residues_as_the_plain_recurrence(self, kind, data, p, s):
+        rows = data.draw(shaped_matrices(kind, p, max_t=16))
+        entries = tuple(map(tuple, rows))
+        residues, hodge = _char_poly_mod(entries, p, s)
+        with patch.object(newton, "_balanced_scale", lambda ordered, hodge: (0, 0, hodge[-1])):
+            plain, seen = moduli(_char_poly_mod, entries, p, s)
+        assert seen == [p ** (hodge[-1] + s)]
+        assert (residues, hodge) == plain
+        assert residues == [c % p ** (h + s) for c, h in zip(charpoly_faddeev_leverrier(rows), hodge)]
+
+    @pytest.mark.parametrize("kind", SPREAD_KINDS)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), s=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=30, deadline=None)
+    def test_modulus_is_balanced_and_never_above_the_plain_one(self, kind, data, p, s):
+        entries = tuple(map(tuple, data.draw(shaped_matrices(kind, p, max_t=16))))
+        (_, hodge), seen = moduli(_char_poly_mod, entries, p, s)
+        _, low, high = balance(hodge)
+        assert seen == [p ** (s + max(low, high))]
+        assert seen[0] <= p ** (hodge[-1] + s)
+
+    @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_balanced_scale_is_a_least_maximum(self, e):
+        ordered = sorted(e)
+        hodge = list(accumulate(ordered, initial=0))
+        lam, low, high = _balanced_scale(ordered, hodge)
+        assert min(e) <= lam <= max(e)
+        assert (low, high) == (sum(max(lam - x, 0) for x in e), sum(max(x - lam, 0) for x in e))
+        assert max(low, high) == max(balance(hodge)[1:])
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_digit_less_of_modulus_loses_the_determinant(self, p):
+        # column scales 0 and 4 balance at lam = 2 with D+ = E- = 2, so Q = p^(s+2); c_2 = det is
+        # known mod p^(H(2)+s) = p^(4+s) only from g_0 = c_2 / p^2 mod p^(s+2)
+        rows = ((1, 3 * p**4), (5, (p**SLACK - 1) * p**4))
+        exact = charpoly_faddeev_leverrier(rows)
+        residues, hodge = _char_poly_mod(rows, p, SLACK)
+        assert hodge == [0, 0, 4] and balance(hodge) == (2, 2, 2)
+        assert residues == [c % p ** (h + SLACK) for c, h in zip(exact, hodge)]
+        def short_modulus(a, weights, scales, Q):
+            return _recurrence(a, weights, scales, Q // p)
+
+        with patch.object(newton, "_recurrence", short_modulus):
+            short, _ = _char_poly_mod(rows, p, SLACK)
+        assert short[:2] == residues[:2] and short[2] != residues[2]
+
+
 def char_poly_mod_by(reduction, entries, p, s):
     """_char_poly_mod with `reduction` in place of whichever Hessenberg reduction it selects."""
     with patch.object(newton, "_hessenberg_rows", reduction), \
@@ -368,13 +454,14 @@ def fields(x, w, count):
 
 @st.composite
 def hessenberg_inputs(draw, max_t=16):
-    """Rows of any t x t integer matrix (the recurrence reads its Hessenberg part), positive scales
-    and a modulus Q >= 2 that need not be a prime power."""
+    """Rows of any t x t integer matrix (the recurrence reads its Hessenberg part), positive weights
+    and scales, and a modulus Q >= 2 that need not be a prime power."""
     t = draw(st.integers(min_value=1, max_value=max_t))
     entries = st.integers(min_value=-(2**70), max_value=2**70)
     a = draw(st.lists(st.lists(entries, min_size=t, max_size=t), min_size=t, max_size=t))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=2**40), min_size=t, max_size=t))
     scales = draw(st.lists(st.integers(min_value=1, max_value=2**40), min_size=t, max_size=t))
-    return a, scales, draw(st.integers(min_value=2, max_value=2**300))
+    return a, weights, scales, draw(st.integers(min_value=2, max_value=2**300))
 
 
 class TestPackedRecurrence:
@@ -398,6 +485,17 @@ class TestPackedRecurrence:
     @settings(max_examples=200, deadline=None)
     def test_same_coefficients_as_rows_for_any_modulus(self, inputs):
         assert _recurrence_packed(*inputs) == _recurrence_rows(*inputs)
+
+    @given(hessenberg_inputs(max_t=5))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_give_det_of_x_times_weights_minus_h(self, inputs):
+        a, weights, scales, Q = inputs
+        t = len(a)
+        x = sympy.Symbol("x")
+        h = [[a[i][j] * scales[j] if i <= j + 1 else 0 for j in range(t)] for i in range(t)]
+        det = sympy.Matrix(t, t, lambda i, j: (x * weights[i] if i == j else 0) - h[i][j]).det(method="berkowitz")
+        expected = [int(c) % Q for c in reversed(sympy.Poly(det, x).all_coeffs())]
+        assert _recurrence_rows(a, weights, scales, Q) == expected
 
     @given(data=st.data(), w=st.integers(min_value=2, max_value=200),
            count=st.integers(min_value=1, max_value=9))
@@ -425,19 +523,26 @@ class TestPackedRecurrence:
         with patch.object(newton, "_reduce_fields", spy):
             return recurrence_by(_recurrence_packed, kernel, *args), seen
 
-    @pytest.mark.parametrize("kind", KINDS + ["deep"])
+    @pytest.mark.parametrize("kind", SPREAD_KINDS)
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
     @settings(max_examples=20, deadline=None)
     def test_every_field_after_every_step_is_below_twice_the_modulus(self, kind, data, p, s):
         entries = tuple(map(tuple, data.draw(shaped_matrices(kind, p, max_t=16))))
         t = len(entries)
-        residues, seen = self.steps(_char_poly_mod, entries, p, s)
+        (_, hodge), seen = self.steps(_char_poly_mod, entries, p, s)
         assert len(seen) == t
-        Q = p ** (residues[1][-1] + s)
+        _, low, high = balance(hodge)
+        Q, lead = p ** (s + max(low, high)), 1
         for k, (before, after, q, w) in enumerate(seen):
             assert q == Q
-            assert all(0 < y < 2**w for y in fields(before, w, k + 1)) and before >> w * (k + 1) == 1
-            assert all(0 <= y < 2 * Q for y in fields(after, w, k + 1)) and after >> w * (k + 1) == 1
+            # field k+1 is the leading coefficient, the weights of columns 0..k: a power of p that
+            # grows by one weight per step, to p^D+ at the end
+            top = before >> w * (k + 1)
+            assert top == after >> w * (k + 1) and top % lead == 0 and top < 2**w
+            lead = top
+            assert all(0 < y < 2**w for y in fields(before, w, k + 1))
+            assert all(0 <= y < 2 * Q for y in fields(after, w, k + 1))
+        assert lead == p**low
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_fields_reach_the_top_bit_of_the_width(self, p):
@@ -451,8 +556,8 @@ class TestPackedRecurrence:
         scales = [p ** (j % 4) for j in range(t)]
         h = [[x * c for x, c in zip(row, scales)] for row in a]
         expected = [c % Q for c in reversed(charpoly_faddeev_leverrier(h))]
-        coeffs, seen = self.steps(_recurrence_packed, a, scales, Q)
-        assert coeffs == expected == _recurrence_rows(a, scales, Q)
+        coeffs, seen = self.steps(_recurrence_packed, a, [1] * t, scales, Q)
+        assert coeffs == expected == _recurrence_rows(a, [1] * t, scales, Q)
         w = seen[0][3]
         biggest = max(max(fields(before, w, i + 1)) for i, (before, *_) in enumerate(seen))
         assert 2 ** (w - 1) <= biggest < 2**w
@@ -477,7 +582,7 @@ class TestPackedRecurrence:
         (newton._PACK_FROM_T, 256, False),
     ])
     def test_selection_by_size_and_modulus(self, t, s, packed):
-        # the identity has every column scale 0, so Q = 2^s
+        # the identity has every column scale 0, so lam = 0 and Q = 2^s
         assert newton._PACK_RECURRENCE_BELOW_Q == 2**256
         assert self.taken(_char_poly_mod, identity(t).entries, 2, s) == ["packed" if packed else "rows"]
 
