@@ -24,7 +24,7 @@ from .counting import ElemDivSeq, count_nh, truncation_divisors
 from .harness import draw_b_seq, gen_instance, verify_chain, verify_corollary
 from .newton import IntegerMatrix, char_poly, newton_polygon, slope_le_dimension
 from .plf import PiecewiseLinear, f_infinity, f_infinity_star, f_r
-from .rootsystems import build_root_system, parse_label
+from .rootsystems import RootSystem, build_root_system, parse_label
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "SLOPE_BOUND_SEED"
@@ -53,6 +53,15 @@ DEGREE_CAP = 2000
 #   s = 500, jmax 400: 0.39/0.90    s = 1000, jmax 150: 0.52/1.01   s = 2000, jmax 40: 0.30/0.64
 # and fr at most 0.05 s on the same grid; finfstar at s = 400, jmax 2000 took 3.7 s
 PLF_SIZE_CAP = 10**5
+# most positive roots s of the type that `bound` and `verify corollary` take, checked before
+# build_params. Their cost is the decimal output: the paper's n has about 1.45 s^2 digits at
+# s = 465, and CPython before 3.12 converts an int to decimal in quadratic time. Fresh-interpreter
+# `bound --type X --g 1 --alpha 1` took (in seconds, Python 3.11.7)
+#   E8 (s = 120) 0.13    A20 (210) 0.26    A24 (300) 0.94    B18 (324) 1.26    B20 (400) 2.85
+#   A28 (406) 2.94       D21 (420) 3.43    A29 (435) 3.96    A30 (465) 5.46    B22 (484) 6.48
+#   A31 (496) 6.82       A32 (528) 9.03
+# and A40 (820) did not end in 40 s
+BOUND_S_CAP = 500
 _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
 
 
@@ -102,6 +111,12 @@ def _check_power_size(flag: str, x: Fraction, s: int) -> None:
     if bits > POWER_BITS_CAP:
         raise CliUsageError(f"{flag} to the power {s} would have about {bits} bits; "
                             f"at most {POWER_BITS_CAP} are allowed")
+
+
+def _check_bound_size(system: RootSystem) -> None:
+    if system.s > BOUND_S_CAP:
+        raise CliUsageError(f"{system.label} has {system.s} positive roots; "
+                            f"bound and verify corollary take at most {BOUND_S_CAP}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -305,6 +320,7 @@ def _cmd_newton(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     system = build_root_system(*parse_label(args.label))
     _check_power_size("--alpha", args.alpha, system.s)
+    _check_bound_size(system)
     params = build_params(system.s, args.g)
     bound = dimension_bound(params, args.alpha)
     infimum = infimum_dimension_bound(params, args.alpha)
@@ -331,6 +347,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.alpha is None:
             raise CliUsageError("verify corollary requires --alpha")
         _check_power_size("--alpha", args.alpha, system.s)
+        _check_bound_size(system)
     seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)

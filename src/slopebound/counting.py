@@ -64,7 +64,7 @@ def count_nh(system: RootSystem, H: int) -> tuple[int, ...]:
         raise ValueError("H must be non-negative")
     values = [0] * (H + 1)
     values[0] = 1
-    for h, k in enumerate(system.height_counts[:H], 1):
+    for h, k in enumerate(system.height_counts(H), 1):
         if k <= H // h:
             for _ in range(k):
                 for c in range(h):

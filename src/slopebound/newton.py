@@ -18,8 +18,10 @@ Each step of the reduction is a similarity of M by an integer matrix with an
 integer inverse, such a change of A, or a lowering of one e_j that leaves M as
 it is. Lowering only decreases H, so the kernel knows c_i mod p^(H(i)+s) for
 the final H. For t >= 10 and a modulus below 2^64 the reduction runs on one
-int per column with fixed-width fields (Kronecker substitution), with the
-same steps and values as on rows of ints. The recurrence then runs at a
+int per column with fixed-width fields (Kronecker substitution), else on rows
+of ints; one routine, _pivot, takes every decision of a step for both forms,
+so they take the same steps by construction and differ only in how they store
+A. The recurrence then runs at a
 balanced column scale lam, near the mean of the e_j: it computes
 g(Y) = det(Y diag(p^d+) - A diag(p^d-)) = p^(D+ - lam t) det(p^lam Y - M), with
 d+_j = (lam - e_j)+, d-_j = (e_j - lam)+ and D+, E- their sums, so
@@ -28,9 +30,9 @@ Q = p^(s + max(D+, E-)), where the plain recurrence (lam = 0) needs
 p^(H(t)+s): about 2^20 against 2^120 at t = 40 and p = 2 when most e_j are
 alike. For t >= 10 and Q below 2^256 the recurrence holds each polynomial as
 one int with fixed-width fields and reduces every field at once (Barrett),
-with the same coefficients mod Q as on lists of ints. The exact run,
-char_poly, takes the plain recurrence mod 2^s alone, which already exceeds
-2|c_i|.
+else lists of ints; both take each step's coefficients from one routine,
+_steps. The exact coefficients, char_poly, are the symmetric lift of the
+kernel's residues at p = 2 with 2^s past twice the Hadamard bound.
 
 A matrix's polygon takes the kernel at s = 8, and again at s = 16 when 8 digits
 cannot certify the hull; only a polygon neither run certifies (a singular or a
@@ -40,6 +42,7 @@ very deep matrix) takes the exact coefficients.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -113,8 +116,8 @@ _PACK_BELOW_Q = 2**64
 # and loses from 2^410 on. The table was taken on the plain recurrence, Q = p^(H(t)+s); at the
 # balanced scale verify's Q on these matrices is far smaller (about 2^23 at p = 3, t = 64 and
 # 2^21 at p = 2, t = 128, r = 4), so verify packs from t = 10 on. The bound keeps a margin below
-# the tie for the exact run's Q = 2^s, which keeps rows once twice the Hadamard bound passes 2^256
-# (2^375 for CLI newton on a t = 32 matrix with entries up to 1000).
+# the tie for the exact run's Q = 2^(s + max(D+, E-)), which keeps rows once twice the Hadamard
+# bound passes 2^256 (2^375 for CLI newton on a t = 32 matrix with entries up to 1000).
 _PACK_RECURRENCE_BELOW_Q = 2**256
 
 
@@ -198,7 +201,16 @@ def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tupl
     division of p^(lam i) (g_(t-i) mod Q) by p^D+ is exact. lam = 0 is the plain recurrence mod
     p^(H(t)+s), and the residues are the same for every lam.
     """
-    a, e = _hessenberg(entries, p, s)
+    q = p**s
+    # M = A * diag(p^e), e_j at first the valuation of column j's content (0 for a zero column);
+    # the reduction brings A to upper Hessenberg form, lowering e_j where a column operation needs it
+    e = [_valuation(c, p) if c else 0 for c in map(gcd, *entries)]
+    scales = [p**x for x in e]
+    a = [list(map(floordiv, row, scales)) for row in entries]
+    if len(a) >= _PACK_FROM_T and q < _PACK_BELOW_Q:
+        _hessenberg_packed(a, e, scales, p, q)
+    else:
+        _hessenberg_rows(a, e, scales, p, q)
     ordered = sorted(e)
     hodge = list(accumulate(ordered, initial=0))
     lam, D, E = _balanced_scale(ordered, hodge)
@@ -226,21 +238,6 @@ def _balanced_scale(ordered: list[int], hodge: list[int]) -> tuple[int, int, int
     return low + 1, below, above - (t - j)
 
 
-def _hessenberg(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[list[int]], list[int]]:
-    """The reduction's rows of A, upper Hessenberg, and its column scales e_j: the coefficients of
-    h = A * diag(p^e) are those of M mod p^(H(i)+s), H(i) the sum of the i least e_j."""
-    q = p**s
-    # M = A * diag(p^e), e_j at first the valuation of column j's content (0 for a zero column).
-    e = [_valuation(c, p) if c else 0 for c in map(gcd, *entries)]
-    scales = [p**x for x in e]
-    a = [list(map(floordiv, row, scales)) for row in entries]
-    if len(a) >= _PACK_FROM_T and q < _PACK_BELOW_Q:
-        _hessenberg_packed(a, e, scales, p, q)
-    else:
-        _hessenberg_rows(a, e, scales, p, q)
-    return a, e
-
-
 def _recurrence(a: list[list[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
     """The coefficients of det(X*W - h) mod Q, in [0, Q), highest power first, for W = diag(weights)
     and the upper Hessenberg h = A * diag(scales)."""
@@ -249,24 +246,29 @@ def _recurrence(a: list[list[int]], weights: list[int], scales: list[int], Q: in
     return _recurrence_rows(a, weights, scales, Q)[::-1]
 
 
-def _recurrence_rows(a: list[list[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
-    """The coefficients of det(X*W - h) mod Q, lowest power first, W = diag(weights) and
-    h = A * diag(scales) upper Hessenberg.
+def _steps(a: list[list[int]], scales: list[int], Q: int) -> Iterator[tuple[int, list[int]]]:
+    """(d, cs) of each step k of the Hessenberg recurrence for h = A * diag(scales), all mod Q:
+    d = h_kk and cs_i = h_ik h_(i+1,i) ... h_(k,k-1) for i < k.
 
     Only the Hessenberg entries of `a`, rows 0..j+1 of column j, are read.
     """
-    n = len(a)
-    # p_(k+1) = (w_k X - h_kk) p_k - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_i for the polynomial
-    # p_i of the leading i-block of X*W - h, h = A * diag(scales), lowest power first; cols[m]
-    # holds the X^m coefficients of p_m, p_(m+1), ..., so each coefficient of p_(k+1) is one dot product
-    sub = [a[i + 1][i] * scales[i] % Q for i in range(n - 1)]
-    cols, poly = [[1]], [1]
-    for k in range(n):
-        cs, product = [0] * k, scales[k]
+    sub = [a[i + 1][i] * scales[i] % Q for i in range(len(a) - 1)]
+    for k, scale in enumerate(scales):
+        cs, product = [0] * k, scale
         for i in range(k - 1, -1, -1):
             product = product * sub[i] % Q
             cs[i] = a[i][k] * product % Q
-        d, weight = a[k][k] * scales[k] % Q, weights[k]
+        yield a[k][k] * scale % Q, cs
+
+
+def _recurrence_rows(a: list[list[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
+    """The coefficients of det(X*W - h) mod Q, lowest power first, W = diag(weights) and
+    h = A * diag(scales) upper Hessenberg."""
+    # p_(k+1) = (w_k X - d) p_k - sum_(i<k) cs_i p_i for the polynomial p_i of the leading i-block
+    # of X*W - h, lowest power first; cols[m] holds the X^m coefficients of p_m, p_(m+1), ..., so
+    # each coefficient of p_(k+1) is one dot product
+    cols, poly = [[1]], [1]
+    for weight, (d, cs) in zip(weights, _steps(a, scales, Q)):
         poly = [(weight * low - d * c - sum(map(mul, cs[m:], col))) % Q
                 for m, (low, c, col) in enumerate(zip([0] + poly, poly, cols))] + [weight * poly[-1] % Q]
         for col, c in zip(cols, poly):
@@ -291,17 +293,11 @@ def _recurrence_packed(a: list[list[int]], weights: list[int], scales: list[int]
     mask = (1 << w) - 1
     even = mask * ((1 << 2 * w * (n // 2 + 1)) - 1) // ((1 << 2 * w) - 1)  # fields 0, 2, 4, ...
     r = (1 << w) // Q
-    sub = [a[i + 1][i] * scales[i] % Q for i in range(n - 1)]
     polys, betas = [1], 0
-    for k in range(n):
-        cs, product = [0] * k, scales[k]
-        for i in range(k - 1, -1, -1):
-            product = product * sub[i] % Q
-            cs[i] = a[i][k] * product % Q
-        d = a[k][k] * scales[k] % Q
+    for k, (weight, (d, cs)) in enumerate(zip(weights, _steps(a, scales, Q))):
         betas += beta << w * k
         last = polys[k]
-        polys.append(_reduce_fields((weights[k] * last << w) + betas - d * last - sum(map(mul, cs, polys)),
+        polys.append(_reduce_fields((weight * last << w) + betas - d * last - sum(map(mul, cs, polys)),
                                     Q, r, w, even))
     return [(polys[n] >> x & mask) % Q for x in range(0, w * (n + 1), w)]
 
@@ -318,44 +314,63 @@ def _reduce_fields(x: int, q: int, r: int, w: int, even: int) -> int:
     return x - q * quot
 
 
+def _pivot(column: list[int], k: int, e: list[int], scales: list[int], p: int,
+           q: int) -> tuple[int, list[int], int, list[int]] | None:
+    """Every decision of step k of the Hessenberg reduction, from column k's entries below the
+    diagonal, column = [a_(k+1,k), ..., a_(t-1,k)]: None when they are all 0 mod q, else
+    (piv, fs, lift, multiples), with `e` and `scales` updated in place.
+
+    Column k pivots on an entry of least valuation: where a_(k+1,k) is not one, M is first
+    conjugated by the transposition of k+1 and piv, which swaps e and scales here. Row k+1 is
+    reduced mod q, and M is conjugated by I - sum f_i E_(i,k+1): rows i > k+1 lose f_i times row
+    k+1, then column k+1 of M gains sum f_i times column i, so column k+1 of A gains
+    f_i p^e_i / p^e_(k+1) times column i of A. Where a quotient is fractional, e_(k+1) first drops
+    to the least v_p(f_i p^e_i), which multiplies column k+1 of A by lift and leaves M as it is;
+    lift is 1 where e_(k+1) stays. So after the row step column k+1 of A becomes lift times itself
+    plus sum_i multiples_i times column k+2+i.
+    """
+    if (unit := gcd(q, *column)) == q:  # q = p^s, so unit = p^(least valuation of the entries mod q)
+        return None
+    piv = k + 1
+    if column[0] % (unit * p) == 0:  # conjugate by a transposition first
+        i = next(i for i, x in enumerate(column) if x % (unit * p))
+        column[0], column[i] = column[i], column[0]
+        piv += i
+        e[k + 1], e[piv] = e[piv], e[k + 1]
+        scales[k + 1], scales[piv] = scales[piv], scales[k + 1]
+    inverse = pow(column[0] % q // unit, -1, q)
+    fs = [x // unit * inverse % q for x in column[1:]]
+    terms = list(map(mul, fs, scales[k + 2:]))
+    lift = 1
+    if (common := gcd(*terms)) % scales[k + 1]:
+        e[k + 1] = _valuation(common, p)
+        lift = scales[k + 1] // p ** e[k + 1] % q
+        scales[k + 1] = p ** e[k + 1]
+    # every term is a multiple of the scale, so the division is exact
+    return piv, fs, lift, [x // scales[k + 1] for x in terms]
+
+
 def _hessenberg_rows(a: list[list[int]], e: list[int], scales: list[int], p: int, q: int) -> None:
     """Bring the rows `a` of A to upper Hessenberg form in place, lowering `e` and `scales` as needed.
 
     Each step is a similarity of M by an integer matrix with an integer inverse, or changes a
-    column of A by a multiple of q; a row of A is reduced mod q when it becomes the pivot row.
+    column of A by a multiple of q; _pivot decides it, and a row of A is reduced mod q when it
+    becomes the pivot row.
     """
     n = len(a)
     for k in range(n - 2):
-        # column k pivots on an entry of least valuation
-        if not (content := gcd(*[row[k] % q for row in a[k + 1:]])):
+        if not (step := _pivot([row[k] for row in a[k + 1:]], k, e, scales, p, q)):
             continue
-        unit = p ** _valuation(content, p)
-        if a[k + 1][k] % (unit * p) == 0:  # conjugate by a transposition first
-            piv = next(i for i in range(k + 2, n) if a[i][k] % (unit * p))
+        piv, fs, lift, multiples = step
+        if piv > k + 1:
             a[k + 1], a[piv] = a[piv], a[k + 1]
             for row in a:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
-            e[k + 1], e[piv] = e[piv], e[k + 1]
-            scales[k + 1], scales[piv] = scales[piv], scales[k + 1]
         a[k + 1][k:] = pivot = [x % q for x in a[k + 1][k:]]
-        inverse = pow(pivot[0] // unit, -1, q)
-        # conjugate by I - sum f_i E_(i,k+1): rows i > k+1 lose f_i * row k+1, then column k+1
-        # of M gains sum f_i * column i, so column k+1 of A gains f_i p^e_i / p^e_(k+1) times
-        # column i of A. Where a quotient is fractional, e_(k+1) first drops to the least
-        # v_p(f_i p^e_i), which multiplies column k+1 of A and leaves M as it is.
-        fs = [row[k] // unit * inverse % q for row in a[k + 2:]]
         for row, f in zip(a[k + 2:], fs):
             row[k:] = [x - f * y for x, y in zip(row[k:], pivot)]
-        terms = list(map(mul, fs, scales[k + 2:]))
-        if (common := gcd(*terms)) % scales[k + 1]:
-            e[k + 1] = _valuation(common, p)
-            lift = scales[k + 1] // p ** e[k + 1] % q
-            scales[k + 1] = p ** e[k + 1]
-            for row in a:
-                row[k + 1] *= lift
-        scale = scales[k + 1]
         for row in a:
-            row[k + 1] += sum(map(mul, terms, row[k + 2:])) // scale
+            row[k + 1] = row[k + 1] * lift + sum(map(mul, multiples, row[k + 2:]))
 
 
 def _field_width(a: list[list[int]], e: list[int], p: int, q: int) -> int:
@@ -376,7 +391,8 @@ def _field_width(a: list[list[int]], e: list[int], p: int, q: int) -> int:
 
 
 def _hessenberg_packed(a: list[list[int]], e: list[int], scales: list[int], p: int, q: int) -> None:
-    """The steps of _hessenberg_rows, with the same values, on A held as one int per column.
+    """The steps of _hessenberg_rows, decided by _pivot from the same values, on A held as one int
+    per column.
 
     Column j is sum_i (a_ij + bias) 2^at[i], bias = 2^(w-1): the w-bit field at bit at[i], read
     as (c >> at[i] & mask) - bias, holds a_ij, and stays in [0, 2^w) by _field_width, so no
@@ -392,35 +408,21 @@ def _hessenberg_packed(a: list[list[int]], e: list[int], scales: list[int], p: i
     at = list(range(0, w * n, w))
     cols = [sum(map(lshift, col, at)) + biases for col in zip(*a)]
     for k in range(n - 2):
-        column = [(cols[k] >> x & mask) - bias for x in at[k + 1:]]
-        if not (content := gcd(*[x % q for x in column])):
+        if not (step := _pivot([(cols[k] >> x & mask) - bias for x in at[k + 1:]], k, e, scales, p, q)):
             continue
-        unit = p ** _valuation(content, p)
-        if column[0] % (unit * p) == 0:  # conjugate by a transposition first
-            i = next(i for i, x in enumerate(column) if x % (unit * p))
-            piv = k + 1 + i
-            column[0], column[i] = column[i], column[0]
+        piv, fs, lift, multiples = step
+        if piv > k + 1:
             at[k + 1], at[piv] = at[piv], at[k + 1]
             cols[k + 1], cols[piv] = cols[piv], cols[k + 1]
-            e[k + 1], e[piv] = e[piv], e[k + 1]
-            scales[k + 1], scales[piv] = scales[piv], scales[k + 1]
-        inverse = pow(column[0] % q // unit, -1, q)
-        fs = [x // unit * inverse % q for x in column[1:]]
         # row k+1 is reduced mod q, then rows i > k+1 lose f_i times it: column j's pivot field x
         # becomes r = x mod q and field i loses f_i r, so the column gains r (2^shift - F) - x 2^shift
         shift = at[k + 1]
         lows = (1 << shift) - sum(map(lshift, fs, at[k + 2:]))
         pivots = [(c >> shift & mask) - bias for c in cols[k:]]
         cols[k:] = [c - (x << shift) + x % q * lows for c, x in zip(cols[k:], pivots)]
-        terms = list(map(mul, fs, scales[k + 2:]))
-        if (common := gcd(*terms)) % scales[k + 1]:
-            e[k + 1] = _valuation(common, p)
-            lift = scales[k + 1] // p ** e[k + 1] % q
-            scales[k + 1] = p ** e[k + 1]
-            cols[k + 1] = cols[k + 1] * lift - (lift - 1) * biases
-        # every term is a multiple of scale, so dividing the terms is the rows' exact division
-        multiples = [x // scales[k + 1] for x in terms]
-        cols[k + 1] += sum(map(mul, multiples, cols[k + 2:])) - sum(multiples) * biases
+        # the biases of the fields scale with the column, so lift - 1 + sum(multiples) of them go
+        cols[k + 1] = (cols[k + 1] * lift + sum(map(mul, multiples, cols[k + 2:]))
+                       - (lift - 1 + sum(multiples)) * biases)
     for j, c in enumerate(cols):
         for i, x in enumerate(at[:j + 2]):
             a[i][j] = (c >> x & mask) - bias
@@ -434,13 +436,12 @@ def _exact_precision(entries: tuple[tuple[int, ...], ...]) -> int:
 def char_poly(matrix: IntegerMatrix) -> list[int]:
     """Coefficients [1, c_1, ..., c_t] of det(X*I - M) = sum c_i X^(t-i).
 
-    The kernel's reduction at p = 2 with 2^s past twice the Hadamard bound, then the recurrence
-    mod 2^s: it gives every c_i mod 2^s, as 2^s divides 2^(H(i)+s), and 2^s exceeds 2|c_i|, so
-    the symmetric lift is c_i.
+    The symmetric lift of the kernel's residues c_i mod 2^(H(i)+s) at p = 2, with 2^s past twice
+    the Hadamard bound: 2^(H(i)+s) >= 2^s > 2|c_i|, so the lift is c_i.
     """
-    a, e = _hessenberg(matrix.entries, 2, s := _exact_precision(matrix.entries))
-    q = 2**s
-    return [c - q if 2 * c > q else c for c in _recurrence(a, [1] * len(a), [2**x for x in e], q)]
+    residues, hodge = _char_poly_mod(matrix.entries, 2, s := _exact_precision(matrix.entries))
+    moduli = [2 ** (h + s) for h in hodge]
+    return [c - m if 2 * c > m else c for c, m in zip(residues, moduli)]
 
 
 # Miller-Rabin with these bases decides primality exactly below _PRIME_BOUND, the least

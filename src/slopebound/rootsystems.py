@@ -1,15 +1,18 @@
 """Positive-root heights of the split simple types A-G.
 
 Only the multiset of positive-root heights is used, and the exponents
-m_1..m_n of the type determine it: exactly #{i : m_i >= h} positive roots
-have height h, the partition dual to the exponents (Kostant 1959; Humphreys,
-"Reflection Groups and Coxeter Groups", 1990, section 3.20). So the number of
-positive roots is the sum of the exponents, and no root is ever built.
+m_1..m_n of the type determine it: exactly k_h = #{i : m_i >= h} positive
+roots have height h, the partition dual to the exponents (Kostant 1959;
+Humphreys, "Reflection Groups and Coxeter Groups", 1990, section 3.20). So
+the number s of positive roots is the sum of the exponents. For the classical
+series both come in closed form from their exponents (1, 2, ..., n for A_n,
+1, 3, ..., 2n-1 for B_n and C_n, 1, 3, ..., 2n-3 and n-1 for D_n), so neither
+a root nor a rank-sized tuple is ever built.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, count, repeat
+from itertools import chain, count, repeat
 
 from ._value import Value
 
@@ -50,33 +53,38 @@ class RootSystem(Value):
     def label(self) -> str:
         return f"{self.letter}{self.rank}"
 
-    def _exponents(self) -> tuple[int, ...]:
-        n = self.rank
-        if self.letter == "A":
-            return tuple(range(1, n + 1))
-        if self.letter in ("B", "C"):
-            return tuple(range(1, 2 * n, 2))
-        if self.letter == "D":
-            return (*range(1, 2 * n - 2, 2), n - 1)
-        return _EXCEPTIONAL_EXPONENTS[self.letter, self.rank]
-
     @property
     def s(self) -> int:
         """Number of positive roots: the sum of the exponents."""
-        return sum(self._exponents())
+        n = self.rank
+        if self.letter == "A":
+            return n * (n + 1) // 2
+        if self.letter in ("B", "C"):
+            return n * n
+        if self.letter == "D":
+            return n * (n - 1)
+        return sum(_EXCEPTIONAL_EXPONENTS[self.letter, n])
 
-    @property
-    def height_counts(self) -> tuple[int, ...]:
-        """(k_1, ..., k_M), M the largest exponent: k_h = #{i : m_i >= h} positive roots have height h."""
-        ends = [0] * (max(exponents := self._exponents()) + 1)  # ends[m] = #{i : m_i = m}
-        for m in exponents:
-            ends[m] += 1
-        return tuple(accumulate(reversed(ends[1:])))[::-1]
+    def height_counts(self, H: int) -> tuple[int, ...]:
+        """(k_1, ..., k_min(H, M)), M the largest exponent: k_h = #{i : m_i >= h} positive roots have
+        height h."""
+        n = self.rank
+        if self.letter == "A":  # n - h + 1 of 1, ..., n
+            top, k = n, lambda h: n - h + 1
+        elif self.letter in ("B", "C"):  # n - floor(h/2) of 1, 3, ..., 2n - 1
+            top, k = 2 * n - 1, lambda h: n - h // 2
+        elif self.letter == "D":  # n - 1 - floor(h/2) of 1, 3, ..., 2n - 3, and n - 1 itself
+            top, k = 2 * n - 3, lambda h: n - 1 - h // 2 + (h <= n - 1)
+        else:
+            exponents = _EXCEPTIONAL_EXPONENTS[self.letter, n]
+            top, k = max(exponents), lambda h: sum(m >= h for m in exponents)
+        return tuple(map(k, range(1, min(H, top) + 1)))
 
     @property
     def heights(self) -> tuple[int, ...]:
         """Height of each positive root, non-decreasing: h appears k_h times."""
-        return tuple(chain.from_iterable(map(repeat, count(1), self.height_counts)))
+        # no exponent exceeds s, their sum
+        return tuple(chain.from_iterable(map(repeat, count(1), self.height_counts(self.s))))
 
 
 def build_root_system(letter: str, rank: int) -> RootSystem:

@@ -7,6 +7,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -81,28 +82,54 @@ limit = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
 resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 results = []
 for argv in json.loads(sys.argv[1]):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
-    results.append((code, err.getvalue()))
+    results.append((code, out.getvalue(), err.getvalue()))
 print(json.dumps(results))
 """
 
 
-def test_out_of_memory_is_a_usage_error():
+def run_out_of_memory_child(argvs):
+    """(exit code, stdout, stderr) of each argv, run by cli.run in one child under the 1 GiB limit."""
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no address-space limit on this platform")
+    proc = fresh_interpreter("-c", OUT_OF_MEMORY_CHILD, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_out_of_memory_is_a_usage_error():
     huge = [
         ["count-nh", "A1", "--max-h", "1000000000000"],
         ["verify", "chain", "--type", "A2", "--g", "1", "--p", "2", "--t", "100000", "--r", "2", "--trials", "1"],
-        ["roots", "A10000000000"],
     ]
-    proc = fresh_interpreter("-c", OUT_OF_MEMORY_CHILD, json.dumps(huge))
-    assert proc.returncode == 0, proc.stderr
-    for argv, (code, err) in zip(huge, json.loads(proc.stdout)):
+    for argv, (code, _, err) in zip(huge, run_out_of_memory_child(huge)):
         assert code == 2, (argv, err)
         assert err == "error: out of memory; the input is too large\n", (argv, err)
+
+
+def binomial_series_counts(ks, H):
+    """N_0..N_H of prod_h (1 - x^h)^(-k_h), multiplying in sum_j C(k+j-1, j) x^(hj) one factor at a time."""
+    values = [1] + [0] * H
+    for h, k in enumerate(ks, 1):
+        factor = [comb(k + j // h - 1, j // h) if j % h == 0 else 0 for j in range(H + 1)]
+        values = [sum(values[i] * factor[m - i] for i in range(m + 1)) for m in range(H + 1)]
+    return values
+
+
+def test_large_ranks_need_no_rank_sized_memory():
+    # A100000000 has 10^8 exponents and 5 * 10^15 positive roots; neither fits in 1 GiB as a tuple
+    n = 10**8
+    count, roots, huge_roots = run_out_of_memory_child([
+        ["count-nh", f"A{n}", "--max-h", "10", "--json"], ["roots", f"A{n}"], ["roots", "A10000000000"],
+    ])
+    assert count[0] == 0 and count[2] == ""
+    assert json.loads(count[1])["values"] == binomial_series_counts([n - h + 1 for h in range(1, 11)], 10)
+    assert roots == [2, "", f"error: A{n} has {n * (n + 1) // 2} positive roots; "
+                            f"roots prints at most {cli.DIVISORS_CAP} heights\n"]
+    assert huge_roots[0] == 2 and huge_roots[2].startswith("error: A10000000000 has 50000000005000000000 ")
 
 
 def test_count_nh(capsys):
@@ -175,6 +202,29 @@ def test_alpha_with_a_huge_exponent_is_refused_while_parsing(capsys, monkeypatch
 def test_power_above_the_cap_is_refused_before_it_is_taken(capsys, monkeypatch, argv, bits):
     err = usage_error_before_any_work(capsys, monkeypatch, ["build_params", "gen_instance"], argv)
     assert err.endswith(f"would have about {bits} bits; at most {cli.POWER_BITS_CAP} are allowed\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--type", "A40", "--g", "1", "--alpha", "1"],
+    ["verify", "corollary", "--type", "A40", "--g", "1", "--p", "2", "--t", "4", "--r", "2", "--trials", "1",
+     "--alpha", "1"],
+])
+def test_type_above_the_s_cap_is_refused_before_build_params(capsys, monkeypatch, argv):
+    err = usage_error_before_any_work(capsys, monkeypatch, ["build_params", "gen_instance"], argv)
+    assert err == f"error: A40 has 820 positive roots; bound and verify corollary take at most {cli.BOUND_S_CAP}\n"
+
+
+def test_s_cap_is_inclusive(capsys, monkeypatch):
+    # A2 has s = 3
+    corollary = ["verify", "corollary", "--type", "A2", "--g", "1", "--p", "2", "--t", "3", "--r", "2",
+                 "--trials", "1", "--alpha", "1"]
+    monkeypatch.setattr(cli, "BOUND_S_CAP", 3)
+    assert invoke(capsys, "bound", "--type", "A2", "--g", "1", "--alpha", "1")[0] == 0
+    assert invoke(capsys, *corollary)[0] == 0
+    monkeypatch.setattr(cli, "BOUND_S_CAP", 2)
+    refused = (2, "", "error: A2 has 3 positive roots; bound and verify corollary take at most 2\n")
+    assert invoke(capsys, "bound", "--type", "A2", "--g", "1", "--alpha", "1") == refused
+    assert invoke(capsys, *corollary) == refused
 
 
 def test_power_cap_is_inclusive(capsys, monkeypatch):

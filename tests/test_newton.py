@@ -21,13 +21,14 @@ from slopebound.newton import (
     _char_poly_mod,
     _exact_precision,
     _field_width,
-    _hessenberg,
     _hessenberg_packed,
     _hessenberg_rows,
+    _pivot,
     _recurrence,
     _recurrence_packed,
     _recurrence_rows,
     _reduce_fields,
+    _steps,
     char_poly,
     check_lower_bound,
     matrix_newton_polygon,
@@ -207,9 +208,9 @@ class TestKernel:
 
         def spy(entries, p, s):
             seen.append((p, s))
-            return _hessenberg(entries, p, s)
+            return _char_poly_mod(entries, p, s)
 
-        monkeypatch.setattr(newton, "_hessenberg", spy)
+        monkeypatch.setattr(newton, "_char_poly_mod", spy)
         matrix_newton_polygon.cache_clear()
         return matrix_newton_polygon(matrix, p), seen
 
@@ -399,6 +400,31 @@ class TestPackedReduction:
         packed = char_poly_mod_by(_hessenberg_packed, entries, p, s)
         assert packed == char_poly_mod_by(_hessenberg_rows, entries, p, s)
 
+    @staticmethod
+    def pivot_calls(reduction, entries, p, s):
+        """_char_poly_mod on `reduction`, and a copy of what it hands _pivot at each step."""
+        seen = []
+
+        def spy(column, k, e, scales, p, q):
+            seen.append((column[:], k, e[:], scales[:], p, q))
+            return _pivot(column, k, e, scales, p, q)
+
+        with patch.object(newton, "_pivot", spy):
+            return char_poly_mod_by(reduction, entries, p, s), seen
+
+    @pytest.mark.parametrize("kind", KINDS + ["deep"])
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_and_packed_hand_the_pivot_the_same_values_at_every_step(self, kind, data, p, s):
+        # the column below the diagonal and the scales before each step, so the packed field reads
+        # are checked step by step and not only through the residues
+        entries = tuple(map(tuple, data.draw(shaped_matrices(kind, p, max_t=16))))
+        rows, rows_steps = self.pivot_calls(_hessenberg_rows, entries, p, s)
+        packed, packed_steps = self.pivot_calls(_hessenberg_packed, entries, p, s)
+        assert packed_steps == rows_steps
+        assert [k for _, k, *_ in rows_steps] == list(range(len(entries) - 2))
+        assert packed == rows
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_values_reach_a_quarter_of_the_field(self, p):
         # column 0 pivots on row 1 with f_i = q - 1 for every lower row, and every column after
@@ -485,6 +511,25 @@ class TestPackedRecurrence:
     @settings(max_examples=200, deadline=None)
     def test_same_coefficients_as_rows_for_any_modulus(self, inputs):
         assert _recurrence_packed(*inputs) == _recurrence_rows(*inputs)
+
+    @given(hessenberg_inputs())
+    @settings(max_examples=50, deadline=None)
+    def test_rows_and_packed_take_their_steps_from_one_routine(self, inputs):
+        a, _, scales, Q = inputs
+        taken = []
+        for recurrence in (_recurrence_rows, _recurrence_packed):
+            seen = []
+
+            def spy(*args):
+                for step in _steps(*args):
+                    seen.append(step)
+                    yield step
+
+            with patch.object(newton, "_steps", spy):
+                recurrence(*inputs)
+            taken.append(seen)
+        assert taken[0] == taken[1] == list(_steps(a, scales, Q))
+        assert [len(cs) for _, cs in taken[0]] == list(range(len(a)))
 
     @given(hessenberg_inputs(max_t=5))
     @settings(max_examples=30, deadline=None)
@@ -606,6 +651,30 @@ class TestCharPoly:
     @settings(max_examples=60, deadline=None)
     def test_diagonal_against_expansion_oracle(self, diag):
         assert char_poly(IntegerMatrix.diagonal(diag)) == charpoly_by_eigen_expansion(diag)
+
+    @pytest.mark.parametrize("kind", ["scaled", "deep", "spread"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_columns_with_contents_powers_of_2(self, kind, data):
+        rows = data.draw(shaped_matrices(kind, 2, max_t=12))
+        assert char_poly(IntegerMatrix(tuple(map(tuple, rows)))) == charpoly_faddeev_leverrier(rows)
+
+    def test_exact_run_balances_at_a_non_zero_scale(self):
+        # odd entries in columns scaled by 2^3, 2^5, 2^4, 2^6: a lowered scale is the valuation of
+        # some f_i 2^e_i, so every scale stays at least 3, and so does lam
+        rows = [[x * 2**k for x, k in zip(row, (3, 5, 4, 6))]
+                for row in ((3, 5, 7, 9), (1, 11, 13, 15), (17, 19, 21, 23), (25, 27, 29, 31))]
+        scales = []
+
+        def spy(ordered, hodge):
+            balanced = _balanced_scale(ordered, hodge)
+            scales.append(balanced[0])
+            return balanced
+
+        with patch.object(newton, "_balanced_scale", spy):
+            coeffs = char_poly(IntegerMatrix(tuple(map(tuple, rows))))
+        assert len(scales) == 1 and scales[0] >= 3
+        assert coeffs == charpoly_faddeev_leverrier(rows)
 
     @given(small_matrices)
     @settings(max_examples=40, deadline=None)

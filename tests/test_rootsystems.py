@@ -156,6 +156,32 @@ def test_large_rank_from_the_exponents():
     assert [counts[h] for h in range(1, 1001)] == list(range(1000, 0, -1))
 
 
+def exponents(letter, rank):
+    """The exponents m_1..m_n of a simple type (Humphreys, section 3.20, table 1)."""
+    if letter == "A":
+        return list(range(1, rank + 1))
+    if letter in "BC":
+        return list(range(1, 2 * rank, 2))
+    if letter == "D":
+        return [*range(1, 2 * rank - 2, 2), rank - 1]
+    return {"E6": [1, 4, 5, 7, 8, 11], "E7": [1, 5, 7, 9, 11, 13, 17], "E8": [1, 7, 11, 13, 17, 19, 23, 29],
+            "F4": [1, 5, 7, 11], "G2": [1, 5]}[f"{letter}{rank}"]
+
+
+@pytest.mark.parametrize("letter,ranks", [
+    ("A", range(1, 61)), ("B", range(2, 61)), ("C", range(2, 61)), ("D", range(4, 61)),
+    ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,)),
+])
+def test_closed_forms_equal_the_counts_from_the_exponents(letter, ranks):
+    for rank in ranks:
+        ms = exponents(letter, rank)
+        rs = build_root_system(letter, rank)
+        assert rs.s == sum(ms)
+        top = max(ms)
+        for H in (0, 1, 2, rank // 2, top - 1, top, top + 5):
+            assert rs.height_counts(H) == tuple(sum(m >= h for m in ms) for h in range(1, min(H, top) + 1))
+
+
 @pytest.mark.parametrize("letter,rank", [
     ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("A", 0), ("B", 1), ("H", 4), ("Q", 2),
 ])
