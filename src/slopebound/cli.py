@@ -44,7 +44,12 @@ BREAKPOINTS_CAP = 10**4
 # largest degree s of a Bernoulli polynomial B_s that `bernoulli --s` and `plf finf|finfstar --s`
 # build (finfstar builds B_{s+1} too), checked before any Bernoulli number is. Fresh-interpreter
 # `bernoulli --s` took 0.26 s at s = 1000, 0.66 s at 1500, 1.41 s at 2000, 2.66 s at 2500,
-# 4.31 s at 3000 and 21.9 s at 5000 (Python 3.11.7)
+# 4.31 s at 3000 and 21.9 s at 5000 (Python 3.11.7). It is also the most positive roots s of the
+# type that `verify chain` takes, checked before the chain's profiles are built, since f_infinity
+# builds B_s. Fresh-interpreter `verify chain --type X --g 1 --p 2 --t 4 --r 2 --trials 1` took
+# (in seconds, Python 3.11.7)
+#   E8 (s = 120) 0.11    A40 (820) 0.15     A50 (1275) 0.31    A55 (1540) 0.64    A62 (1953) 0.88
+#   D45 (1980) 0.89      A70 (2485) 1.50    A80 (3240) 3.48    A90 (4095) 7.96
 DEGREE_CAP = 2000
 # most --s times breakpoints (--jmax or --r) that `plf` computes: each breakpoint of finf and
 # finfstar evaluates a Bernoulli polynomial of degree about s, and each coordinate of fr has about
@@ -343,6 +348,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     system = build_root_system(*parse_label(args.label))
+    if args.what == "chain" and system.s > DEGREE_CAP:
+        raise CliUsageError(f"{system.label} has {system.s} positive roots; "
+                            f"verify chain takes at most {DEGREE_CAP}, the largest Bernoulli degree built")
     if args.what == "corollary":
         if args.alpha is None:
             raise CliUsageError("verify corollary requires --alpha")

@@ -17,18 +17,22 @@ p^s. A principal i-minor of M is p^(sum of its e_j) times the minor of A, so:
 Each step of the reduction is a similarity of M by an integer matrix with an
 integer inverse, such a change of A, or a lowering of one e_j that leaves M as
 it is. Lowering only decreases H, so the kernel knows c_i mod p^(H(i)+s) for
-the final H. For t >= 10 and a modulus below 2^64 the reduction runs on one
-int per column with fixed-width fields (Kronecker substitution), else on rows
-of ints; one routine, _pivot, takes every decision of a step for both forms,
-so they take the same steps by construction and differ only in how they store
-A. The recurrence then runs at a
+the final H. A step writes only entries that are read again: the pivot row
+keeps its entries, whose residues mod p^s drive the step, and the column being
+cleared keeps its entries below the subdiagonal, which nothing reads. So the
+entries that are read differ from a full reduction's by multiples of p^s, and
+the stored A is upper Hessenberg only in them. For t >= 8 and
+a modulus below 2^64 the reduction runs on one int per column with fixed-width
+fields (Kronecker substitution), else on rows of ints; one routine, _pivot,
+takes every decision of a step for both forms, so they take the same steps by
+construction and differ only in how they store A. The recurrence then runs at a
 balanced column scale lam, near the mean of the e_j: it computes
 g(Y) = det(Y diag(p^d+) - A diag(p^d-)) = p^(D+ - lam t) det(p^lam Y - M), with
 d+_j = (lam - e_j)+, d-_j = (e_j - lam)+ and D+, E- their sums, so
 c_i = p^(lam i - D+) g_(t-i). The residues c_i mod p^(H(i)+s) need g only mod
 Q = p^(s + max(D+, E-)), where the plain recurrence (lam = 0) needs
 p^(H(t)+s): about 2^20 against 2^120 at t = 40 and p = 2 when most e_j are
-alike. For t >= 10 and Q below 2^256 the recurrence holds each polynomial as
+alike. For t >= 8 and Q below 2^256 the recurrence holds each polynomial as
 one int with fixed-width fields and reduces every field at once (Barrett),
 else lists of ints; both take each step's coefficients from one routine,
 _steps. The exact coefficients, char_poly, are the symmetric lift of the
@@ -73,30 +77,34 @@ __all__ = [
 # polygons to the second run and saved no time.
 _SLACK = 8
 # _char_poly_mod reduces packed columns when t >= _PACK_FROM_T and p^s < _PACK_BELOW_Q. Per-call
-# time (ms) of _char_poly_mod at s = 8, rows/packed: gen_instance matrices, r = 3, b = (2, 1),
-# entries up to 50, six per cell, each the least of 7 alternating runs (Python 3.11.7):
+# time (ms) of _char_poly_mod at s = 8, rows/packed reduction: gen_instance matrices, r = 3,
+# b = (2, 1), entries up to 50, six per cell, each the least of 7 alternating runs (Python 3.11.7;
+# the shared host's speed moved between rows, so compare within a row):
 #    t  p = 2        p = 3        p = 5        p = 101      p = 65537
-#    2  0.015/0.023  0.017/0.026  0.017/0.026  0.018/0.028  0.019/0.031
-#    3  0.040/0.057  0.039/0.057  0.040/0.056  0.040/0.061  0.046/0.072
-#    4  0.062/0.084  0.063/0.084  0.070/0.091  0.076/0.100  0.100/0.129
-#    5  0.103/0.129  0.113/0.138  0.113/0.133  0.125/0.150  0.160/0.204
-#    6  0.133/0.154  0.116/0.135  0.144/0.168  0.169/0.202  0.252/0.304
-#    7  0.176/0.197  0.200/0.223  0.164/0.190  0.266/0.280  0.321/0.391
-#    8  0.188/0.209  0.259/0.271  0.272/0.277  0.368/0.377  0.575/0.653
-#    9  0.343/0.339  0.350/0.346  0.372/0.362  0.507/0.500  0.761/0.871
-#   10  0.406/0.385  0.434/0.407  0.467/0.424  0.620/0.607  1.001/1.051
-#   11  0.451/0.425  0.471/0.433  0.496/0.455  0.742/0.706  1.267/1.372
-#   12  0.602/0.545  0.560/0.511  0.698/0.627  0.871/0.794  1.437/1.564
-#   14  0.775/0.655  0.783/0.677  0.885/0.730  1.252/1.128  2.199/2.229
-#   16  0.904/0.746  0.948/0.774  1.095/0.862  1.541/1.340  2.823/2.931
-#   20  1.577/1.182  1.833/1.441  2.191/1.564  3.394/2.842  6.127/6.247
-#   24  2.648/1.871  2.931/2.127  3.535/2.419  5.347/4.437  12.239/12.360
-# While q = p^8 is at most 101^8 < 2^54, packing's fixed cost loses below t = 9, ties at t = 9
-# and wins from t = 10 on. The fields are about three times as wide as q, so the gain shrinks as
-# q grows: at 257^8 > 2^64 packing still loses at t = 10 (0.568/0.574) and at 65537^8 = 2^128 it
-# ties at best up to t = 40 (81.6/80.6). So char_poly, whose 2^s passes the Hadamard bound, keeps
-# rows unless the entries are tiny.
-_PACK_FROM_T = 10
+#    2  0.026/0.036  0.026/0.037  0.031/0.044  0.028/0.041  0.029/0.043
+#    3  0.055/0.070  0.058/0.072  0.059/0.075  0.063/0.080  0.069/0.090
+#    4  0.088/0.104  0.091/0.106  0.092/0.107  0.108/0.127  0.125/0.150
+#    5  0.130/0.144  0.126/0.142  0.111/0.126  0.166/0.178  0.208/0.240
+#    6  0.159/0.165  0.172/0.183  0.183/0.190  0.227/0.235  0.302/0.332
+#    7  0.226/0.223  0.222/0.220  0.237/0.229  0.304/0.300  0.409/0.451
+#    8  0.276/0.266  0.291/0.280  0.292/0.275  0.223/0.214  0.318/0.342
+#    9  0.205/0.192  0.212/0.197  0.226/0.206  0.288/0.269  0.408/0.430
+#   10  0.220/0.195  0.228/0.200  0.241/0.200  0.320/0.285  0.493/0.520
+#   11  0.277/0.235  0.285/0.243  0.297/0.249  0.553/0.456  0.744/0.812
+#   12  0.367/0.324  0.389/0.323  0.447/0.347  0.471/0.393  0.694/0.716
+#   14  0.742/0.542  0.435/0.324  0.796/0.551  1.090/0.845  0.979/1.007
+#   16  0.936/0.633  0.976/0.655  1.051/0.682  0.852/0.659  1.911/1.847
+#   20  0.914/0.567  1.578/0.952  1.052/0.627  2.417/1.723  2.518/2.536
+#   24  1.426/0.774  2.224/1.210  1.904/1.042  2.379/1.677  4.562/4.557
+# While q = p^8 is at most 101^8 < 2^54, packing's fixed cost loses below t = 7, ties at t = 7
+# and wins from t = 8 on. The fields are about three times as wide as q, so the gain shrinks as q
+# grows: at 257^8 > 2^64 packing wins by 4-13% at t = 8-12, and at 65537^8 = 2^128 it loses up
+# to t = 14 and ties from t = 16 to 24; the crossover between 2^64 and 2^128 is not measured. So
+# char_poly, whose 2^s passes the Hadamard bound, keeps rows unless the entries are tiny. The
+# constant also selects the packed recurrence (below): with both halves packed, the kernel on the
+# same matrices (p = 2, 3, 5, 101, least of 15) took 8%, 11% and 17% less time than on rows at
+# t = 7, 8 and 9, and tied at t = 6.
+_PACK_FROM_T = 8
 _PACK_BELOW_Q = 2**64
 # _recurrence packs the polynomials when t >= _PACK_FROM_T and Q < _PACK_RECURRENCE_BELOW_Q, Q the
 # recurrence's modulus. Per-call time (ms) of the recurrence, rows/packed, after the reduction at
@@ -115,7 +123,7 @@ _PACK_BELOW_Q = 2**64
 # grows the digit work takes over: the gain falls to 7% at 2^340, packing ties at about 2^390
 # and loses from 2^410 on. The table was taken on the plain recurrence, Q = p^(H(t)+s); at the
 # balanced scale verify's Q on these matrices is far smaller (about 2^23 at p = 3, t = 64 and
-# 2^21 at p = 2, t = 128, r = 4), so verify packs from t = 10 on. The bound keeps a margin below
+# 2^21 at p = 2, t = 128, r = 4), so verify packs from t = 8 on. The bound keeps a margin below
 # the tie for the exact run's Q = 2^(s + max(D+, E-)), which keeps rows once twice the Hadamard
 # bound passes 2^256 (2^375 for CLI newton on a t = 32 matrix with entries up to 1000).
 _PACK_RECURRENCE_BELOW_Q = 2**256
@@ -322,12 +330,13 @@ def _pivot(column: list[int], k: int, e: list[int], scales: list[int], p: int,
 
     Column k pivots on an entry of least valuation: where a_(k+1,k) is not one, M is first
     conjugated by the transposition of k+1 and piv, which swaps e and scales here. Row k+1 is
-    reduced mod q, and M is conjugated by I - sum f_i E_(i,k+1): rows i > k+1 lose f_i times row
-    k+1, then column k+1 of M gains sum f_i times column i, so column k+1 of A gains
+    taken mod q (a change of A by multiples of q, which the reductions use but do not store), and M
+    is conjugated by I - sum f_i E_(i,k+1): rows i > k+1 lose f_i times the residues of row k+1,
+    then column k+1 of M gains sum f_i times column i, so column k+1 of A gains
     f_i p^e_i / p^e_(k+1) times column i of A. Where a quotient is fractional, e_(k+1) first drops
     to the least v_p(f_i p^e_i), which multiplies column k+1 of A by lift and leaves M as it is;
-    lift is 1 where e_(k+1) stays. So after the row step column k+1 of A becomes lift times itself
-    plus sum_i multiples_i times column k+2+i.
+    lift is 1 where e_(k+1) stays, as it does whenever no later scale is below p^e_(k+1). So after
+    the row step column k+1 of A becomes lift times itself plus sum_i multiples_i times column k+2+i.
     """
     if (unit := gcd(q, *column)) == q:  # q = p^s, so unit = p^(least valuation of the entries mod q)
         return None
@@ -340,11 +349,18 @@ def _pivot(column: list[int], k: int, e: list[int], scales: list[int], p: int,
         scales[k + 1], scales[piv] = scales[piv], scales[k + 1]
     inverse = pow(column[0] % q // unit, -1, q)
     fs = [x // unit * inverse % q for x in column[1:]]
-    terms = list(map(mul, fs, scales[k + 2:]))
+    # where no later scale is below scale = p^e_(k+1), every term f_i p^e_i is a multiple of it, so
+    # nothing is lowered and the multiples are f_i p^(e_i - e_(k+1)): f_i where the scales are equal
+    scale, later = scales[k + 1], scales[k + 2:]
+    if later.count(scale) == len(later):
+        return piv, fs, 1, fs
+    if min(later) >= scale:
+        return piv, fs, 1, [f * (x // scale) for f, x in zip(fs, later)]
+    terms = list(map(mul, fs, later))
     lift = 1
-    if (common := gcd(*terms)) % scales[k + 1]:
+    if (common := gcd(*terms)) % scale:
         e[k + 1] = _valuation(common, p)
-        lift = scales[k + 1] // p ** e[k + 1] % q
+        lift = scale // p ** e[k + 1] % q
         scales[k + 1] = p ** e[k + 1]
     # every term is a multiple of the scale, so the division is exact
     return piv, fs, lift, [x // scales[k + 1] for x in terms]
@@ -354,8 +370,11 @@ def _hessenberg_rows(a: list[list[int]], e: list[int], scales: list[int], p: int
     """Bring the rows `a` of A to upper Hessenberg form in place, lowering `e` and `scales` as needed.
 
     Each step is a similarity of M by an integer matrix with an integer inverse, or changes a
-    column of A by a multiple of q; _pivot decides it, and a row of A is reduced mod q when it
-    becomes the pivot row.
+    column of A by a multiple of q; _pivot decides it. A step writes only entries that are read
+    again: the pivot row k+1 keeps its entries and the row step takes their residues mod q, and
+    the row step skips column k, whose entries below row k+1 nothing reads. So `a` ends upper
+    Hessenberg only in the entries _steps reads, rows 0..j+1 of column j, and those differ from a
+    full reduction's by multiples of q.
     """
     n = len(a)
     for k in range(n - 2):
@@ -366,9 +385,9 @@ def _hessenberg_rows(a: list[list[int]], e: list[int], scales: list[int], p: int
             a[k + 1], a[piv] = a[piv], a[k + 1]
             for row in a:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
-        a[k + 1][k:] = pivot = [x % q for x in a[k + 1][k:]]
+        pivot = [x % q for x in a[k + 1][k + 1:]]
         for row, f in zip(a[k + 2:], fs):
-            row[k:] = [x - f * y for x, y in zip(row[k:], pivot)]
+            row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], pivot)]
         for row in a:
             row[k + 1] = row[k + 1] * lift + sum(map(mul, multiples, row[k + 2:]))
 
@@ -376,18 +395,19 @@ def _hessenberg_rows(a: list[list[int]], e: list[int], scales: list[int], p: int
 def _field_width(a: list[list[int]], e: list[int], p: int, q: int) -> int:
     """Bits w of a packed field: every value _hessenberg_rows makes from `a` lies in (-2^(w-1), 2^(w-1)).
 
-    The values stay below V = p^E (a0 + t q^2)(1 + t q) + q^2 in absolute value, E the largest
-    e_j and a0 the largest |a_ij| at the start:
-      - a row step subtracts f * y with f, y in [0, q), at most t - 2 times from one entry, and
-        pivot entries are reduced into [0, q), so a column before its column step holds values
-        below a0 + t q^2;
+    The values stay below V = p^E (a0 + t q^2)(1 + t q) in absolute value, E the largest e_j and
+    a0 the largest |a_ij| at the start:
+      - the row step at k subtracts f * r with f in [0, q) and r a residue mod q from the entries
+        of columns k+1 on below row k+1, so at most t - 2 times from one entry, and column j only
+        at k <= j - 1: before its column step column j holds values below a0 + t q^2;
       - column j's step, at k = j - 1, multiplies it by lift = p^(e_old - e_new) mod q <= p^E and
-        adds at most t - 2 such columns times f_i p^e_i / p^e_j <= q p^E, which makes at most
-        p^E (a0 + t q^2)(1 + t q); after it only the row step at k = j changes column j, by < q^2.
+        adds at most t - 2 columns not yet stepped times f_i p^e_i / p^e_j <= q p^E, which makes
+        at most p^E (a0 + t q^2)(1 + t q); after it no step changes column j, and row swaps only
+        permute its entries.
     """
     t = len(a)
     a0 = max(max(map(abs, row)) for row in a)
-    return (p ** max(e) * (a0 + t * q * q) * (1 + t * q) + q * q).bit_length() + 1
+    return (p ** max(e) * (a0 + t * q * q) * (1 + t * q)).bit_length() + 1
 
 
 def _hessenberg_packed(a: list[list[int]], e: list[int], scales: list[int], p: int, q: int) -> None:
@@ -396,8 +416,8 @@ def _hessenberg_packed(a: list[list[int]], e: list[int], scales: list[int], p: i
 
     Column j is sum_i (a_ij + bias) 2^at[i], bias = 2^(w-1): the w-bit field at bit at[i], read
     as (c >> at[i] & mask) - bias, holds a_ij, and stays in [0, 2^w) by _field_width, so no
-    carry crosses fields. A row operation is one multiply-add on each column, and a row swap
-    only swaps two offsets. Only the Hessenberg entries, rows 0..j+1 of column j, are written
+    carry crosses fields. A row step is one multiply-add on each column from k+1 on, and a row
+    swap only swaps two offsets. Only the Hessenberg entries, rows 0..j+1 of column j, are written
     back to `a`.
     """
     n = len(a)
@@ -414,12 +434,11 @@ def _hessenberg_packed(a: list[list[int]], e: list[int], scales: list[int], p: i
         if piv > k + 1:
             at[k + 1], at[piv] = at[piv], at[k + 1]
             cols[k + 1], cols[piv] = cols[piv], cols[k + 1]
-        # row k+1 is reduced mod q, then rows i > k+1 lose f_i times it: column j's pivot field x
-        # becomes r = x mod q and field i loses f_i r, so the column gains r (2^shift - F) - x 2^shift
+        # rows i > k+1 lose f_i times the residues r = x mod q of row k+1: each column from k+1 on
+        # loses r F, F = sum_i f_i 2^at[i], and its pivot field x and column k stay as they are
         shift = at[k + 1]
-        lows = (1 << shift) - sum(map(lshift, fs, at[k + 2:]))
-        pivots = [(c >> shift & mask) - bias for c in cols[k:]]
-        cols[k:] = [c - (x << shift) + x % q * lows for c, x in zip(cols[k:], pivots)]
+        F = sum(map(lshift, fs, at[k + 2:]))
+        cols[k + 1:] = [c - ((c >> shift & mask) - bias) % q * F for c in cols[k + 1:]]
         # the biases of the fields scale with the column, so lift - 1 + sum(multiples) of them go
         cols[k + 1] = (cols[k + 1] * lift + sum(map(mul, multiples, cols[k + 2:]))
                        - (lift - 1 + sum(multiples)) * biases)

@@ -227,6 +227,24 @@ def test_s_cap_is_inclusive(capsys, monkeypatch):
     assert invoke(capsys, *corollary) == refused
 
 
+@pytest.mark.parametrize(("label", "s"), [("A63", 2016), ("A100", 5050)])
+def test_verify_chain_above_the_degree_cap_is_refused_before_any_profile(capsys, monkeypatch, label, s):
+    argv = ["verify", "chain", "--type", label, "--g", "1", "--p", "2", "--t", "4", "--r", "2", "--trials", "1"]
+    err = usage_error_before_any_work(capsys, monkeypatch, ["verify_chain", "draw_b_seq", "gen_instance"], argv)
+    assert err == (f"error: {label} has {s} positive roots; verify chain takes at most {cli.DEGREE_CAP}, "
+                   "the largest Bernoulli degree built\n")
+
+
+def test_verify_chain_degree_cap_is_inclusive(capsys, monkeypatch):
+    # A2 has s = 3
+    chain = ["verify", "chain", "--type", "A2", "--g", "1", "--p", "2", "--t", "3", "--r", "2", "--trials", "1"]
+    monkeypatch.setattr(cli, "DEGREE_CAP", 3)
+    assert invoke(capsys, *chain)[0] == 0
+    monkeypatch.setattr(cli, "DEGREE_CAP", 2)
+    assert invoke(capsys, *chain) == (
+        2, "", "error: A2 has 3 positive roots; verify chain takes at most 2, the largest Bernoulli degree built\n")
+
+
 def test_power_cap_is_inclusive(capsys, monkeypatch):
     # alpha = 4 has 3 + 1 bits, so at s = 1 (A1) alpha^s is estimated at 4 bits
     monkeypatch.setattr(cli, "POWER_BITS_CAP", 4)

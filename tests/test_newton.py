@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import accumulate, permutations
 from math import gcd, isqrt
@@ -382,6 +383,93 @@ class TestBalancedRecurrence:
         assert short[:2] == residues[:2] and short[2] != residues[2]
 
 
+def pivot_reference(column, k, e, scales, p, q):
+    """_pivot's decisions from the full arithmetic at every step, with no early exit: the terms
+    f_i p^e_i, their gcd and the division by the scale."""
+    if (unit := gcd(q, *column)) == q:
+        return None
+    piv = k + 1
+    if column[0] % (unit * p) == 0:
+        i = next(i for i, x in enumerate(column) if x % (unit * p))
+        column[0], column[i] = column[i], column[0]
+        piv += i
+        e[k + 1], e[piv] = e[piv], e[k + 1]
+        scales[k + 1], scales[piv] = scales[piv], scales[k + 1]
+    inverse = pow(column[0] % q // unit, -1, q)
+    fs = [x // unit * inverse % q for x in column[1:]]
+    terms = list(map(mul, fs, scales[k + 2:]))
+    lift = 1
+    if (common := gcd(*terms)) % scales[k + 1]:
+        e[k + 1] = newton._valuation(common, p)
+        lift = scales[k + 1] // p ** e[k + 1] % q
+        scales[k + 1] = p ** e[k + 1]
+    return piv, fs, lift, [x // scales[k + 1] for x in terms]
+
+
+def hessenberg_reference(a, e, scales, p, q):
+    """The full reduction: the pivot row is reduced mod q in place, and the row step clears column
+    k too, so every entry below the subdiagonal ends a multiple of q. Its steps come from
+    newton._pivot, so a spy on that name sees them."""
+    n = len(a)
+    for k in range(n - 2):
+        if not (step := newton._pivot([row[k] for row in a[k + 1:]], k, e, scales, p, q)):
+            continue
+        piv, fs, lift, multiples = step
+        if piv > k + 1:
+            a[k + 1], a[piv] = a[piv], a[k + 1]
+            for row in a:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+        a[k + 1][k:] = pivot = [x % q for x in a[k + 1][k:]]
+        for row, f in zip(a[k + 2:], fs):
+            row[k:] = [x - f * y for x, y in zip(row[k:], pivot)]
+        for row in a:
+            row[k + 1] = row[k + 1] * lift + sum(map(mul, multiples, row[k + 2:]))
+
+
+@st.composite
+def pivot_inputs(draw, case):
+    """(column, k, e, scales, p, q) for step k of the reduction. Except in "any", column[0] is
+    prime to p, so the step pivots in place on row k+1, and the scales after it are: "equal", all
+    equal to its scale; "above", none below it and one above; "below", one below it, to which the
+    step may lower its scale. "any" arranges nothing, so transpositions and zero columns occur."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    q = p ** draw(st.integers(min_value=1, max_value=10))
+    t = draw(st.integers(min_value=3, max_value=12))
+    k = draw(st.integers(min_value=0, max_value=t - 3))
+    column = draw(st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=t - k - 1,
+                           max_size=t - k - 1))
+    column = [x * p ** draw(st.integers(min_value=0, max_value=4)) for x in column]
+    e = draw(st.lists(st.integers(min_value=0, max_value=8), min_size=t, max_size=t))
+    if case != "any":
+        column[0] = column[0] * p + 1
+        rest = e[k + 1:]
+        if case == "equal":
+            rest = [rest[0]] * len(rest)
+        elif case == "above":
+            rest[1:] = [max(x, rest[0]) for x in rest[1:]]
+            rest[-1] = max(rest[-1], rest[0] + 1)
+        else:
+            rest[0] = max(rest[0], 1)
+            rest[-1] = min(rest[-1], rest[0] - 1)
+        e[k + 1:] = rest
+    return column, k, e, [p**x for x in e], p, q
+
+
+class TestPivot:
+    @pytest.mark.parametrize("case", ["equal", "above", "below", "any"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_step_as_the_full_arithmetic(self, case, data):
+        column, k, e, scales, p, q = data.draw(pivot_inputs(case))
+        least, most, scale = min(scales[k + 2:]), max(scales[k + 2:]), scales[k + 1]
+        assert {"equal": least == most == scale, "above": least >= scale < most,
+                "below": least < scale}.get(case, True)
+        expected_args = (column[:], k, e[:], scales[:])
+        expected = pivot_reference(*expected_args, p, q)
+        assert _pivot(column, k, e, scales, p, q) == expected
+        assert (column, k, e, scales) == expected_args
+
+
 def char_poly_mod_by(reduction, entries, p, s):
     """_char_poly_mod with `reduction` in place of whichever Hessenberg reduction it selects."""
     with patch.object(newton, "_hessenberg_rows", reduction), \
@@ -417,13 +505,79 @@ class TestPackedReduction:
     @settings(max_examples=40, deadline=None)
     def test_rows_and_packed_hand_the_pivot_the_same_values_at_every_step(self, kind, data, p, s):
         # the column below the diagonal and the scales before each step, so the packed field reads
-        # are checked step by step and not only through the residues
+        # are checked step by step and not only through the residues; both are also checked against
+        # the full reduction, which writes back the pivot row mod q and clears column k
         entries = tuple(map(tuple, data.draw(shaped_matrices(kind, p, max_t=16))))
         rows, rows_steps = self.pivot_calls(_hessenberg_rows, entries, p, s)
         packed, packed_steps = self.pivot_calls(_hessenberg_packed, entries, p, s)
-        assert packed_steps == rows_steps
+        full, full_steps = self.pivot_calls(hessenberg_reference, entries, p, s)
+        assert packed_steps == rows_steps == full_steps
         assert [k for _, k, *_ in rows_steps] == list(range(len(entries) - 2))
-        assert packed == rows
+        assert packed == rows == full
+
+    @pytest.mark.parametrize(("seed", "p", "t"), [(3, 2, 24), (4, 3, 32), (6, 2, 40)])
+    def test_generated_instances_take_the_full_reductions_steps(self, seed, p, t):
+        entries = gen_instance(seed, p=p, t=t, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50).matrix.entries
+        full, full_steps = self.pivot_calls(hessenberg_reference, entries, p, SLACK)
+        for reduction in (_hessenberg_rows, _hessenberg_packed):
+            assert self.pivot_calls(reduction, entries, p, SLACK) == (full, full_steps)
+
+    @staticmethod
+    def states(reduction, a, e, scales, p, q):
+        """Run `reduction` and return A as it holds it before each step and at the end, row by row;
+        the packed form's fields are decoded, row i from bit at[i] of each column."""
+        seen = []
+
+        def read(frame):
+            names = frame.f_locals
+            if "cols" in names:
+                at, mask, bias = names["at"], names["mask"], names["bias"]
+                seen.append([[(c >> x & mask) - bias for c in names["cols"]] for x in at])
+            else:
+                seen.append([row[:] for row in names["a"]])
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is _pivot.__code__ and frame.f_back.f_code is reduction.__code__:
+                read(frame.f_back)
+            elif event == "return" and frame.f_code is reduction.__code__:
+                read(frame)
+
+        before = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            reduction(a, e, scales, p, q)
+        finally:
+            sys.setprofile(before)
+        return seen
+
+    def assert_fields_hold_every_value(self, entries, p, s):
+        """Both forms hold the same A after every step, every value inside (-2^(w-1), 2^(w-1)) for
+        the width of _field_width: so no packed field, Hessenberg or not, carried into the next."""
+        runs = {}
+
+        def both(a, e, scales, p, q):
+            runs["w"] = _field_width(a, e, p, q)
+            for reduction in (_hessenberg_rows, _hessenberg_packed):
+                runs[reduction] = self.states(reduction, [row[:] for row in a], e[:], scales[:], p, q)
+            _hessenberg_rows(a, e, scales, p, q)
+
+        char_poly_mod_by(both, entries, p, s)
+        bound = 2 ** (runs["w"] - 1)
+        rows = runs[_hessenberg_rows]
+        assert len(rows) == max(len(entries) - 2, 0) + 1  # before each step, and at the end
+        assert runs[_hessenberg_packed] == rows
+        assert all(-bound < x < bound for state in rows for row in state for x in row)
+
+    @pytest.mark.parametrize("kind", ["deep", "scaled", "random"])
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=30, deadline=None)
+    def test_every_field_after_every_step_holds_its_value(self, kind, data, p, s):
+        self.assert_fields_hold_every_value(tuple(map(tuple, data.draw(shaped_matrices(kind, p, max_t=16)))), p, s)
+
+    @pytest.mark.parametrize(("seed", "p", "t"), [(3, 2, 24), (4, 3, 32), (6, 2, 40)])
+    def test_every_field_of_a_generated_instance_holds_its_value(self, seed, p, t):
+        inst = gen_instance(seed, p=p, t=t, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50)
+        self.assert_fields_hold_every_value(inst.matrix.entries, p, SLACK)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_values_reach_a_quarter_of_the_field(self, p):
@@ -444,6 +598,7 @@ class TestPackedReduction:
         residues, hodge = char_poly_mod_by(_hessenberg_packed, entries, p, s)
         assert (residues, hodge) == char_poly_mod_by(_hessenberg_rows, entries, p, s)
         assert residues == [c % p ** (k + s) for c, k in zip(charpoly_faddeev_leverrier(entries), hodge)]
+        self.assert_fields_hold_every_value(entries, p, s)
 
     @pytest.mark.parametrize(("t", "p", "s", "packed"), [
         (newton._PACK_FROM_T - 1, 2, SLACK, False),
