@@ -39,7 +39,8 @@ DIVISORS_CAP = 10**6
 # exponent is above the cap in size is refused while parsing, since Fraction builds 10^exponent
 POWER_BITS_CAP = 2**16
 # most breakpoints `plf` builds, one per unit of --jmax (finf, finfstar) or --r (fr); --jmax 10^5
-# took 4 s and --jmax 10^12 never ended
+# took 4 s and --jmax 10^12 never ended. It is also the largest --r that `verify` takes, since the
+# chain's f_r and f_infinity have r + 1 breakpoints each; `verify chain --r 100000` ran past 15 s
 BREAKPOINTS_CAP = 10**4
 # largest degree s of a Bernoulli polynomial B_s that `bernoulli --s` and `plf finf|finfstar --s`
 # build (finfstar builds B_{s+1} too), checked before any Bernoulli number is. Fresh-interpreter
@@ -67,6 +68,14 @@ PLF_SIZE_CAP = 10**5
 #   A31 (496) 6.82       A32 (528) 9.03
 # and A40 (820) did not end in 40 s
 BOUND_S_CAP = 500
+# largest --t that `verify` takes, checked before gen_instance: its cost is the t^2 PCG64 draws and
+# the O(t^3) Newton kernel, for the chain and the corollary alike. Fresh-interpreter
+# `verify chain|corollary --type A2 --g 1 --p 2 --r 3 --trials 1` (corollary with --alpha 1) took
+# (in seconds, Python 3.11.7)
+#   t = 128 0.18/0.18   200 0.20/0.19   300 0.44/0.61   400 1.20/1.15   500 2.09/2.06
+#   t = 600 3.61/3.27   700 4.89/4.25   800 5.35/6.43   1000 10.53/13.09
+# and `--type G2 --p 5 --r 4` at t = 500 took 2.59/2.90
+VERIFY_T_CAP = 500
 _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
 
 
@@ -347,6 +356,11 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.r > BREAKPOINTS_CAP:
+        raise CliUsageError(f"--r {args.r} is above {BREAKPOINTS_CAP}, "
+                            "the most breakpoints verify builds for f_r and f_infinity")
+    if args.t > VERIFY_T_CAP:
+        raise CliUsageError(f"--t {args.t} is above {VERIFY_T_CAP}, the largest matrix verify draws")
     system = build_root_system(*parse_label(args.label))
     if args.what == "chain" and system.s > DEGREE_CAP:
         raise CliUsageError(f"{system.label} has {system.s} positive roots; "

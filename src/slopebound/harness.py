@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, repeat
-from operator import mul
+from itertools import accumulate, chain, islice, repeat
+from operator import mul, sub
 
 from ._pcg64 import PCG64
 from ._value import Value
@@ -29,7 +29,7 @@ from .bernoulli import faulhaber_sum
 from .bounds import build_params, dimension_bound, sharp_dimension_bound
 from .counting import ElemDivSeq, _divisor_exponents
 from .newton import IntegerMatrix, matrix_newton_polygon, slope_le_dimension
-from .plf import f_infinity, f_r, from_divisor_sequence
+from .plf import PiecewiseLinear, f_infinity, f_r, from_divisor_sequence
 from .rootsystems import RootSystem
 
 __all__ = [
@@ -165,32 +165,48 @@ class _ChainConstants(Value):
     _fields = ("a_adjusted", "f_a", "f_r", "f_inf", "fa_ge_fr", "fr_eq_finf_on_window")
 
 
+# 64 holds every (s, g, r) of the acceptance grid (36 keys).
+@lru_cache(maxsize=64)
+def _ramp_constants(s: int, g: int, r: int) -> tuple[PiecewiseLinear, PiecewiseLinear, bool]:
+    """f_r, f_infinity and link 4, which depend on the type only through s, and not on t."""
+    ramp = f_r(s, g, r)
+    limit = f_infinity(s, g, r)
+    return ramp, limit, ramp.agrees_with(limit, g * faulhaber_sum(s, r + 1))
+
+
 # 256 holds every (type, g, r, t) of the acceptance grid (252 keys).
 @lru_cache(maxsize=256)
 def _chain_constants(system: RootSystem, g: int, r: int, t: int) -> _ChainConstants:
     a_adjusted = _adjusted_divisors(system, g, r, t)
     f_a = from_divisor_sequence(ElemDivSeq(tuple(e for e in a_adjusted if e > 0)), r, t)
-    ramp = f_r(system.s, g, r)
-    limit = f_infinity(system.s, g, r)
-    window = g * faulhaber_sum(system.s, r + 1)
+    ramp, limit, fr_eq_finf_on_window = _ramp_constants(system.s, g, r)
     return _ChainConstants(
         a_adjusted=a_adjusted,
         f_a=f_a,
         f_r=ramp,
         f_inf=limit,
         fa_ge_fr=f_a.dominates(ramp, t),
-        fr_eq_finf_on_window=ramp.agrees_with(limit, window),
+        fr_eq_finf_on_window=fr_eq_finf_on_window,
     )
 
 
 def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
     """Check polygon >= f_b >= f_a >= f_r plus the f_r/f_infinity coincidence window.
 
-    Only the first two links depend on the instance; the rest are computed
-    once per (system, g, r, t). The b-sequence is non-increasing, so f_b is
-    convex and the polygon minus f_b is concave on each hull segment: the
-    polygon dominates f_b exactly when its vertices do. Link 1 compares only
-    those, each with f_b's breakpoint at the same integer x.
+    Only the first two links depend on the instance; link 3 is computed once
+    per (system, g, r, t), and f_r, f_infinity and link 4 once per (s, g, r).
+    The b-sequence is non-increasing, so f_b is convex and the polygon minus
+    f_b is concave on each hull segment: the polygon dominates f_b exactly
+    when its vertices do. Link 1 compares only those, each with f_b's
+    breakpoint at the same integer x.
+
+    Link 2: f_b and f_a both have a breakpoint at every integer of [0, t] and
+    are linear in between, so f_b >= f_a exactly when C_b(j) - C_a(j), the
+    prefix sum of a_l - b_l over l <= j, is non-negative for every j. The
+    hypothesis guard requires b_l <= a_l for every l, so link 2 holds
+    whenever the guard passes. The check still catches a guard that is
+    bypassed or compares the wrong sequences. It is weaker than the guard:
+    a b above a at some l passes it while no prefix sum of b exceeds a's.
     """
     if g < 1:
         raise ValueError("g must be positive")
@@ -200,7 +216,7 @@ def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
     polygon = matrix_newton_polygon(inst.matrix, inst.p)
     return ChainReport(
         newton_ge_fb=all(y >= f_b.breakpoints[int(x)][1] for x, y in polygon.polygon.breakpoints),
-        fb_ge_fa=f_b.dominates(const.f_a, inst.t),
+        fb_ge_fa=min(accumulate(map(sub, const.a_adjusted, inst.b_seq.padded(inst.t)))) >= 0,
         fa_ge_fr=const.fa_ge_fr,
         fr_eq_finf_on_window=const.fr_eq_finf_on_window,
         polygon=polygon,

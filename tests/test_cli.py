@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slopebound
-from slopebound import cli
+from slopebound import cli, harness
 from slopebound.bounds import BoundParams, build_params
 from slopebound.cli import run
 from slopebound.harness import CorollaryReport, verify_corollary
@@ -105,9 +105,14 @@ def test_out_of_memory_is_a_usage_error():
         ["count-nh", "A1", "--max-h", "1000000000000"],
         ["verify", "chain", "--type", "A2", "--g", "1", "--p", "2", "--t", "100000", "--r", "2", "--trials", "1"],
     ]
-    for argv, (code, _, err) in zip(huge, run_out_of_memory_child(huge)):
+    expected = [
+        "error: out of memory; the input is too large\n",
+        # refused by the cap on --t before the 10^10 entries are drawn
+        f"error: --t 100000 is above {cli.VERIFY_T_CAP}, the largest matrix verify draws\n",
+    ]
+    for argv, (code, _, err), line in zip(huge, run_out_of_memory_child(huge), expected):
         assert code == 2, (argv, err)
-        assert err == "error: out of memory; the input is too large\n", (argv, err)
+        assert err == line, (argv, err)
 
 
 def binomial_series_counts(ks, H):
@@ -243,6 +248,38 @@ def test_verify_chain_degree_cap_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "DEGREE_CAP", 2)
     assert invoke(capsys, *chain) == (
         2, "", "error: A2 has 3 positive roots; verify chain takes at most 2, the largest Bernoulli degree built\n")
+
+
+VERIFY_KINDS = [["chain"], ["corollary", "--alpha", "1"]]
+R_CAP_MESSAGE = "the most breakpoints verify builds for f_r and f_infinity"
+T_CAP_MESSAGE = "the largest matrix verify draws"
+
+
+@pytest.mark.parametrize("what", VERIFY_KINDS)
+@pytest.mark.parametrize(("t", "r", "flag", "cap", "message"), [
+    ("4", "100000", "--r 100000", "BREAKPOINTS_CAP", R_CAP_MESSAGE),
+    ("100000", "2", "--t 100000", "VERIFY_T_CAP", T_CAP_MESSAGE),
+])
+def test_verify_r_or_t_above_its_cap_is_refused_before_any_draw_or_profile(capsys, monkeypatch, what, t, r, flag,
+                                                                          cap, message):
+    monkeypatch.setattr(harness, "_chain_constants", lambda *args: pytest.fail("the chain's profiles were built"))
+    argv = ["verify", *what, "--type", "A2", "--g", "1", "--p", "2", "--t", t, "--r", r, "--trials", "1"]
+    err = usage_error_before_any_work(capsys, monkeypatch, ["draw_b_seq", "gen_instance", "verify_chain",
+                                                            "verify_corollary"], argv)
+    assert err == f"error: {flag} is above {getattr(cli, cap)}, {message}\n"
+
+
+@pytest.mark.parametrize(("cap", "flag", "other", "message"), [
+    ("BREAKPOINTS_CAP", "--r", ["--t", "3"], R_CAP_MESSAGE),
+    ("VERIFY_T_CAP", "--t", ["--r", "2"], T_CAP_MESSAGE),
+])
+def test_verify_r_and_t_caps_are_inclusive(capsys, monkeypatch, cap, flag, other, message):
+    assert cli.VERIFY_T_CAP >= 128  # CI runs verify chain at t = 128
+    monkeypatch.setattr(cli, cap, 3)
+    for what in VERIFY_KINDS:
+        verify = ["verify", *what, "--type", "A2", "--g", "1", "--p", "2", *other, "--trials", "1"]
+        assert invoke(capsys, *verify, flag, "3")[0] == 0
+        assert invoke(capsys, *verify, flag, "4") == (2, "", f"error: {flag} 4 is above 3, {message}\n")
 
 
 def test_power_cap_is_inclusive(capsys, monkeypatch):

@@ -245,10 +245,13 @@ def test_entry_bound_past_int64_raises():
 
 @pytest.fixture
 def fresh_chain_cache():
-    """An empty per-parameter cache of verify_chain, before the test and after it."""
-    harness._chain_constants.cache_clear()
+    """Empty per-parameter caches of verify_chain, before the test and after it."""
+    caches = (harness._chain_constants, harness._ramp_constants)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    harness._chain_constants.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def test_cached_links_equal_direct_recomputation(fresh_chain_cache):
@@ -305,6 +308,41 @@ def test_link_2_can_fail_past_the_hypothesis_guard(monkeypatch):
     report = verify_chain(inst, A1, 1)
     assert report.fb_ge_fa is False
     assert report.all_hold is False
+
+
+@st.composite
+def link_2_cases(draw):
+    """(instance, system, g): t <= 40, r <= 4 and a non-increasing b drawn below the divisors a, within one of
+    them (so that its prefix sums may dip below a's and come back), or freely."""
+    system, g = draw(st.sampled_from([A1, A2, B2, G2])), draw(st.integers(1, 3))
+    r, t = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    a = harness._adjusted_divisors(system, g, r, t)
+    kind = draw(st.sampled_from(["below", "near", "free"]))
+    if kind == "below":
+        b = [draw(st.integers(0, al)) for al in a]
+    elif kind == "near":
+        b = [min(r, max(0, al + draw(st.integers(-1, 1)))) for al in a]
+    else:
+        b = draw(st.lists(st.integers(1, r), max_size=t))
+    b_seq = ElemDivSeq(tuple(filter(None, sorted(b, reverse=True))))
+    return gen_instance(draw(st.integers(0, 2**32)), p=2, t=t, r=r, b_seq=b_seq, entry_bound=9), system, g
+
+
+def test_link_2_equals_the_merge_walk_past_the_hypothesis_guard(monkeypatch):
+    """The prefix-sum check of f_b >= f_a decides what the merge walk does, where it holds and where it fails."""
+    monkeypatch.setattr(harness, "_require_hypothesis", lambda inst, a_adjusted: None)
+    seen = set()
+
+    @given(link_2_cases())
+    @settings(max_examples=150, deadline=None)
+    def check(case):
+        inst, system, g = case
+        report = verify_chain(inst, system, g)
+        assert report.fb_ge_fa == report.f_b.dominates(report.f_a, inst.t)
+        seen.add(report.fb_ge_fa)
+
+    check()
+    assert seen == {True, False}
 
 
 @st.composite

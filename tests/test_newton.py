@@ -792,6 +792,63 @@ class TestPackedRecurrence:
         assert self.taken(char_poly, IntegerMatrix.diagonal(diagonal)) == ["packed" if packed else "rows"]
 
 
+@st.composite
+def generated_matrices(draw):
+    """(matrix, p): a gen_instance matrix at t = 16..64, where both packed paths run and the exact
+    oracles are slow."""
+    t, p, r = draw(st.integers(16, 64)), draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 4))
+    b = sorted(draw(st.lists(st.integers(1, r), max_size=t // 2)), reverse=True)
+    seed = draw(st.integers(0, 2**32))
+    return gen_instance(seed, p=p, t=t, r=r, b_seq=ElemDivSeq(tuple(b)), entry_bound=50).matrix, p
+
+
+class TestMetamorphic:
+    """Relations between the polygons of related matrices, which check the packed kernel where it runs
+    without an exact oracle."""
+
+    @staticmethod
+    def packed_polygon(matrix, p):
+        """The polygon, with a check that its first kernel run took both packed paths."""
+        calls = []
+
+        def spy(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        with patch.object(newton, "_hessenberg_packed", spy("reduction", _hessenberg_packed)), \
+                patch.object(newton, "_recurrence_packed", spy("recurrence", _recurrence_packed)):
+            matrix_newton_polygon.cache_clear()
+            polygon = matrix_newton_polygon(matrix, p)
+        assert calls[:2] == ["reduction", "recurrence"]
+        return polygon
+
+    @given(generated_matrices(), st.randoms(use_true_random=False))
+    @settings(max_examples=15, deadline=None)
+    def test_permutation_similarity_keeps_the_polygon(self, case, rng):
+        matrix, p = case
+        order = list(range(matrix.t))
+        rng.shuffle(order)
+        permuted = IntegerMatrix(tuple(tuple(matrix.entries[i][j] for j in order) for i in order))
+        assert self.packed_polygon(permuted, p) == self.packed_polygon(matrix, p)
+
+    @given(generated_matrices())
+    @settings(max_examples=15, deadline=None)
+    def test_p_times_the_matrix_raises_every_slope_by_one(self, case):
+        # c_i(pM) = p^i c_i(M), so each vertex (i, y) moves to (i, y + i)
+        matrix, p = case
+        polygon = self.packed_polygon(matrix, p)
+        scaled = self.packed_polygon(IntegerMatrix(tuple(tuple(p * x for x in row) for row in matrix.entries)), p)
+        assert scaled.polygon.breakpoints == tuple((x, y + x) for x, y in polygon.polygon.breakpoints)
+        assert scaled.infinite_slopes == polygon.infinite_slopes
+
+    @pytest.mark.parametrize(("seed", "p"), [(0, 2), (1, 3)])
+    def test_transpose_keeps_the_polygon(self, seed, p):
+        # the transpose's column contents are those of M's rows, so it takes the exact rerun
+        matrix = gen_instance(seed, p=p, t=24, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50).matrix
+        transposed = IntegerMatrix(tuple(zip(*matrix.entries)))
+        matrix_newton_polygon.cache_clear()
+        assert matrix_newton_polygon(transposed, p) == self.packed_polygon(matrix, p)
+
+
 class TestCharPoly:
     def test_identity(self):
         assert char_poly(identity(2)) == [1, -2, 1]
