@@ -76,6 +76,23 @@ BOUND_S_CAP = 500
 #   t = 600 3.61/3.27   700 4.89/4.25   800 5.35/6.43   1000 10.53/13.09
 # and `--type G2 --p 5 --r 4` at t = 500 took 2.59/2.90
 VERIFY_T_CAP = 500
+# most --t times --r times the bit length of --p that `verify` takes, checked before gen_instance. The
+# matrix entries carry p^(r - b_l), and where the kernel lowers the column scales by more than its
+# 8 and 16 digits of slack, both runs leave zero residues on the hull and the exact char_poly runs
+# on t-by-t entries of about r log2(p) bits. Fresh-interpreter `verify chain --type A2 --g 1 --p P
+# --t T --r R --trials 1` took, at the last two r of the doubling from 1 (worst of seeds 0, 1, 2, in
+# seconds, Python 3.11.7; "-" did not end in 15 s)
+#     t  p = 2                p = 3                p = 5                p = 65537
+#    16  2048 3.30 4096 12.3  2048 7.25 4096 -     2048 9.18 4096 -     2048 3.34 4096 11.3
+#    32   512 5.63 1024 -      256 3.61  512 11.3   256 5.37  512 -      512 5.57 1024 -
+#    64    64 4.22  128 10.3    32 3.75   64 10.9    32 0.12   64 12.1    64 4.47  128 10.7
+#   128    16 0.25   32 -       32 0.70   64 -       64 5.41  128 -       16 4.70   32 -
+#   256     8 0.66   16 -       32 7.55   64 -       16 4.26   32 -        4 4.07    8 -
+#   500     8 2.25   16 14.2     8 3.63   16 -        8 8.21   16 -              1 -
+# Every cell at or below the cap took at most 3.75 s (p = 3, t = 64, r = 32); at twice the cap
+# p = 2 did not end at t = 128 (r = 32) and t = 256 (r = 16). At p = 65537, t = 500 did not end
+# even at r = 1, and the cap refuses t > 240 there.
+VERIFY_SIZE_CAP = 4096
 _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
 
 
@@ -361,6 +378,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                             "the most breakpoints verify builds for f_r and f_infinity")
     if args.t > VERIFY_T_CAP:
         raise CliUsageError(f"--t {args.t} is above {VERIFY_T_CAP}, the largest matrix verify draws")
+    if (size := args.t * args.r * args.p.bit_length()) > VERIFY_SIZE_CAP:
+        raise CliUsageError(f"--t {args.t} times --r {args.r} times the {args.p.bit_length()} bits of --p is "
+                            f"{size}, above {VERIFY_SIZE_CAP}, the most verify takes")
     system = build_root_system(*parse_label(args.label))
     if args.what == "chain" and system.s > DEGREE_CAP:
         raise CliUsageError(f"{system.label} has {system.s} positive roots; "

@@ -166,6 +166,12 @@ class NewtonPolygon(Value):
 
     _fields = ("polygon", "infinite_slopes")
 
+    def __init__(self, polygon: PiecewiseLinear, infinite_slopes: int) -> None:
+        # every hull of points (i, v_p(c_i)) has integer vertices; slope_le_dimension relies on it
+        if any(x.denominator != 1 or y.denominator != 1 for x, y in polygon.breakpoints):
+            raise ValueError("Newton polygon vertices must be lattice points")
+        super().__init__(polygon, infinite_slopes)
+
     @property
     def finite_length(self) -> int:
         """Where the finite part ends: the x of the hull's last vertex, the last non-zero coefficient."""
@@ -562,14 +568,16 @@ def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    # the slopes do not decrease, so the segments up to the first steeper one end at its start
-    pts = np_.polygon.breakpoints
-    end = 0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if y1 - y0 > alpha * (x1 - x0):
+    # the slopes do not decrease, so the segments up to the first steeper one end at its start; the
+    # vertices are lattice points, so with alpha = num/den an edge is steeper when dy den > num dx
+    num, den = alpha.numerator, alpha.denominator
+    x0 = y0 = 0
+    for x, y in np_.polygon.breakpoints[1:]:
+        x, y = x.numerator, y.numerator
+        if (y - y0) * den > num * (x - x0):
             break
-        end = x1
-    return int(end)
+        x0, y0 = x, y
+    return x0
 
 
 def check_lower_bound(matrix: IntegerMatrix, p: int, bound: PiecewiseLinear) -> bool:

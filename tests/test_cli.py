@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -280,6 +281,62 @@ def test_verify_r_and_t_caps_are_inclusive(capsys, monkeypatch, cap, flag, other
         verify = ["verify", *what, "--type", "A2", "--g", "1", "--p", "2", *other, "--trials", "1"]
         assert invoke(capsys, *verify, flag, "3")[0] == 0
         assert invoke(capsys, *verify, flag, "4") == (2, "", f"error: {flag} 4 is above 3, {message}\n")
+
+
+def size_cap_message(t, r, p):
+    bits = p.bit_length()
+    return (f"error: --t {t} times --r {r} times the {bits} bits of --p is {t * r * bits}, "
+            f"above {cli.VERIFY_SIZE_CAP}, the most verify takes\n")
+
+
+@pytest.mark.parametrize("what", VERIFY_KINDS)
+@pytest.mark.parametrize(("t", "r"), [(128, 30), (16, 10**4)])
+def test_verify_size_above_its_cap_is_refused_before_any_draw_or_profile(capsys, monkeypatch, what, t, r):
+    # each within the caps on --t and --r; unrefused, both took over 30 s in a fresh interpreter
+    monkeypatch.setattr(harness, "_chain_constants", lambda *args: pytest.fail("the chain's profiles were built"))
+    argv = ["verify", *what, "--type", "A2", "--g", "1", "--p", "2", "--t", str(t), "--r", str(r), "--trials", "1"]
+    err = usage_error_before_any_work(capsys, monkeypatch, ["draw_b_seq", "gen_instance", "verify_chain",
+                                                            "verify_corollary"], argv)
+    assert err == size_cap_message(t, r, 2)
+
+
+def test_verify_size_cap_is_inclusive_and_counts_the_bits_of_p(capsys, monkeypatch):
+    # 5 has 3 bits: t = 3, r = 2 make 18
+    monkeypatch.setattr(cli, "VERIFY_SIZE_CAP", 18)
+    for what in VERIFY_KINDS:
+        verify = ["verify", *what, "--type", "A2", "--g", "1", "--t", "3", "--r", "2", "--trials", "1"]
+        assert invoke(capsys, *verify, "--p", "5")[0] == 0
+        assert invoke(capsys, *verify, "--p", "7")[0] == 0
+        assert invoke(capsys, *verify, "--p", "11") == (2, "", size_cap_message(3, 2, 11))
+    monkeypatch.setattr(cli, "VERIFY_SIZE_CAP", 17)
+    assert invoke(capsys, "verify", "chain", "--type", "A2", "--g", "1", "--p", "5", "--t", "3", "--r", "2",
+                  "--trials", "1") == (2, "", size_cap_message(3, 2, 5))
+
+
+def ci_verify_calls():
+    """{call: (t, r, p, refused)} of each `slopebound verify` call in the CI workflow, refused where CI
+    expects exit 2."""
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+    calls = {}
+    for line in workflow.read_text(encoding="utf-8").splitlines():
+        if (call := re.search(r"slopebound (verify [^|>]*?)\s*(\|\||>|$)", line)):
+            t, r, p = (int(re.search(rf"--{flag} (\d+)", call[1])[1]) for flag in "trp")
+            calls[call[1]] = (t, r, p, "-eq 2" in line)
+    return calls
+
+
+def test_verify_size_cap_admits_every_ci_run_and_the_acceptance_grid():
+    calls = ci_verify_calls()
+    admitted = [t * r * p.bit_length() for t, r, p, refused in calls.values() if not refused]
+    assert len(admitted) >= 8 and max(admitted) <= cli.VERIFY_SIZE_CAP
+    # the refused calls within the caps on --t and --r
+    assert sorted(call for call, (t, r, p, refused) in calls.items()
+                  if refused and t <= cli.VERIFY_T_CAP and r <= cli.BREAKPOINTS_CAP
+                  and t * r * p.bit_length() > cli.VERIFY_SIZE_CAP) == [
+        "verify chain --type A2 --g 1 --p 2 --t 128 --r 30 --trials 1",
+        "verify chain --type A2 --g 1 --p 2 --t 16 --r 10000 --trials 1",
+    ]
+    assert 8 * 4 * (5).bit_length() <= cli.VERIFY_SIZE_CAP  # acceptance grid: t <= 8, r <= 4, p <= 5
 
 
 def test_power_cap_is_inclusive(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopebound import harness, plf
+from slopebound import bounds, harness, plf
 from slopebound._pcg64 import PCG64
 from slopebound.bernoulli import faulhaber_sum
 from slopebound.counting import ElemDivSeq, truncation_divisors
@@ -245,8 +245,8 @@ def test_entry_bound_past_int64_raises():
 
 @pytest.fixture
 def fresh_chain_cache():
-    """Empty per-parameter caches of verify_chain, before the test and after it."""
-    caches = (harness._chain_constants, harness._ramp_constants)
+    """Empty per-parameter caches of verify_chain and verify_corollary, before the test and after it."""
+    caches = (harness._chain_constants, harness._ramp_constants, harness._bounds)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -299,6 +299,23 @@ def test_link_4_can_fail(fresh_chain_cache, monkeypatch):
     report = verify_chain(inst, A2, 1)
     assert report.fr_eq_finf_on_window is False
     assert report.all_hold is False
+
+
+def test_cached_bounds_equal_direct_recomputation(fresh_chain_cache):
+    """At alpha = M and M - 1/2 for every (s, g) of the corollary grid, twice: filling the cache, then
+    served from it. The reports of verify_corollary carry the same values."""
+    keys = list(product([A1, A2, B2], (1, 2, 3)))
+    for _ in range(2):
+        for n, (system, g) in enumerate(keys):
+            params = bounds.build_params.__wrapped__(system.s, g)
+            inst = gen_instance(n, p=2, t=4, r=2, b_seq=draw_b_seq(n, system, g, 2, 4), entry_bound=50)
+            for alpha in (Fraction(params.M), params.M - Fraction(1, 2)):
+                sharp = bounds.sharp_dimension_bound(params, alpha) if alpha >= params.M else None
+                expected = (bounds.dimension_bound(params, alpha), sharp)
+                assert harness._bounds(system.s, g, alpha) == expected
+                report = verify_corollary(inst, system, g, alpha)
+                assert (report.bound, report.sharp_bound, report.params) == (*expected, params)
+    assert harness._bounds.cache_info()[:2] == (3 * len(keys) * 2, len(keys) * 2)  # hits, misses
 
 
 def test_link_2_can_fail_past_the_hypothesis_guard(monkeypatch):

@@ -793,13 +793,27 @@ class TestPackedRecurrence:
 
 
 @st.composite
-def generated_matrices(draw):
-    """(matrix, p): a gen_instance matrix at t = 16..64, where both packed paths run and the exact
-    oracles are slow."""
-    t, p, r = draw(st.integers(16, 64)), draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 4))
+def generated_matrices(draw, min_t=16, max_t=64, primes=(2, 3, 5)):
+    """(matrix, p): a gen_instance matrix at t = 16..64 by default, where both packed paths run and the
+    exact oracles are slow."""
+    t, p, r = draw(st.integers(min_t, max_t)), draw(st.sampled_from(primes)), draw(st.integers(1, 4))
     b = sorted(draw(st.lists(st.integers(1, r), max_size=t // 2)), reverse=True)
     seed = draw(st.integers(0, 2**32))
     return gen_instance(seed, p=p, t=t, r=r, b_seq=ElemDivSeq(tuple(b)), entry_bound=50).matrix, p
+
+
+def minkowski_sum(*polygons):
+    """The polygon of a product of polynomials from its factors' polygons: their finite slopes merged in
+    order, equal slopes into one segment, and their infinite slopes added (Dumas)."""
+    lengths = {}
+    for polygon in polygons:
+        for slope, length in polygon.slopes():
+            lengths[slope] = lengths.get(slope, 0) + length
+    vertices = [(0, 0)]
+    for slope in sorted(lengths):
+        x, y = vertices[-1]
+        vertices.append((x + lengths[slope], y + slope * lengths[slope]))
+    return NewtonPolygon(PiecewiseLinear(vertices), sum(polygon.infinite_slopes for polygon in polygons))
 
 
 class TestMetamorphic:
@@ -839,6 +853,36 @@ class TestMetamorphic:
         scaled = self.packed_polygon(IntegerMatrix(tuple(tuple(p * x for x in row) for row in matrix.entries)), p)
         assert scaled.polygon.breakpoints == tuple((x, y + x) for x, y in polygon.polygon.breakpoints)
         assert scaled.infinite_slopes == polygon.infinite_slopes
+
+    @given(generated_matrices(max_t=24), st.randoms(use_true_random=False))
+    @settings(max_examples=8, deadline=None)
+    def test_unimodular_similarity_keeps_the_polygon(self, case, rng):
+        # t elementary similarities E M E^-1, E = I + c E_ij: row i gains c row j, column j loses
+        # c column i; the column contents mix, so the conjugate often takes the exact rerun
+        matrix, p = case
+        rows = [list(row) for row in matrix.entries]
+        for _ in range(matrix.t):
+            i, j = rng.sample(range(matrix.t), 2)
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[j] -= c * row[i]
+        conjugate = IntegerMatrix(tuple(map(tuple, rows)))
+        matrix_newton_polygon.cache_clear()
+        assert matrix_newton_polygon(conjugate, p) == self.packed_polygon(matrix, p)
+
+    @given(st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_direct_sum_has_the_minkowski_sum_of_the_polygons(self, data):
+        # diag(A, B) has characteristic polynomial chi_A chi_B, whose polygon is the Minkowski sum of
+        # theirs (Dumas)
+        first, p = data.draw(generated_matrices(min_t=8, max_t=32))
+        second, _ = data.draw(generated_matrices(min_t=8, max_t=64 - first.t, primes=(p,)))
+        zeros = (0,) * second.t
+        block = IntegerMatrix(tuple(row + zeros for row in first.entries)
+                              + tuple((0,) * first.t + row for row in second.entries))
+        assert self.packed_polygon(block, p) == minkowski_sum(self.packed_polygon(first, p),
+                                                              self.packed_polygon(second, p))
 
     @pytest.mark.parametrize(("seed", "p"), [(0, 2), (1, 3)])
     def test_transpose_keeps_the_polygon(self, seed, p):
@@ -936,6 +980,11 @@ class TestPolygon:
         assert not poly.dominates(PiecewiseLinear(((0, 0), (1, 0), (2, 6)), final_slope=0))
         assert poly.dominates(PiecewiseLinear(((0, 0), (1, 0), (2, 5)), final_slope=0))
 
+    @pytest.mark.parametrize("vertices", [((0, 0), (1, Fraction(1, 2))), ((0, 0), (Fraction(3, 2), 1), (2, 2))])
+    def test_fractional_vertex_is_refused(self, vertices):
+        with pytest.raises(ValueError, match="lattice points"):
+            NewtonPolygon(PiecewiseLinear(vertices), 0)
+
     def test_validation(self):
         with pytest.raises(NotMonic):
             newton_polygon([2, 1], 2)
@@ -971,7 +1020,41 @@ class TestPolygon:
             assert newton_polygon(char_poly(IntegerMatrix(rows)), 2) == newton_polygon(char_poly(m), 2)
 
 
+def slope_le_dimension_by_fractions(poly, alpha):
+    """Reference: the walk over the hull's edges in Fraction arithmetic."""
+    pts = poly.polygon.breakpoints
+    end = 0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if y1 - y0 > Fraction(alpha) * (x1 - x0):
+            break
+        end = x1
+    return int(end)
+
+
+@st.composite
+def lattice_hulls_and_alphas(draw):
+    """(polygon, alpha): the lower hull of lattice points (i, y_i), y_0 = 0, and an alpha that is one
+    of its slopes, a neighbour of one, or drawn freely."""
+    ys = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12))
+    hull = newton._lower_hull(list(enumerate([0] + ys)))
+    poly = NewtonPolygon(PiecewiseLinear(hull), draw(st.integers(0, 3)))
+    slopes = [slope for slope, _ in poly.slopes()]
+    kind = draw(st.sampled_from(["slope", "near", "free"]))
+    if kind == "free":
+        return poly, draw(st.fractions(min_value=0, max_value=41, max_denominator=13))
+    alpha = draw(st.sampled_from(slopes))
+    if kind == "near":
+        alpha = max(Fraction(0), alpha + draw(st.sampled_from([-1, 1])) * Fraction(1, draw(st.integers(1, 200))))
+    return poly, alpha
+
+
 class TestSlopeDimension:
+    @given(lattice_hulls_and_alphas())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_count_equals_the_fraction_walk(self, case):
+        poly, alpha = case
+        assert slope_le_dimension(poly, alpha) == slope_le_dimension_by_fractions(poly, alpha)
+
     def test_hand_values(self):
         poly = newton_polygon([1, -2, 8], 2)
         assert slope_le_dimension(poly, 1) == 1
