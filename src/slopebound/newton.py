@@ -17,11 +17,15 @@ p^s. A principal i-minor of M is p^(sum of its e_j) times the minor of A, so:
 Each step of the reduction is a similarity of M by an integer matrix with an
 integer inverse, such a change of A, or a lowering of one e_j that leaves M as
 it is. Lowering only decreases H, so the kernel knows c_i mod p^(H(i)+s) for
-the final H. A step writes only entries that are read again: the pivot row
-keeps its entries, whose residues mod p^s drive the step, and the column being
-cleared keeps its entries below the subdiagonal, which nothing reads. So the
-entries that are read differ from a full reduction's by multiples of p^s, and
-the stored A is upper Hessenberg only in them. For t >= 8 and
+the final H. Where the e_j are not non-decreasing, M is first conjugated by the
+stable permutation that sorts them: chi is unchanged and the column contents are
+only permuted, and with no later scale below an earlier one _pivot lowers
+nothing until a transposition disorders them. A step writes only entries that
+are read again: the pivot row keeps its entries, whose residues mod p^s drive
+the step, and the column being cleared keeps its entries below the subdiagonal,
+which nothing reads. So the entries that are read differ from a full
+reduction's by multiples of p^s, and the stored A is upper Hessenberg only in
+them. For t >= 8 and
 a modulus below 2^64 the reduction runs on one int per column with fixed-width
 fields (Kronecker substitution), else on rows of ints; one routine, _pivot,
 takes every decision of a step for both forms, so they take the same steps by
@@ -46,12 +50,12 @@ very deep matrix) takes the exact coefficients.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, isqrt, prod
-from operator import floordiv, index, lshift, mul
+from operator import floordiv, gt, index, lshift, mul
 
 from ._value import Value
 from .plf import DomainTooShort, PiecewiseLinear
@@ -69,7 +73,7 @@ __all__ = [
 ]
 
 
-# digits kept above the Hodge bound: matrix_newton_polygon reads c_i mod p^(H(i) + s) at
+# digits kept above the Hodge bound: _hull reads c_i mod p^(H(i) + s) at
 # s = _SLACK, and at s = 2 * _SLACK where that leaves the hull uncertified, before any exact run.
 # On the verify_chain cells A2/B2, r = 3, p = 2, 3, t = 24, 32, 40 (432 polygons, Python 3.11.7)
 # 10 needed the second run and none the exact one; the kernel took 1.03-1.15 times as long at
@@ -219,6 +223,10 @@ def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tupl
     # M = A * diag(p^e), e_j at first the valuation of column j's content (0 for a zero column);
     # the reduction brings A to upper Hessenberg form, lowering e_j where a column operation needs it
     e = [_valuation(c, p) if c else 0 for c in map(gcd, *entries)]
+    if any(map(gt, e, e[1:])):  # conjugate M by the stable permutation that sorts e
+        order = sorted(range(len(e)), key=e.__getitem__)
+        entries = [[entries[i][j] for j in order] for i in order]
+        e = [e[j] for j in order]
     scales = [p**x for x in e]
     a = [list(map(floordiv, row, scales)) for row in entries]
     if len(a) >= _PACK_FROM_T and q < _PACK_BELOW_Q:
@@ -524,23 +532,30 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
+def _coefficient_hull(coeffs: list[int], p: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(vertices, infinite_slopes) of the Newton polygon of [1, c_1, ..., c_t]: the lower hull of the
+    points (i, v_p(c_i)) of the non-zero c_i, and the count of the coefficients after the last one."""
+    points = [(i, _valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]
+    return tuple(_lower_hull(points)), len(coeffs) - 1 - points[-1][0]
+
+
 def newton_polygon(coeffs: list[int], p: int) -> NewtonPolygon:
     """Newton polygon of a monic integer polynomial given as [1, c_1, ..., c_t]."""
     if not coeffs or coeffs[0] != 1:
         raise NotMonic(f"leading coefficient must be 1, got {coeffs[:1]}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    points = [(i, _valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]
-    # the coefficients after the last non-zero one are the infinite slopes
-    return NewtonPolygon(PiecewiseLinear(_lower_hull(points)), len(coeffs) - 1 - points[-1][0])
+    vertices, infinite_slopes = _coefficient_hull(coeffs, p)
+    return NewtonPolygon(PiecewiseLinear(vertices), infinite_slopes)
 
 
-# Callers reuse a polygon only right after computing it (once per alpha in
+# Callers reuse a hull only right after computing it (once per alpha in
 # verify_corollary), so a small memo suffices; a large one keeps big matrices
 # alive for nothing.
 @lru_cache(maxsize=8)
-def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
-    """Newton polygon at p of the characteristic polynomial of `matrix`.
+def _hull(matrix: IntegerMatrix, p: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(vertices, infinite_slopes) of the Newton polygon at p of the characteristic polynomial of
+    `matrix`, the vertices as int pairs.
 
     The kernel gives each c_i mod p^(H(i)+s). A non-zero residue fixes v_p(c_i),
     counted from H(i) on since p^H(i) divides c_i; a zero one only says
@@ -548,7 +563,7 @@ def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
     c_t's residue is non-zero and every point (i, H(i)+s) of a zero residue lies
     on or above it, i.e. is no vertex of the hull of all the points. The kernel
     runs at s = _SLACK and, if that does not certify the hull, at s = 2 * _SLACK;
-    if neither does, the polygon comes from the exact coefficients, through
+    if neither does, the hull comes from the exact coefficients, through
     char_poly, which also settles a singular matrix.
     """
     if not is_prime(p):
@@ -559,8 +574,30 @@ def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
             hull = _lower_hull([(i, h + (_valuation(c // p**h, p) if c else s))
                                 for i, (c, h) in enumerate(zip(residues, hodge))])
             if all(residues[i] for i, _ in hull):
-                return NewtonPolygon(PiecewiseLinear(hull), 0)
-    return newton_polygon(char_poly(matrix), p)
+                return tuple(hull), 0
+    return _coefficient_hull(char_poly(matrix), p)
+
+
+def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
+    """Newton polygon at p of the characteristic polynomial of `matrix`: the memoized hull of
+    _hull (the kernel at s = 8, at s = 16 when that does not certify the hull, and only then the
+    exact coefficients) as a NewtonPolygon, built afresh on each call."""
+    vertices, infinite_slopes = _hull(matrix, p)
+    return NewtonPolygon(PiecewiseLinear(vertices), infinite_slopes)
+
+
+def _slope_le_length(vertices: Iterable[tuple[int, int]], alpha: Fraction) -> int:
+    """Total horizontal length of the edges of slope <= alpha >= 0 of the convex polygon through the
+    lattice points `vertices`, which start at (0, 0)."""
+    # the slopes do not decrease, so the edges up to the first steeper one end at its start; with
+    # alpha = num/den an edge is steeper when dy den > num dx
+    num, den = alpha.numerator, alpha.denominator
+    x0 = y0 = 0
+    for x, y in vertices:
+        if (y - y0) * den > num * (x - x0):
+            break
+        x0, y0 = x, y
+    return x0
 
 
 def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:
@@ -568,16 +605,8 @@ def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    # the slopes do not decrease, so the segments up to the first steeper one end at its start; the
-    # vertices are lattice points, so with alpha = num/den an edge is steeper when dy den > num dx
-    num, den = alpha.numerator, alpha.denominator
-    x0 = y0 = 0
-    for x, y in np_.polygon.breakpoints[1:]:
-        x, y = x.numerator, y.numerator
-        if (y - y0) * den > num * (x - x0):
-            break
-        x0, y0 = x, y
-    return x0
+    # NewtonPolygon refuses a vertex that is not a lattice point
+    return _slope_le_length(((x.numerator, y.numerator) for x, y in np_.polygon.breakpoints), alpha)
 
 
 def check_lower_bound(matrix: IntegerMatrix, p: int, bound: PiecewiseLinear) -> bool:

@@ -21,7 +21,7 @@ from slopebound.harness import (
     verify_corollary,
 )
 from slopebound.harness import Instance
-from slopebound.newton import IntegerMatrix, char_poly, newton_polygon
+from slopebound.newton import IntegerMatrix, char_poly, newton_polygon, slope_le_dimension
 from slopebound.plf import PiecewiseLinear, f_infinity, f_r, from_divisor_sequence
 from slopebound.rootsystems import build_root_system
 
@@ -316,6 +316,43 @@ def test_cached_bounds_equal_direct_recomputation(fresh_chain_cache):
                 report = verify_corollary(inst, system, g, alpha)
                 assert (report.bound, report.sharp_bound, report.params) == (*expected, params)
     assert harness._bounds.cache_info()[:2] == (3 * len(keys) * 2, len(keys) * 2)  # hits, misses
+
+
+@st.composite
+def corollary_cases(draw):
+    """(instance, system, g, alpha, polygon): a gen_instance matrix at t <= 12, p in {2, 3, 5}, entries
+    up to 1 (about 30% singular at t = 4, whose hull comes from the exact coefficients with infinite
+    slopes) or up to 50, and the polygon of its exact coefficients. alpha is 0, one of the polygon's
+    edge slopes, a value between two of them, or one past the last."""
+    system, g = draw(st.sampled_from([A1, A2, B2])), draw(st.integers(1, 3))
+    p, r, t = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32))
+    inst = gen_instance(seed, p=p, t=t, r=r, b_seq=draw_b_seq(seed, system, g, r, t),
+                        entry_bound=draw(st.sampled_from([1, 50])))
+    polygon = newton_polygon(char_poly(inst.matrix), p)
+    slopes = sorted({slope for slope, _ in polygon.slopes()})
+    between = [(x + y) / 2 for x, y in zip([Fraction(0)] + slopes, slopes) if x < y]
+    alpha = draw(st.sampled_from([Fraction(0), *slopes, *between, (slopes or [Fraction(0)])[-1] + 1]))
+    return inst, system, g, alpha, polygon
+
+
+def test_corollary_dimension_equals_the_count_on_the_exact_polygon():
+    """verify_corollary counts on the kernel's hull what slope_le_dimension counts on the polygon of the
+    exact coefficients, and what the polygon's (slope, length) pairs add up to."""
+    seen = set()
+
+    @given(corollary_cases())
+    @settings(max_examples=300, deadline=None)
+    def check(case):
+        inst, system, g, alpha, polygon = case
+        dimension = verify_corollary(inst, system, g, alpha).dimension
+        assert dimension == slope_le_dimension(polygon, alpha)
+        assert dimension == sum(length for slope, length in polygon.slopes() if slope <= alpha)
+        seen.add((polygon.infinite_slopes > 0, alpha in dict(polygon.slopes())))
+
+    check()
+    # both with and without infinite slopes, and alpha both on and off an edge slope
+    assert {infinite for infinite, _ in seen} == {on_edge for _, on_edge in seen} == {False, True}
 
 
 def test_link_2_can_fail_past_the_hypothesis_guard(monkeypatch):

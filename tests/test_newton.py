@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 from itertools import accumulate, permutations
@@ -24,6 +25,7 @@ from slopebound.newton import (
     _field_width,
     _hessenberg_packed,
     _hessenberg_rows,
+    _hull,
     _pivot,
     _recurrence,
     _recurrence_packed,
@@ -212,7 +214,7 @@ class TestKernel:
             return _char_poly_mod(entries, p, s)
 
         monkeypatch.setattr(newton, "_char_poly_mod", spy)
-        matrix_newton_polygon.cache_clear()
+        _hull.cache_clear()
         return matrix_newton_polygon(matrix, p), seen
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -262,6 +264,20 @@ class TestKernel:
         assert poly == newton_polygon(exact, p)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_unsorted_scales_are_sorted_before_the_reduction(self, monkeypatch, p):
+        # column scales (0, 3, 0): reduced in this order, column 1 would gain column 2 and drop to
+        # scale 0; conjugated by the permutation (0, 2, 1) first, the scales stay and H(3) = 3
+        rows = ((1, p**3, 1), (1, 2 * p**3, 3), (1, 5 * p**3, 1))
+        exact = charpoly_faddeev_leverrier(rows)
+        for s in range(1, 13):
+            residues, hodge = _char_poly_mod(rows, p, s)
+            assert hodge == [0, 0, 0, 3]
+            assert residues == [c % p ** (h + s) for c, h in zip(exact, hodge)]
+        poly, seen = self.precisions(monkeypatch, IntegerMatrix(rows), p)
+        assert seen == [(p, SLACK)]
+        assert poly == newton_polygon(exact, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
     def test_zero_residue_below_the_known_hull_runs_again(self, monkeypatch, p):
         # c_1 = -p^s is 0 mod p^(H(1)+s) = p^s, and (1, s) lies below the chord to (2, 2s+2);
         # at 2s digits c_1's residue is non-zero, and the second run certifies the hull
@@ -293,10 +309,15 @@ class TestKernel:
         assert 2 ** (P - 1) <= bound < 2**P
         assert all(2 * abs(c) < 2**P for c in charpoly_faddeev_leverrier(rows))
 
-    def test_polygon_is_cached_per_matrix_and_prime(self):
+    def test_hull_is_cached_per_matrix_and_prime(self):
+        # chi = X^2 - 5X + 5: at p = 5 the point (1, 1) lies above the chord from (0, 0) to (2, 1)
         matrix = IntegerMatrix(((2, 1), (1, 3)))
-        assert matrix_newton_polygon(matrix, 2) is matrix_newton_polygon(matrix, 2)
+        assert _hull(matrix, 2) is _hull(matrix, 2)
+        assert _hull(matrix, 5) == (((0, 0), (2, 1)), 0)
+        assert all(type(c) is int for vertex in _hull(matrix, 5)[0] for c in vertex)
+        # the polygon is built from the memoized hull on each call
         assert matrix_newton_polygon(matrix, 5) == newton_polygon([1, -5, 5], 5)
+        assert matrix_newton_polygon(matrix, 5).polygon.breakpoints == _hull(matrix, 5)[0]
 
     @pytest.mark.parametrize("p", [1, 4])
     def test_not_prime(self, p):
@@ -617,7 +638,7 @@ class TestPackedReduction:
     @pytest.mark.parametrize(("seed", "p", "t"), [(5, 2, 24), (9, 3, 40), (11, 2, 64)])
     def test_generated_instances_against_faddeev_leverrier(self, seed, p, t):
         inst = gen_instance(seed, p=p, t=t, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50)
-        matrix_newton_polygon.cache_clear()
+        _hull.cache_clear()
         expected = newton_polygon(charpoly_faddeev_leverrier(inst.matrix.entries), p)
         assert matrix_newton_polygon(inst.matrix, p) == expected
 
@@ -830,7 +851,7 @@ class TestMetamorphic:
 
         with patch.object(newton, "_hessenberg_packed", spy("reduction", _hessenberg_packed)), \
                 patch.object(newton, "_recurrence_packed", spy("recurrence", _recurrence_packed)):
-            matrix_newton_polygon.cache_clear()
+            _hull.cache_clear()
             polygon = matrix_newton_polygon(matrix, p)
         assert calls[:2] == ["reduction", "recurrence"]
         return polygon
@@ -868,7 +889,7 @@ class TestMetamorphic:
             for row in rows:
                 row[j] -= c * row[i]
         conjugate = IntegerMatrix(tuple(map(tuple, rows)))
-        matrix_newton_polygon.cache_clear()
+        _hull.cache_clear()
         assert matrix_newton_polygon(conjugate, p) == self.packed_polygon(matrix, p)
 
     @given(st.data())
@@ -884,12 +905,43 @@ class TestMetamorphic:
         assert self.packed_polygon(block, p) == minkowski_sum(self.packed_polygon(first, p),
                                                               self.packed_polygon(second, p))
 
+    @staticmethod
+    def large(seed, t=128):
+        """A t x t gen_instance matrix at p = 2, r = 4, b = (4, 2, 1): column scales 1, 4, 8, 16, ..., 16."""
+        return gen_instance(seed, p=2, t=t, r=4, b_seq=ElemDivSeq((4, 2, 1)), entry_bound=50).matrix
+
+    def test_permutation_similarity_at_t128_takes_no_exact_run(self, monkeypatch):
+        # the permuted column scales are sorted back before the reduction, so no scale is lowered
+        # and the first run certifies the hull as it does for M
+        matrix = self.large(0)
+        order = list(range(matrix.t))
+        random.Random(0).shuffle(order)
+        permuted = IntegerMatrix(tuple(tuple(matrix.entries[i][j] for j in order) for i in order))
+        polygon, seen = TestKernel.precisions(monkeypatch, permuted, 2)
+        assert seen and set(seen) <= {(2, SLACK), (2, 2 * SLACK)}
+        assert polygon == self.packed_polygon(matrix, 2)
+
+    def test_p_times_the_matrix_at_t128(self):
+        matrix = self.large(1)
+        polygon = self.packed_polygon(matrix, 2)
+        scaled = self.packed_polygon(IntegerMatrix(tuple(tuple(2 * x for x in row) for row in matrix.entries)), 2)
+        assert scaled.polygon.breakpoints == tuple((x, y + x) for x, y in polygon.polygon.breakpoints)
+        assert scaled.infinite_slopes == polygon.infinite_slopes == 0
+
+    def test_direct_sum_of_two_t64_blocks(self):
+        first, second = self.large(2, t=64), self.large(3, t=64)
+        zeros = (0,) * 64
+        block = IntegerMatrix(tuple(row + zeros for row in first.entries)
+                              + tuple(zeros + row for row in second.entries))
+        assert self.packed_polygon(block, 2) == minkowski_sum(self.packed_polygon(first, 2),
+                                                              self.packed_polygon(second, 2))
+
     @pytest.mark.parametrize(("seed", "p"), [(0, 2), (1, 3)])
     def test_transpose_keeps_the_polygon(self, seed, p):
         # the transpose's column contents are those of M's rows, so it takes the exact rerun
         matrix = gen_instance(seed, p=p, t=24, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50).matrix
         transposed = IntegerMatrix(tuple(zip(*matrix.entries)))
-        matrix_newton_polygon.cache_clear()
+        _hull.cache_clear()
         assert matrix_newton_polygon(transposed, p) == self.packed_polygon(matrix, p)
 
 
