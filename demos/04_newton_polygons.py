@@ -29,7 +29,7 @@ coeffs = char_poly(matrix)
 print(f"char poly coefficients: {coeffs}")
 
 poly = newton_polygon(coeffs, p)
-print(f"hull breakpoints: {[(int(x), int(y)) for x, y in poly.polygon.breakpoints]}")
+print(f"hull breakpoints: {list(poly.vertices)}")
 print(f"slopes with multiplicity: {[(str(s), m) for s, m in poly.slopes()]}")
 print(f"finite length {poly.finite_length}, infinite slopes {poly.infinite_slopes}")
 

@@ -22,7 +22,7 @@ from .bernoulli import bernoulli_poly
 from .bounds import build_params, dimension_bound, infimum_dimension_bound, sharp_dimension_bound
 from .counting import ElemDivSeq, count_nh, truncation_divisors
 from .harness import draw_b_seq, gen_instance, verify_chain, verify_corollary
-from .newton import IntegerMatrix, char_poly, newton_polygon, slope_le_dimension
+from .newton import IntegerMatrix, NotPrime, char_poly, is_prime, newton_polygon, slope_le_dimension
 from .plf import PiecewiseLinear, f_infinity, f_infinity_star, f_r
 from .rootsystems import RootSystem, build_root_system, parse_label
 
@@ -313,6 +313,8 @@ def _read_matrix_file(path: str) -> IntegerMatrix:
 
 
 def _cmd_newton(args: argparse.Namespace) -> int:
+    if not is_prime(args.p):  # before char_poly, whose cost does not depend on p
+        raise NotPrime(f"{args.p} is not prime")
     matrix = _read_matrix_file(args.matrix)
     coeffs = char_poly(matrix)
     poly = newton_polygon(coeffs, args.p)
@@ -373,6 +375,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if not is_prime(args.p):  # before any draw or profile
+        raise NotPrime(f"{args.p} is not prime")
     if args.r > BREAKPOINTS_CAP:
         raise CliUsageError(f"--r {args.r} is above {BREAKPOINTS_CAP}, "
                             "the most breakpoints verify builds for f_r and f_infinity")

@@ -28,7 +28,7 @@ from ._value import Value
 from .bernoulli import faulhaber_sum
 from .bounds import build_params, dimension_bound, sharp_dimension_bound
 from .counting import ElemDivSeq, _divisor_exponents
-from .newton import IntegerMatrix, _hull, _slope_le_length, matrix_newton_polygon
+from .newton import IntegerMatrix, matrix_newton_polygon, slope_le_dimension
 from .plf import PiecewiseLinear, f_infinity, f_r, from_divisor_sequence
 from .rootsystems import RootSystem
 
@@ -215,7 +215,7 @@ def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
     f_b = from_divisor_sequence(inst.b_seq, inst.r, inst.t)
     polygon = matrix_newton_polygon(inst.matrix, inst.p)
     return ChainReport(
-        newton_ge_fb=all(y >= f_b.breakpoints[int(x)][1] for x, y in polygon.polygon.breakpoints),
+        newton_ge_fb=all(y >= f_b.breakpoints[x][1] for x, y in polygon.vertices),
         fb_ge_fa=min(accumulate(map(sub, const.a_adjusted, inst.b_seq.padded(inst.t)))) >= 0,
         fa_ge_fr=const.fa_ge_fr,
         fr_eq_finf_on_window=const.fr_eq_finf_on_window,
@@ -239,10 +239,10 @@ def _bounds(s: int, g: int, alpha: Fraction) -> tuple[Fraction, Fraction | None]
 def verify_corollary(inst: Instance, system: RootSystem, g: int, alpha: Fraction | int) -> CorollaryReport:
     """Check slope_le_dimension <= m*alpha^s + n (and <= m*alpha^s once alpha >= M).
 
-    Only the slope count depends on the instance. It reads the integer vertices of the kernel's
-    memoized hull (newton._hull), so the hull is computed once for all alphas of one matrix and no
-    NewtonPolygon is built, and it compares each edge with alpha by cross-multiplication. The
-    bounds are computed once per (s, g, alpha).
+    Only the slope count depends on the instance. It is slope_le_dimension on the memoized
+    matrix_newton_polygon, so the polygon is computed once for all alphas of one matrix, and the
+    count compares each edge of its int vertices with alpha by cross-multiplication. The bounds
+    are computed once per (s, g, alpha).
     """
     alpha = Fraction(alpha)
     if alpha < 0:
@@ -250,5 +250,5 @@ def verify_corollary(inst: Instance, system: RootSystem, g: int, alpha: Fraction
     a_adjusted = _adjusted_divisors(system, g, inst.r, inst.t)
     _require_hypothesis(inst, a_adjusted)
     bound, sharp = _bounds(system.s, g, alpha)
-    dim = _slope_le_length(_hull(inst.matrix, inst.p)[0], alpha)
+    dim = slope_le_dimension(matrix_newton_polygon(inst.matrix, inst.p), alpha)
     return CorollaryReport(alpha, dim, bound, sharp, build_params(system.s, g))

@@ -58,7 +58,7 @@ from math import gcd, isqrt, prod
 from operator import floordiv, gt, index, lshift, mul
 
 from ._value import Value
-from .plf import DomainTooShort, PiecewiseLinear
+from .plf import DomainTooShort, PiecewiseLinear, _check_anchored
 
 __all__ = [
     "IntegerMatrix",
@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 
-# digits kept above the Hodge bound: _hull reads c_i mod p^(H(i) + s) at
+# digits kept above the Hodge bound: matrix_newton_polygon reads c_i mod p^(H(i) + s) at
 # s = _SLACK, and at s = 2 * _SLACK where that leaves the hull uncertified, before any exact run.
 # On the verify_chain cells A2/B2, r = 3, p = 2, 3, t = 24, 32, 40 (432 polygons, Python 3.11.7)
 # 10 needed the second run and none the exact one; the kernel took 1.03-1.15 times as long at
@@ -166,27 +166,33 @@ class IntegerMatrix(Value):
 
 
 class NewtonPolygon(Value):
-    """Finite part of a Newton polygon plus the count of infinite slopes."""
+    """Finite part of a Newton polygon, as its vertices, plus the count of infinite slopes."""
 
-    _fields = ("polygon", "infinite_slopes")
+    _fields = ("vertices", "infinite_slopes")
 
-    def __init__(self, polygon: PiecewiseLinear, infinite_slopes: int) -> None:
-        # every hull of points (i, v_p(c_i)) has integer vertices; slope_le_dimension relies on it
-        if any(x.denominator != 1 or y.denominator != 1 for x, y in polygon.breakpoints):
-            raise ValueError("Newton polygon vertices must be lattice points")
-        super().__init__(polygon, infinite_slopes)
+    def __init__(self, vertices: Iterable[tuple[int, int]], infinite_slopes: int) -> None:
+        # every hull of points (i, v_p(c_i)) has lattice-point vertices, kept as ints
+        try:
+            vertices = tuple((index(x), index(y)) for x, y in vertices)
+        except TypeError:
+            raise ValueError("Newton polygon vertices must be lattice points") from None
+        _check_anchored(vertices)
+        super().__init__(vertices, infinite_slopes)
+
+    @property
+    def polygon(self) -> PiecewiseLinear:
+        """The finite part as a profile through the vertices."""
+        return PiecewiseLinear(self.vertices)
 
     @property
     def finite_length(self) -> int:
         """Where the finite part ends: the x of the hull's last vertex, the last non-zero coefficient."""
-        return int(self.polygon.breakpoints[-1][0])
+        return self.vertices[-1][0]
 
     def slopes(self) -> tuple[tuple[Fraction, int], ...]:
         """Finite (slope, horizontal length) pairs, slopes non-decreasing."""
-        pts = self.polygon.breakpoints
-        return tuple(
-            ((y1 - y0) / (x1 - x0), int(x1 - x0)) for (x0, y0), (x1, y1) in zip(pts, pts[1:])
-        )
+        pts = self.vertices
+        return tuple((Fraction(y1 - y0, x1 - x0), x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
 
     def dominates(self, bound: PiecewiseLinear) -> bool:
         """Whether the polygon lies on or above `bound`.
@@ -545,17 +551,14 @@ def newton_polygon(coeffs: list[int], p: int) -> NewtonPolygon:
         raise NotMonic(f"leading coefficient must be 1, got {coeffs[:1]}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    vertices, infinite_slopes = _coefficient_hull(coeffs, p)
-    return NewtonPolygon(PiecewiseLinear(vertices), infinite_slopes)
+    return NewtonPolygon(*_coefficient_hull(coeffs, p))
 
 
-# Callers reuse a hull only right after computing it (once per alpha in
-# verify_corollary), so a small memo suffices; a large one keeps big matrices
-# alive for nothing.
 @lru_cache(maxsize=8)
-def _hull(matrix: IntegerMatrix, p: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """(vertices, infinite_slopes) of the Newton polygon at p of the characteristic polynomial of
-    `matrix`, the vertices as int pairs.
+def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
+    """Newton polygon at p of the characteristic polynomial of `matrix`, one shared immutable value
+    per (matrix, p) of the last 8. Callers reuse a polygon only right after computing it (once per
+    alpha in verify_corollary), and a larger memo would keep big matrices alive for nothing.
 
     The kernel gives each c_i mod p^(H(i)+s). A non-zero residue fixes v_p(c_i),
     counted from H(i) on since p^H(i) divides c_i; a zero one only says
@@ -574,39 +577,23 @@ def _hull(matrix: IntegerMatrix, p: int) -> tuple[tuple[tuple[int, int], ...], i
             hull = _lower_hull([(i, h + (_valuation(c // p**h, p) if c else s))
                                 for i, (c, h) in enumerate(zip(residues, hodge))])
             if all(residues[i] for i, _ in hull):
-                return tuple(hull), 0
-    return _coefficient_hull(char_poly(matrix), p)
-
-
-def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
-    """Newton polygon at p of the characteristic polynomial of `matrix`: the memoized hull of
-    _hull (the kernel at s = 8, at s = 16 when that does not certify the hull, and only then the
-    exact coefficients) as a NewtonPolygon, built afresh on each call."""
-    vertices, infinite_slopes = _hull(matrix, p)
-    return NewtonPolygon(PiecewiseLinear(vertices), infinite_slopes)
-
-
-def _slope_le_length(vertices: Iterable[tuple[int, int]], alpha: Fraction) -> int:
-    """Total horizontal length of the edges of slope <= alpha >= 0 of the convex polygon through the
-    lattice points `vertices`, which start at (0, 0)."""
-    # the slopes do not decrease, so the edges up to the first steeper one end at its start; with
-    # alpha = num/den an edge is steeper when dy den > num dx
-    num, den = alpha.numerator, alpha.denominator
-    x0 = y0 = 0
-    for x, y in vertices:
-        if (y - y0) * den > num * (x - x0):
-            break
-        x0, y0 = x, y
-    return x0
+                return NewtonPolygon(hull, 0)
+    return NewtonPolygon(*_coefficient_hull(char_poly(matrix), p))
 
 
 def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:
     """Total horizontal length of finite-slope segments with slope <= alpha."""
-    alpha = Fraction(alpha)
-    if alpha < 0:
+    num, den = alpha.as_integer_ratio()
+    if num < 0:
         raise ValueError("alpha must be non-negative")
-    # NewtonPolygon refuses a vertex that is not a lattice point
-    return _slope_le_length(((x.numerator, y.numerator) for x, y in np_.polygon.breakpoints), alpha)
+    # the slopes do not decrease, so the edges up to the first steeper one end at its start; with
+    # alpha = num/den an edge is steeper when dy den > num dx, decided in ints on the vertices
+    x0 = y0 = 0
+    for x, y in np_.vertices:
+        if (y - y0) * den > num * (x - x0):
+            break
+        x0, y0 = x, y
+    return x0
 
 
 def check_lower_bound(matrix: IntegerMatrix, p: int, bound: PiecewiseLinear) -> bool:

@@ -48,6 +48,17 @@ class DomainTooShort(ValueError):
     """A comparison interval extends past a function's domain."""
 
 
+def _check_anchored(points: tuple[tuple, ...]) -> None:
+    """Refuse points that do not start at (0, 0), whose x do not strictly increase or whose y is negative."""
+    if not points or points[0] != (0, 0):
+        raise ValueError("first breakpoint must be (0, 0)")
+    for (x0, _), (x1, _) in zip(points, points[1:]):
+        if x1 <= x0:
+            raise ValueError("breakpoint x-coordinates must be strictly increasing")
+    if any(y < 0 for _, y in points):
+        raise ValueError("values must be non-negative")
+
+
 class PiecewiseLinear(Value):
     """Non-negative piecewise-linear function anchored at (0, 0)."""
 
@@ -57,13 +68,7 @@ class PiecewiseLinear(Value):
         pts = tuple((Fraction(x), Fraction(y)) for x, y in breakpoints)
         if final_slope is not None:
             final_slope = Fraction(final_slope)
-        if not pts or pts[0] != (0, 0):
-            raise ValueError("first breakpoint must be (0, 0)")
-        for (x0, _), (x1, _) in zip(pts, pts[1:]):
-            if x1 <= x0:
-                raise ValueError("breakpoint x-coordinates must be strictly increasing")
-        if any(y < 0 for _, y in pts):
-            raise ValueError("values must be non-negative")
+        _check_anchored(pts)
         if final_slope is not None and final_slope < 0:
             raise ValueError("a final ray must have non-negative slope")
         super().__init__(pts, final_slope)

@@ -415,6 +415,24 @@ def test_prime_too_large_to_decide_is_a_usage_error(capsys, argv):
     assert err.startswith(f"error: cannot decide whether {10**30 + 57} is prime") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(("p", "message"), [
+    ("4", "error: 4 is not prime\n"),
+    ("1", "error: 1 is not prime\n"),
+    (str(10**30 + 57), f"error: cannot decide whether {10**30 + 57} is prime"),
+], ids=["4", "1", "undecidable"])
+@pytest.mark.parametrize("command", [
+    ["newton"],
+    ["verify", "chain", "--type", "A2", "--g", "1", "--t", "4", "--r", "2", "--trials", "1"],
+    ["verify", "corollary", "--type", "A2", "--g", "1", "--t", "4", "--r", "2", "--trials", "1", "--alpha", "1"],
+], ids=["newton", "verify-chain", "verify-corollary"])
+def test_bad_p_is_refused_before_any_work(capsys, monkeypatch, tmp_path, command, p, message):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2\n1 2\n3 4\n")
+    argv = [*command, "--p", p] + (["--matrix", str(matrix)] if command == ["newton"] else [])
+    err = usage_error_before_any_work(capsys, monkeypatch, ["char_poly", "draw_b_seq", "gen_instance"], argv)
+    assert err.startswith(message)
+
+
 def test_newton_at_an_18_digit_prime(capsys, tmp_path):
     matrix = tmp_path / "m.txt"
     matrix.write_text("2\n1 2\n3 4\n")

@@ -25,7 +25,6 @@ from slopebound.newton import (
     _field_width,
     _hessenberg_packed,
     _hessenberg_rows,
-    _hull,
     _pivot,
     _recurrence,
     _recurrence_packed,
@@ -214,7 +213,7 @@ class TestKernel:
             return _char_poly_mod(entries, p, s)
 
         monkeypatch.setattr(newton, "_char_poly_mod", spy)
-        _hull.cache_clear()
+        matrix_newton_polygon.cache_clear()
         return matrix_newton_polygon(matrix, p), seen
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -309,15 +308,14 @@ class TestKernel:
         assert 2 ** (P - 1) <= bound < 2**P
         assert all(2 * abs(c) < 2**P for c in charpoly_faddeev_leverrier(rows))
 
-    def test_hull_is_cached_per_matrix_and_prime(self):
+    def test_polygon_is_cached_per_matrix_and_prime(self):
         # chi = X^2 - 5X + 5: at p = 5 the point (1, 1) lies above the chord from (0, 0) to (2, 1)
         matrix = IntegerMatrix(((2, 1), (1, 3)))
-        assert _hull(matrix, 2) is _hull(matrix, 2)
-        assert _hull(matrix, 5) == (((0, 0), (2, 1)), 0)
-        assert all(type(c) is int for vertex in _hull(matrix, 5)[0] for c in vertex)
-        # the polygon is built from the memoized hull on each call
-        assert matrix_newton_polygon(matrix, 5) == newton_polygon([1, -5, 5], 5)
-        assert matrix_newton_polygon(matrix, 5).polygon.breakpoints == _hull(matrix, 5)[0]
+        assert matrix_newton_polygon(matrix, 2) is matrix_newton_polygon(matrix, 2)
+        poly = matrix_newton_polygon(matrix, 5)
+        assert poly == newton_polygon([1, -5, 5], 5) == NewtonPolygon(((0, 0), (2, 1)), 0)
+        assert all(type(c) is int for vertex in poly.vertices for c in vertex)
+        assert poly.polygon == PiecewiseLinear(poly.vertices)
 
     @pytest.mark.parametrize("p", [1, 4])
     def test_not_prime(self, p):
@@ -638,7 +636,7 @@ class TestPackedReduction:
     @pytest.mark.parametrize(("seed", "p", "t"), [(5, 2, 24), (9, 3, 40), (11, 2, 64)])
     def test_generated_instances_against_faddeev_leverrier(self, seed, p, t):
         inst = gen_instance(seed, p=p, t=t, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50)
-        _hull.cache_clear()
+        matrix_newton_polygon.cache_clear()
         expected = newton_polygon(charpoly_faddeev_leverrier(inst.matrix.entries), p)
         assert matrix_newton_polygon(inst.matrix, p) == expected
 
@@ -833,8 +831,9 @@ def minkowski_sum(*polygons):
     vertices = [(0, 0)]
     for slope in sorted(lengths):
         x, y = vertices[-1]
-        vertices.append((x + lengths[slope], y + slope * lengths[slope]))
-    return NewtonPolygon(PiecewiseLinear(vertices), sum(polygon.infinite_slopes for polygon in polygons))
+        # each factor's edges rise by whole numbers, so their sum at one slope does too
+        vertices.append((x + lengths[slope], int(y + slope * lengths[slope])))
+    return NewtonPolygon(vertices, sum(polygon.infinite_slopes for polygon in polygons))
 
 
 class TestMetamorphic:
@@ -851,7 +850,7 @@ class TestMetamorphic:
 
         with patch.object(newton, "_hessenberg_packed", spy("reduction", _hessenberg_packed)), \
                 patch.object(newton, "_recurrence_packed", spy("recurrence", _recurrence_packed)):
-            _hull.cache_clear()
+            matrix_newton_polygon.cache_clear()
             polygon = matrix_newton_polygon(matrix, p)
         assert calls[:2] == ["reduction", "recurrence"]
         return polygon
@@ -872,7 +871,7 @@ class TestMetamorphic:
         matrix, p = case
         polygon = self.packed_polygon(matrix, p)
         scaled = self.packed_polygon(IntegerMatrix(tuple(tuple(p * x for x in row) for row in matrix.entries)), p)
-        assert scaled.polygon.breakpoints == tuple((x, y + x) for x, y in polygon.polygon.breakpoints)
+        assert scaled.vertices == tuple((x, y + x) for x, y in polygon.vertices)
         assert scaled.infinite_slopes == polygon.infinite_slopes
 
     @given(generated_matrices(max_t=24), st.randoms(use_true_random=False))
@@ -889,7 +888,7 @@ class TestMetamorphic:
             for row in rows:
                 row[j] -= c * row[i]
         conjugate = IntegerMatrix(tuple(map(tuple, rows)))
-        _hull.cache_clear()
+        matrix_newton_polygon.cache_clear()
         assert matrix_newton_polygon(conjugate, p) == self.packed_polygon(matrix, p)
 
     @given(st.data())
@@ -925,7 +924,7 @@ class TestMetamorphic:
         matrix = self.large(1)
         polygon = self.packed_polygon(matrix, 2)
         scaled = self.packed_polygon(IntegerMatrix(tuple(tuple(2 * x for x in row) for row in matrix.entries)), 2)
-        assert scaled.polygon.breakpoints == tuple((x, y + x) for x, y in polygon.polygon.breakpoints)
+        assert scaled.vertices == tuple((x, y + x) for x, y in polygon.vertices)
         assert scaled.infinite_slopes == polygon.infinite_slopes == 0
 
     def test_direct_sum_of_two_t64_blocks(self):
@@ -941,7 +940,7 @@ class TestMetamorphic:
         # the transpose's column contents are those of M's rows, so it takes the exact rerun
         matrix = gen_instance(seed, p=p, t=24, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50).matrix
         transposed = IntegerMatrix(tuple(zip(*matrix.entries)))
-        _hull.cache_clear()
+        matrix_newton_polygon.cache_clear()
         assert matrix_newton_polygon(transposed, p) == self.packed_polygon(matrix, p)
 
 
@@ -1013,7 +1012,7 @@ class TestPolygon:
         poly = newton_polygon([1, 0, 0, 0], 2)
         assert poly.finite_length == 0
         assert poly.infinite_slopes == 3
-        assert poly.polygon.breakpoints == ((Fraction(0), Fraction(0)),)
+        assert poly.vertices == ((0, 0),)
 
     @given(st.lists(st.tuples(st.integers(min_value=-9, max_value=9), st.integers(min_value=0, max_value=6)),
                     max_size=8),
@@ -1027,15 +1026,16 @@ class TestPolygon:
 
     def test_dominance_is_decided_on_the_whole_finite_part(self):
         # the hull ends at x = 2, where it lies below the bound; one infinite slope follows
-        poly = NewtonPolygon(PiecewiseLinear(((0, 0), (1, 0), (2, 5))), 1)
+        poly = NewtonPolygon(((0, 0), (1, 0), (2, 5)), 1)
         assert poly.finite_length == 2
         assert not poly.dominates(PiecewiseLinear(((0, 0), (1, 0), (2, 6)), final_slope=0))
         assert poly.dominates(PiecewiseLinear(((0, 0), (1, 0), (2, 5)), final_slope=0))
 
-    @pytest.mark.parametrize("vertices", [((0, 0), (1, Fraction(1, 2))), ((0, 0), (Fraction(3, 2), 1), (2, 2))])
+    @pytest.mark.parametrize("vertices", [((0, 0), (1, Fraction(1, 2))), ((0, 0), (Fraction(3, 2), 1), (2, 2)),
+                                          ((0, 0), (1, 1.5)), ((0, 0), (1.5, 1))])
     def test_fractional_vertex_is_refused(self, vertices):
         with pytest.raises(ValueError, match="lattice points"):
-            NewtonPolygon(PiecewiseLinear(vertices), 0)
+            NewtonPolygon(vertices, 0)
 
     def test_validation(self):
         with pytest.raises(NotMonic):
@@ -1089,7 +1089,7 @@ def lattice_hulls_and_alphas(draw):
     of its slopes, a neighbour of one, or drawn freely."""
     ys = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12))
     hull = newton._lower_hull(list(enumerate([0] + ys)))
-    poly = NewtonPolygon(PiecewiseLinear(hull), draw(st.integers(0, 3)))
+    poly = NewtonPolygon(hull, draw(st.integers(0, 3)))
     slopes = [slope for slope, _ in poly.slopes()]
     kind = draw(st.sampled_from(["slope", "near", "free"]))
     if kind == "free":
@@ -1155,7 +1155,7 @@ class TestCheckLowerBound:
         # chord); the bound meets both vertices but reaches 3 > 2 at x = 1, so comparing the
         # vertices alone would accept it
         matrix = IntegerMatrix.diagonal([4, 4])
-        assert matrix_newton_polygon(matrix, 2).polygon.breakpoints == ((0, 0), (2, 4))
+        assert matrix_newton_polygon(matrix, 2).vertices == ((0, 0), (2, 4))
         assert not check_lower_bound(matrix, 2, PiecewiseLinear(((0, 0), (1, 3), (2, 4))))
         assert check_lower_bound(matrix, 2, PiecewiseLinear(((0, 0), (1, 2), (2, 4))))
 

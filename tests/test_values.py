@@ -3,7 +3,9 @@
 The repr literals were recorded from the frozen dataclasses these classes replace,
 less the fields now derived rather than stored: RootSystem's heights and positive
 roots (its heights come from the exponents of its type), Instance's t (the matrix's
-size) and NewtonPolygon's finite_length (the hull's end).
+size) and NewtonPolygon's finite_length (the hull's end). NewtonPolygon now stores
+its vertices, as int pairs, where the dataclass held a PiecewiseLinear through them;
+that profile is derived too (its polygon property).
 """
 
 import copy
@@ -51,8 +53,7 @@ SAMPLES = {
     "IntegerMatrix": (lambda: IntegerMatrix(((1, 2), (3, 4))), "IntegerMatrix(entries=((1, 2), (3, 4)))"),
     "NewtonPolygon": (
         lambda: newton_polygon([1, 2, 4], 2),
-        "NewtonPolygon(polygon=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), "
-        "(Fraction(2, 1), Fraction(2, 1))), final_slope=None), infinite_slopes=0)",
+        "NewtonPolygon(vertices=((0, 0), (2, 2)), infinite_slopes=0)",
     ),
     "BoundParams": (
         _params,
@@ -67,8 +68,7 @@ SAMPLES = {
         lambda: ChainReport(True, True, False, True, newton_polygon([1, 0], 2), _line(), _line(),
                             PiecewiseLinear(((0, 0), (1, 0)), final_slope=1), _line()),
         "ChainReport(newton_ge_fb=True, fb_ge_fa=True, fa_ge_fr=False, fr_eq_finf_on_window=True, "
-        "polygon=NewtonPolygon(polygon=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)),), "
-        "final_slope=None), infinite_slopes=1), "
+        "polygon=NewtonPolygon(vertices=((0, 0),), infinite_slopes=1), "
         "f_b=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(1, 1))), "
         "final_slope=None), "
         "f_a=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(1, 1))), "
@@ -216,6 +216,9 @@ VALIDATION = {
     "matrix not square": (lambda: IntegerMatrix(((1, 2),)), "square"),
     "matrix entry a Fraction": (lambda: IntegerMatrix(((Fraction(3, 2),),)), "entries must be integers"),
     "matrix entry a float": (lambda: IntegerMatrix(((2.7,),)), "entries must be integers"),
+    "polygon first vertex": (lambda: NewtonPolygon(((1, 0), (2, 1)), 0), r"\(0, 0\)"),
+    "polygon vertices increase": (lambda: NewtonPolygon(((0, 0), (2, 1), (2, 3)), 0), "strictly increasing"),
+    "polygon negative value": (lambda: NewtonPolygon(((0, 0), (1, -1)), 0), "non-negative"),
     "m times c^s": (lambda: BoundParams(1, 1, 4, Fraction(1, 16), Fraction(15), Fraction(6)), "1/c"),
     "negative n": (lambda: BoundParams(1, 1, 4, Fraction(1, 16), Fraction(16), Fraction(-1)), "M >= 1"),
     "M below 1": (lambda: BoundParams(1, 1, 0, Fraction(1, 16), Fraction(16), Fraction(6)), "M >= 1"),
