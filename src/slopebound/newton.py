@@ -28,9 +28,15 @@ reduction's by multiples of p^s, and the stored A is upper Hessenberg only in
 them. For t >= 8 and
 a modulus below 2^64 the reduction runs on one int per column with fixed-width
 fields (Kronecker substitution), else on rows of ints; one routine, _pivot,
-takes every decision of a step for both forms, so they take the same steps by
-construction and differ only in how they store A. The recurrence then runs at a
-balanced column scale lam, near the mean of the e_j: it computes
+takes every decision of a step for both forms, from the same residues mod p^s,
+so they take the same steps by construction and differ only in how they store
+A. Both take M and hand A to the recurrence by columns: the rows form divides
+each entry by its column scale, the packed form packs M's columns and divides
+each packed column once, exactly, since the scale divides every entry. Its
+fields carry a bias that is a multiple of p^s, so a field is congruent to its
+entry mod p^s, and the pivot column and the row step read residues with nothing
+subtracted. The recurrence then runs at a balanced column scale lam, near the
+mean of the e_j: it computes
 g(Y) = det(Y diag(p^d+) - A diag(p^d-)) = p^(D+ - lam t) det(p^lam Y - M), with
 d+_j = (lam - e_j)+, d-_j = (e_j - lam)+ and D+, E- their sums, so
 c_i = p^(lam i - D+) g_(t-i). The residues c_i mod p^(H(i)+s) need g only mod
@@ -50,7 +56,7 @@ very deep matrix) takes the exact coefficients.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -179,6 +185,14 @@ class NewtonPolygon(Value):
         _check_anchored(vertices)
         super().__init__(vertices, infinite_slopes)
 
+    @classmethod
+    def _of_hull(cls, vertices: tuple[tuple[int, int], ...], infinite_slopes: int) -> "NewtonPolygon":
+        """The polygon with the given vertices, stored as given: the caller's vertices are a lower
+        hull of int points that starts at (0, 0), increases strictly in x and has y >= 0."""
+        polygon = object.__new__(cls)
+        Value.__init__(polygon, vertices, infinite_slopes)
+        return polygon
+
     @property
     def polygon(self) -> PiecewiseLinear:
         """The finite part as a profile through the vertices."""
@@ -234,15 +248,12 @@ def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tupl
         entries = [[entries[i][j] for j in order] for i in order]
         e = [e[j] for j in order]
     scales = [p**x for x in e]
-    a = [list(map(floordiv, row, scales)) for row in entries]
-    if len(a) >= _PACK_FROM_T and q < _PACK_BELOW_Q:
-        _hessenberg_packed(a, e, scales, p, q)
-    else:
-        _hessenberg_rows(a, e, scales, p, q)
+    reduction = _hessenberg_packed if len(entries) >= _PACK_FROM_T and q < _PACK_BELOW_Q else _hessenberg_rows
+    columns = reduction(entries, e, scales, p, q)
     ordered = sorted(e)
     hodge = list(accumulate(ordered, initial=0))
     lam, D, E = _balanced_scale(ordered, hodge)
-    g = _recurrence(a, [p ** (lam - x) if x < lam else 1 for x in e],
+    g = _recurrence(columns, [p ** (lam - x) if x < lam else 1 for x in e],
                     [p ** (x - lam) if x > lam else 1 for x in e], p ** (s + max(D, E)))
     unit = p**D
     return [y * p ** (lam * i) // unit % p ** (h + s) for i, (y, h) in enumerate(zip(g, hodge))], hodge
@@ -266,37 +277,39 @@ def _balanced_scale(ordered: list[int], hodge: list[int]) -> tuple[int, int, int
     return low + 1, below, above - (t - j)
 
 
-def _recurrence(a: list[list[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
+def _recurrence(columns: Sequence[Sequence[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
     """The coefficients of det(X*W - h) mod Q, in [0, Q), highest power first, for W = diag(weights)
-    and the upper Hessenberg h = A * diag(scales)."""
-    if len(a) >= _PACK_FROM_T and Q < _PACK_RECURRENCE_BELOW_Q:
-        return _recurrence_packed(a, weights, scales, Q)[::-1]
-    return _recurrence_rows(a, weights, scales, Q)[::-1]
+    and the upper Hessenberg h = A * diag(scales), A given by its columns."""
+    if len(columns) >= _PACK_FROM_T and Q < _PACK_RECURRENCE_BELOW_Q:
+        return _recurrence_packed(columns, weights, scales, Q)[::-1]
+    return _recurrence_rows(columns, weights, scales, Q)[::-1]
 
 
-def _steps(a: list[list[int]], scales: list[int], Q: int) -> Iterator[tuple[int, list[int]]]:
+def _steps(columns: Sequence[Sequence[int]], scales: list[int], Q: int) -> Iterator[tuple[int, list[int]]]:
     """(d, cs) of each step k of the Hessenberg recurrence for h = A * diag(scales), all mod Q:
     d = h_kk and cs_i = h_ik h_(i+1,i) ... h_(k,k-1) for i < k.
 
-    Only the Hessenberg entries of `a`, rows 0..j+1 of column j, are read.
+    `columns` holds A by columns, and only the Hessenberg entries, rows 0..j+1 of column j, are
+    read, so a column may stop after row j+1.
     """
-    sub = [a[i + 1][i] * scales[i] % Q for i in range(len(a) - 1)]
-    for k, scale in enumerate(scales):
+    sub = [columns[i][i + 1] * scales[i] % Q for i in range(len(columns) - 1)]
+    for k, (column, scale) in enumerate(zip(columns, scales)):
         cs, product = [0] * k, scale
         for i in range(k - 1, -1, -1):
             product = product * sub[i] % Q
-            cs[i] = a[i][k] * product % Q
-        yield a[k][k] * scale % Q, cs
+            cs[i] = column[i] * product % Q
+        yield column[k] * scale % Q, cs
 
 
-def _recurrence_rows(a: list[list[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
+def _recurrence_rows(columns: Sequence[Sequence[int]], weights: list[int], scales: list[int],
+                     Q: int) -> list[int]:
     """The coefficients of det(X*W - h) mod Q, lowest power first, W = diag(weights) and
     h = A * diag(scales) upper Hessenberg."""
     # p_(k+1) = (w_k X - d) p_k - sum_(i<k) cs_i p_i for the polynomial p_i of the leading i-block
     # of X*W - h, lowest power first; cols[m] holds the X^m coefficients of p_m, p_(m+1), ..., so
     # each coefficient of p_(k+1) is one dot product
     cols, poly = [[1]], [1]
-    for weight, (d, cs) in zip(weights, _steps(a, scales, Q)):
+    for weight, (d, cs) in zip(weights, _steps(columns, scales, Q)):
         poly = [(weight * low - d * c - sum(map(mul, cs[m:], col))) % Q
                 for m, (low, c, col) in enumerate(zip([0] + poly, poly, cols))] + [weight * poly[-1] % Q]
         for col, c in zip(cols, poly):
@@ -305,7 +318,8 @@ def _recurrence_rows(a: list[list[int]], weights: list[int], scales: list[int], 
     return poly
 
 
-def _recurrence_packed(a: list[list[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
+def _recurrence_packed(columns: Sequence[Sequence[int]], weights: list[int], scales: list[int],
+                       Q: int) -> list[int]:
     """The coefficients of _recurrence_rows, from p_0, ..., p_t held as one int each.
 
     P_i = sum_m x_m 2^(w m) with every field x_m in [0, 2Q) and congruent to p_i's X^m coefficient
@@ -315,14 +329,14 @@ def _recurrence_packed(a: list[list[int]], weights: list[int], scales: list[int]
     and field k+1 below 2 Q W, all below 2^w, and no borrow crosses a field. _reduce_fields
     brings T's fields back into [0, 2Q), which makes P_(k+1).
     """
-    n = len(a)
+    n = len(columns)
     beta = 2 * n * Q * Q
     w = (beta + 2 * Q * max(weights)).bit_length()
     mask = (1 << w) - 1
     even = mask * ((1 << 2 * w * (n // 2 + 1)) - 1) // ((1 << 2 * w) - 1)  # fields 0, 2, 4, ...
     r = (1 << w) // Q
     polys, betas = [1], 0
-    for k, (weight, (d, cs)) in enumerate(zip(weights, _steps(a, scales, Q))):
+    for k, (weight, (d, cs)) in enumerate(zip(weights, _steps(columns, scales, Q))):
         betas += beta << w * k
         last = polys[k]
         polys.append(_reduce_fields((weight * last << w) + betas - d * last - sum(map(mul, cs, polys)),
@@ -345,8 +359,9 @@ def _reduce_fields(x: int, q: int, r: int, w: int, even: int) -> int:
 def _pivot(column: list[int], k: int, e: list[int], scales: list[int], p: int,
            q: int) -> tuple[int, list[int], int, list[int]] | None:
     """Every decision of step k of the Hessenberg reduction, from column k's entries below the
-    diagonal, column = [a_(k+1,k), ..., a_(t-1,k)]: None when they are all 0 mod q, else
-    (piv, fs, lift, multiples), with `e` and `scales` updated in place.
+    diagonal, column = [a_(k+1,k), ..., a_(t-1,k)], which both reductions hand over as residues
+    mod q: None when they are all 0 mod q, else (piv, fs, lift, multiples), with `e` and `scales`
+    updated in place.
 
     Column k pivots on an entry of least valuation: where a_(k+1,k) is not one, M is first
     conjugated by the transposition of k+1 and piv, which swaps e and scales here. Row k+1 is
@@ -386,19 +401,22 @@ def _pivot(column: list[int], k: int, e: list[int], scales: list[int], p: int,
     return piv, fs, lift, [x // scales[k + 1] for x in terms]
 
 
-def _hessenberg_rows(a: list[list[int]], e: list[int], scales: list[int], p: int, q: int) -> None:
-    """Bring the rows `a` of A to upper Hessenberg form in place, lowering `e` and `scales` as needed.
+def _hessenberg_rows(m: Sequence[Sequence[int]], e: list[int], scales: list[int], p: int,
+                     q: int) -> list[tuple[int, ...]]:
+    """The columns of A, M = A * diag(scales) for the rows `m` of M, brought to upper Hessenberg
+    form, lowering `e` and `scales` as needed.
 
     Each step is a similarity of M by an integer matrix with an integer inverse, or changes a
-    column of A by a multiple of q; _pivot decides it. A step writes only entries that are read
-    again: the pivot row k+1 keeps its entries and the row step takes their residues mod q, and
-    the row step skips column k, whose entries below row k+1 nothing reads. So `a` ends upper
-    Hessenberg only in the entries _steps reads, rows 0..j+1 of column j, and those differ from a
-    full reduction's by multiples of q.
+    column of A by a multiple of q; _pivot decides it from the residues mod q of column k below the
+    diagonal. A step writes only entries that are read again: the pivot row k+1 keeps its entries
+    and the row step takes their residues mod q, and the row step skips column k, whose entries
+    below row k+1 nothing reads. So A ends upper Hessenberg only in the entries _steps reads, rows
+    0..j+1 of column j, and those differ from a full reduction's by multiples of q.
     """
+    a = [list(map(floordiv, row, scales)) for row in m]
     n = len(a)
     for k in range(n - 2):
-        if not (step := _pivot([row[k] for row in a[k + 1:]], k, e, scales, p, q)):
+        if not (step := _pivot([row[k] % q for row in a[k + 1:]], k, e, scales, p, q)):
             continue
         piv, fs, lift, multiples = step
         if piv > k + 1:
@@ -410,13 +428,15 @@ def _hessenberg_rows(a: list[list[int]], e: list[int], scales: list[int], p: int
             row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], pivot)]
         for row in a:
             row[k + 1] = row[k + 1] * lift + sum(map(mul, multiples, row[k + 2:]))
+    return list(zip(*a))
 
 
-def _field_width(a: list[list[int]], e: list[int], p: int, q: int) -> int:
-    """Bits w of a packed field: every value _hessenberg_rows makes from `a` lies in (-2^(w-1), 2^(w-1)).
+def _field_width(columns: list[Sequence[int]], scales: list[int], q: int) -> tuple[int, int]:
+    """(w, bias) of a packed field for M's `columns` and column scales: every value v that
+    _hessenberg_rows makes lies in (-V, V), so the field v + bias lies in (0, 2^w).
 
     The values stay below V = p^E (a0 + t q^2)(1 + t q) in absolute value, E the largest e_j and
-    a0 the largest |a_ij| at the start:
+    a0 the largest |a_ij| at the start, the largest of M's column maxima |m_ij| / p^e_j:
       - the row step at k subtracts f * r with f in [0, q) and r a residue mod q from the entries
         of columns k+1 on below row k+1, so at most t - 2 times from one entry, and column j only
         at k <= j - 1: before its column step column j holds values below a0 + t q^2;
@@ -424,31 +444,37 @@ def _field_width(a: list[list[int]], e: list[int], p: int, q: int) -> int:
         adds at most t - 2 columns not yet stepped times f_i p^e_i / p^e_j <= q p^E, which makes
         at most p^E (a0 + t q^2)(1 + t q); after it no step changes column j, and row swaps only
         permute its entries.
+    bias is the least multiple of q above V, so v + bias > 0 and is congruent to v mod q; w is the
+    bit length of bias + V, so v + bias < bias + V < 2^w.
     """
-    t = len(a)
-    a0 = max(max(map(abs, row)) for row in a)
-    return (p ** max(e) * (a0 + t * q * q) * (1 + t * q)).bit_length() + 1
+    t = len(columns)
+    a0 = max(max(map(abs, column)) // scale for column, scale in zip(columns, scales))
+    bound = max(scales) * (a0 + t * q * q) * (1 + t * q)
+    bias = (bound // q + 1) * q
+    return (bias + bound).bit_length(), bias
 
 
-def _hessenberg_packed(a: list[list[int]], e: list[int], scales: list[int], p: int, q: int) -> None:
+def _hessenberg_packed(m: Sequence[Sequence[int]], e: list[int], scales: list[int], p: int,
+                       q: int) -> list[list[int]]:
     """The steps of _hessenberg_rows, decided by _pivot from the same values, on A held as one int
-    per column.
+    per column; the Hessenberg entries of A by columns, rows 0..j+1 of column j.
 
-    Column j is sum_i (a_ij + bias) 2^at[i], bias = 2^(w-1): the w-bit field at bit at[i], read
-    as (c >> at[i] & mask) - bias, holds a_ij, and stays in [0, 2^w) by _field_width, so no
-    carry crosses fields. A row step is one multiply-add on each column from k+1 on, and a row
-    swap only swaps two offsets. Only the Hessenberg entries, rows 0..j+1 of column j, are written
-    back to `a`.
+    Column j is sum_i (a_ij + bias) 2^at[i], with w and bias from _field_width: the w-bit field at
+    bit at[i] holds a_ij + bias and stays in (0, 2^w), so no carry crosses fields. M's column j is
+    p^e_j times A's, and so is its packed form sum_i m_ij 2^at[i], so one exact division per column
+    makes A's. bias is a multiple of q, so a field mod q is a_ij's residue with nothing subtracted.
+    A row step is one multiply-add on each column from k+1 on, and a row swap only swaps two
+    offsets.
     """
-    n = len(a)
-    w = _field_width(a, e, p, q)
-    bias = 1 << (w - 1)
+    n = len(m)
+    columns = list(zip(*m))
+    w, bias = _field_width(columns, scales, q)
     mask = (1 << w) - 1
     biases = bias * ((1 << w * n) - 1) // mask  # every field at bias: the column of zeros
     at = list(range(0, w * n, w))
-    cols = [sum(map(lshift, col, at)) + biases for col in zip(*a)]
+    cols = [sum(map(lshift, column, at)) // scale + biases for column, scale in zip(columns, scales)]
     for k in range(n - 2):
-        if not (step := _pivot([(cols[k] >> x & mask) - bias for x in at[k + 1:]], k, e, scales, p, q)):
+        if not (step := _pivot([(cols[k] >> x & mask) % q for x in at[k + 1:]], k, e, scales, p, q)):
             continue
         piv, fs, lift, multiples = step
         if piv > k + 1:
@@ -458,13 +484,11 @@ def _hessenberg_packed(a: list[list[int]], e: list[int], scales: list[int], p: i
         # loses r F, F = sum_i f_i 2^at[i], and its pivot field x and column k stay as they are
         shift = at[k + 1]
         F = sum(map(lshift, fs, at[k + 2:]))
-        cols[k + 1:] = [c - ((c >> shift & mask) - bias) % q * F for c in cols[k + 1:]]
+        cols[k + 1:] = [c - (c >> shift & mask) % q * F for c in cols[k + 1:]]
         # the biases of the fields scale with the column, so lift - 1 + sum(multiples) of them go
         cols[k + 1] = (cols[k + 1] * lift + sum(map(mul, multiples, cols[k + 2:]))
                        - (lift - 1 + sum(multiples)) * biases)
-    for j, c in enumerate(cols):
-        for i, x in enumerate(at[:j + 2]):
-            a[i][j] = (c >> x & mask) - bias
+    return [[(c >> x & mask) - bias for x in at[:j + 2]] for j, c in enumerate(cols)]
 
 
 def _exact_precision(entries: tuple[tuple[int, ...], ...]) -> int:
@@ -577,8 +601,8 @@ def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
             hull = _lower_hull([(i, h + (_valuation(c // p**h, p) if c else s))
                                 for i, (c, h) in enumerate(zip(residues, hodge))])
             if all(residues[i] for i, _ in hull):
-                return NewtonPolygon(hull, 0)
-    return NewtonPolygon(*_coefficient_hull(char_poly(matrix), p))
+                return NewtonPolygon._of_hull(tuple(hull), 0)
+    return NewtonPolygon._of_hull(*_coefficient_hull(char_poly(matrix), p))
 
 
 def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:

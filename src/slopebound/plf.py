@@ -3,10 +3,15 @@
 A function is stored as breakpoints with strictly increasing x starting at
 (0, 0) and non-negative values, optionally continued past the last breakpoint
 by a ray of non-negative slope. The constructor enforces exactly that, not
-convexity, and is the one place a coordinate becomes a Fraction (from
+convexity, and is where a caller's coordinate becomes a Fraction (from
 anything Fraction() takes, "3/2" included). The named constructors produce
-convex functions. Comparisons are decided exactly at merged breakpoints,
-which suffices for any piecewise-linear functions, convex or not.
+convex functions. All but one go through the constructor; from_divisor_sequence,
+built once per instance by verify_chain, makes its Fractions itself and stores
+them through the private PiecewiseLinear._of_fractions, which skips the checks.
+Its points cannot break them: x runs over 0, 1, ..., t from (0, 0), and each
+value adds r - e_l >= 0 to the last, as it refuses an exponent above r first.
+Comparisons are decided exactly at merged breakpoints, which suffices for any
+piecewise-linear functions, convex or not.
 """
 
 from __future__ import annotations
@@ -72,6 +77,14 @@ class PiecewiseLinear(Value):
         if final_slope is not None and final_slope < 0:
             raise ValueError("a final ray must have non-negative slope")
         super().__init__(pts, final_slope)
+
+    @classmethod
+    def _of_fractions(cls, breakpoints: tuple[Point, ...]) -> "PiecewiseLinear":
+        """The profile through `breakpoints`, with no final ray, stored as given: the caller's
+        Fractions already start at (0, 0), increase strictly in x and are non-negative."""
+        profile = object.__new__(cls)
+        Value.__init__(profile, breakpoints, None)
+        return profile
 
     @property
     def domain_end(self) -> Fraction | None:
@@ -167,12 +180,14 @@ def from_divisor_sequence(seq: ElemDivSeq, r: int, t: int) -> PiecewiseLinear:
         raise ExponentExceedsR(f"exponents {seq.exponents} exceed r = {r}")
     if t < len(seq):
         raise BadLength(f"t = {t} shorter than sequence length {len(seq)}")
-    points = [(0, 0)]
+    # x runs over 0..t and every r - e_l >= 0 by the checks above, so the points meet
+    # PiecewiseLinear's checks by construction
+    points = [(Fraction(0), Fraction(0))]
     total = 0
     for l, e in enumerate(seq.padded(t), start=1):
         total += r - e
-        points.append((l, total))
-    return PiecewiseLinear(points)
+        points.append((Fraction(l), Fraction(total)))
+    return PiecewiseLinear._of_fractions(tuple(points))
 
 
 def f_r(system_s: int, g: int, r: int) -> PiecewiseLinear:

@@ -37,7 +37,7 @@ from slopebound.newton import (
     newton_polygon,
     slope_le_dimension,
 )
-from slopebound.plf import DomainTooShort, PiecewiseLinear, from_divisor_sequence
+from slopebound.plf import DomainTooShort, PiecewiseLinear, _check_anchored, from_divisor_sequence
 
 small_matrices = st.integers(min_value=2, max_value=5).flatmap(
     lambda n: st.lists(
@@ -203,6 +203,24 @@ class TestKernel:
         assert poly.finite_length == max(i for i, c in enumerate(exact) if c)
         assert poly.finite_length + poly.infinite_slopes == len(rows)
 
+    @pytest.mark.parametrize("kind", KINDS + ["deep", "spread"])
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=30, deadline=None)
+    def test_hull_is_stored_as_the_public_constructor_would_store_it(self, kind, data, p):
+        # matrix_newton_polygon stores its hull unchecked: it must be int pairs that pass the
+        # public constructor's checks, and a lower hull, every edge steeper than the one before
+        rows = data.draw(shaped_matrices(kind, p, max_t=16))
+        matrix_newton_polygon.cache_clear()
+        poly = matrix_newton_polygon(IntegerMatrix(tuple(map(tuple, rows))), p)
+        vertices = poly.vertices
+        assert type(vertices) is tuple
+        assert all(type(x) is int and type(y) is int for x, y in vertices)
+        _check_anchored(vertices)
+        assert all((y1 - y0) * (x2 - x1) < (y2 - y1) * (x1 - x0)
+                   for (x0, y0), (x1, y1), (x2, y2) in zip(vertices, vertices[1:], vertices[2:]))
+        public = NewtonPolygon(vertices, poly.infinite_slopes)
+        assert poly == public and hash(poly) == hash(public) and repr(poly) == repr(public)
+
     @staticmethod
     def precisions(monkeypatch, matrix, p):
         """The polygon of `matrix` at p, and the (prime, digits s above the Hodge bound) of each kernel run."""
@@ -327,9 +345,9 @@ def moduli(kernel, *args):
     """kernel(*args), and the modulus Q of each recurrence it runs."""
     seen = []
 
-    def spy(a, weights, scales, Q):
+    def spy(columns, weights, scales, Q):
         seen.append(Q)
-        return _recurrence(a, weights, scales, Q)
+        return _recurrence(columns, weights, scales, Q)
 
     with patch.object(newton, "_recurrence", spy):
         return kernel(*args), seen
@@ -394,8 +412,8 @@ class TestBalancedRecurrence:
         residues, hodge = _char_poly_mod(rows, p, SLACK)
         assert hodge == [0, 0, 4] and balance(hodge) == (2, 2, 2)
         assert residues == [c % p ** (h + SLACK) for c, h in zip(exact, hodge)]
-        def short_modulus(a, weights, scales, Q):
-            return _recurrence(a, weights, scales, Q // p)
+        def short_modulus(columns, weights, scales, Q):
+            return _recurrence(columns, weights, scales, Q // p)
 
         with patch.object(newton, "_recurrence", short_modulus):
             short, _ = _char_poly_mod(rows, p, SLACK)
@@ -425,13 +443,14 @@ def pivot_reference(column, k, e, scales, p, q):
     return piv, fs, lift, [x // scales[k + 1] for x in terms]
 
 
-def hessenberg_reference(a, e, scales, p, q):
-    """The full reduction: the pivot row is reduced mod q in place, and the row step clears column
-    k too, so every entry below the subdiagonal ends a multiple of q. Its steps come from
-    newton._pivot, so a spy on that name sees them."""
+def hessenberg_reference(m, e, scales, p, q):
+    """A's columns after the full reduction of A, M = A * diag(scales): the pivot row is reduced
+    mod q in place, and the row step clears column k too, so every entry below the subdiagonal ends
+    a multiple of q. Its steps come from newton._pivot, so a spy on that name sees them."""
+    a = [[x // scale for x, scale in zip(row, scales)] for row in m]
     n = len(a)
     for k in range(n - 2):
-        if not (step := newton._pivot([row[k] for row in a[k + 1:]], k, e, scales, p, q)):
+        if not (step := newton._pivot([row[k] % q for row in a[k + 1:]], k, e, scales, p, q)):
             continue
         piv, fs, lift, multiples = step
         if piv > k + 1:
@@ -443,6 +462,7 @@ def hessenberg_reference(a, e, scales, p, q):
             row[k:] = [x - f * y for x, y in zip(row[k:], pivot)]
         for row in a:
             row[k + 1] = row[k + 1] * lift + sum(map(mul, multiples, row[k + 2:]))
+    return list(zip(*a))
 
 
 @st.composite
@@ -497,7 +517,8 @@ def char_poly_mod_by(reduction, entries, p, s):
 
 
 class TestPackedReduction:
-    """_hessenberg_packed makes the values of _hessenberg_rows, and _char_poly_mod picks it by t and q."""
+    """_hessenberg_packed, which packs M's columns, makes the values of _hessenberg_rows, and
+    _char_poly_mod picks it by t and q."""
 
     @pytest.mark.parametrize("kind", KINDS + ["deep"])
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
@@ -542,9 +563,9 @@ class TestPackedReduction:
             assert self.pivot_calls(reduction, entries, p, SLACK) == (full, full_steps)
 
     @staticmethod
-    def states(reduction, a, e, scales, p, q):
-        """Run `reduction` and return A as it holds it before each step and at the end, row by row;
-        the packed form's fields are decoded, row i from bit at[i] of each column."""
+    def states(reduction, m, e, scales, p, q):
+        """Run `reduction` on M and return A as it holds it before each step and at the end, row by
+        row; the packed form's fields are decoded, row i from bit at[i] of each column."""
         seen = []
 
         def read(frame):
@@ -564,28 +585,32 @@ class TestPackedReduction:
         before = sys.getprofile()
         sys.setprofile(profile)
         try:
-            reduction(a, e, scales, p, q)
+            reduction(m, e, scales, p, q)
         finally:
             sys.setprofile(before)
         return seen
 
     def assert_fields_hold_every_value(self, entries, p, s):
-        """Both forms hold the same A after every step, every value inside (-2^(w-1), 2^(w-1)) for
-        the width of _field_width: so no packed field, Hessenberg or not, carried into the next."""
+        """Both forms hold the same A after every step, and every value plus the bias of
+        _field_width inside (0, 2^w) for its width w: so no packed field, Hessenberg or not, carried
+        into the next. Returns the largest field, max(value + bias)."""
         runs = {}
 
-        def both(a, e, scales, p, q):
-            runs["w"] = _field_width(a, e, p, q)
+        def both(m, e, scales, p, q):
+            runs["w"], runs["bias"] = _field_width(list(zip(*m)), scales, q)
             for reduction in (_hessenberg_rows, _hessenberg_packed):
-                runs[reduction] = self.states(reduction, [row[:] for row in a], e[:], scales[:], p, q)
-            _hessenberg_rows(a, e, scales, p, q)
+                runs[reduction] = self.states(reduction, m, e[:], scales[:], p, q)
+            return _hessenberg_rows(m, e, scales, p, q)
 
         char_poly_mod_by(both, entries, p, s)
-        bound = 2 ** (runs["w"] - 1)
+        w, bias = runs["w"], runs["bias"]
         rows = runs[_hessenberg_rows]
         assert len(rows) == max(len(entries) - 2, 0) + 1  # before each step, and at the end
         assert runs[_hessenberg_packed] == rows
-        assert all(-bound < x < bound for state in rows for row in state for x in row)
+        assert bias % p**s == 0
+        fields = [x + bias for state in rows for row in state for x in row]
+        assert 0 < min(fields) and max(fields) < 2**w
+        return max(fields)
 
     @pytest.mark.parametrize("kind", ["deep", "scaled", "random"])
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
@@ -598,26 +623,41 @@ class TestPackedReduction:
         inst = gen_instance(seed, p=p, t=t, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50)
         self.assert_fields_hold_every_value(inst.matrix.entries, p, SLACK)
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_values_reach_a_quarter_of_the_field(self, p):
-        # column 0 pivots on row 1 with f_i = q - 1 for every lower row, and every column after
-        # column 1 has scale p^E and entries a0, so row 0 of column 1 gains (t - 2)(q - 1) p^E a0
-        t, s, E, a0 = 10, 4, 6, 10**6 + 1
+    @staticmethod
+    def far_reaching(p, a0, t=10, s=4, E=6):
+        """(M, e, s): column 0 pivots on row 1 with f_i = q - 1 for every lower row, and every
+        column after column 1 has scale p^E and entries a0, so row 0 of column 1 gains
+        (t - 2)(q - 1) p^E a0, about three quarters of the bound V of _field_width at t = 10."""
         q = p**s
         a = [[a0, a0], [1, 1]] + [[q - 1, 1] for _ in range(t - 2)]
         for row in a:
             row += [a0] * (t - 2)
         e = [0, 0] + [E] * (t - 2)
-        entries = tuple(tuple(x * p**k for x, k in zip(row, e)) for row in a)
-        w = _field_width(a, e, p, q)
-        h = [row[:] for row in a]
-        _hessenberg_rows(h, e[:], [p**k for k in e], p, q)
-        biggest = max(abs(h[i][j]) for j in range(t) for i in range(min(j + 2, t)))
-        assert 2 ** (w - 1) // 4 < biggest < 2 ** (w - 1)
+        return tuple(tuple(x * p**k for x, k in zip(row, e)) for row in a), e, s
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_values_reach_a_quarter_of_the_field(self, p):
+        entries, e, s = self.far_reaching(p, 10**6 + 1)
+        t, q = len(entries), p**s
+        scales = [p**k for k in e]
+        _, bias = _field_width(list(zip(*entries)), scales, q)
+        columns = _hessenberg_rows(entries, e[:], scales, p, q)
+        biggest = max(abs(columns[j][i]) for j in range(t) for i in range(min(j + 2, t)))
+        # bias is the least multiple of q above the bound on the values
+        assert bias // 4 < biggest < bias
         residues, hodge = char_poly_mod_by(_hessenberg_packed, entries, p, s)
         assert (residues, hodge) == char_poly_mod_by(_hessenberg_rows, entries, p, s)
         assert residues == [c % p ** (k + s) for c, k in zip(charpoly_faddeev_leverrier(entries), hodge)]
         self.assert_fields_hold_every_value(entries, p, s)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_largest_field_passes_half_the_width(self, p):
+        # the bias lies in (V, V + q] and 2^w above bias + V, so the largest field, bias plus about
+        # 3/4 V, passes 2^(w-1) when the bias sits above about 0.29 * 2^w: at a0 = 1.5e6 it is
+        # 0.45 (p = 2) and 0.42 (p = 3). A field one bit narrower would carry into the next.
+        entries, e, s = self.far_reaching(p, 3 * 10**6 // 2 + 1)
+        w, _ = _field_width(list(zip(*entries)), [p**k for k in e], p**s)
+        assert self.assert_fields_hold_every_value(entries, p, s) >= 2 ** (w - 1)
 
     @pytest.mark.parametrize(("t", "p", "s", "packed"), [
         (newton._PACK_FROM_T - 1, 2, SLACK, False),
@@ -628,8 +668,12 @@ class TestPackedReduction:
     ])
     def test_selection_by_size_and_modulus(self, t, p, s, packed):
         calls = []
-        with patch.object(newton, "_hessenberg_rows", lambda *args: calls.append("rows")), \
-                patch.object(newton, "_hessenberg_packed", lambda *args: calls.append("packed")):
+
+        def spy(name, reduction):
+            return lambda *args: calls.append(name) or reduction(*args)
+
+        with patch.object(newton, "_hessenberg_rows", spy("rows", _hessenberg_rows)), \
+                patch.object(newton, "_hessenberg_packed", spy("packed", _hessenberg_packed)):
             _char_poly_mod(IntegerMatrix.diagonal(list(range(1, t + 1))).entries, p, s)
         assert calls == ["packed" if packed else "rows"]
 
@@ -654,8 +698,8 @@ def fields(x, w, count):
 
 @st.composite
 def hessenberg_inputs(draw, max_t=16):
-    """Rows of any t x t integer matrix (the recurrence reads its Hessenberg part), positive weights
-    and scales, and a modulus Q >= 2 that need not be a prime power."""
+    """Columns of any t x t integer matrix (the recurrence reads its Hessenberg part), positive
+    weights and scales, and a modulus Q >= 2 that need not be a prime power."""
     t = draw(st.integers(min_value=1, max_value=max_t))
     entries = st.integers(min_value=-(2**70), max_value=2**70)
     a = draw(st.lists(st.lists(entries, min_size=t, max_size=t), min_size=t, max_size=t))
@@ -689,7 +733,7 @@ class TestPackedRecurrence:
     @given(hessenberg_inputs())
     @settings(max_examples=50, deadline=None)
     def test_rows_and_packed_take_their_steps_from_one_routine(self, inputs):
-        a, _, scales, Q = inputs
+        columns, _, scales, Q = inputs
         taken = []
         for recurrence in (_recurrence_rows, _recurrence_packed):
             seen = []
@@ -702,19 +746,19 @@ class TestPackedRecurrence:
             with patch.object(newton, "_steps", spy):
                 recurrence(*inputs)
             taken.append(seen)
-        assert taken[0] == taken[1] == list(_steps(a, scales, Q))
-        assert [len(cs) for _, cs in taken[0]] == list(range(len(a)))
+        assert taken[0] == taken[1] == list(_steps(columns, scales, Q))
+        assert [len(cs) for _, cs in taken[0]] == list(range(len(columns)))
 
     @given(hessenberg_inputs(max_t=5))
     @settings(max_examples=30, deadline=None)
     def test_rows_give_det_of_x_times_weights_minus_h(self, inputs):
-        a, weights, scales, Q = inputs
-        t = len(a)
+        columns, weights, scales, Q = inputs
+        t = len(columns)
         x = sympy.Symbol("x")
-        h = [[a[i][j] * scales[j] if i <= j + 1 else 0 for j in range(t)] for i in range(t)]
+        h = [[columns[j][i] * scales[j] if i <= j + 1 else 0 for j in range(t)] for i in range(t)]
         det = sympy.Matrix(t, t, lambda i, j: (x * weights[i] if i == j else 0) - h[i][j]).det(method="berkowitz")
         expected = [int(c) % Q for c in reversed(sympy.Poly(det, x).all_coeffs())]
-        assert _recurrence_rows(a, weights, scales, Q) == expected
+        assert _recurrence_rows(columns, weights, scales, Q) == expected
 
     @given(data=st.data(), w=st.integers(min_value=2, max_value=200),
            count=st.integers(min_value=1, max_value=9))
@@ -775,8 +819,9 @@ class TestPackedRecurrence:
         scales = [p ** (j % 4) for j in range(t)]
         h = [[x * c for x, c in zip(row, scales)] for row in a]
         expected = [c % Q for c in reversed(charpoly_faddeev_leverrier(h))]
-        coeffs, seen = self.steps(_recurrence_packed, a, [1] * t, scales, Q)
-        assert coeffs == expected == _recurrence_rows(a, [1] * t, scales, Q)
+        columns = list(zip(*a))
+        coeffs, seen = self.steps(_recurrence_packed, columns, [1] * t, scales, Q)
+        assert coeffs == expected == _recurrence_rows(columns, [1] * t, scales, Q)
         w = seen[0][3]
         biggest = max(max(fields(before, w, i + 1)) for i, (before, *_) in enumerate(seen))
         assert 2 ** (w - 1) <= biggest < 2**w

@@ -160,6 +160,22 @@ class TestFromDivisorSequence:
         with pytest.raises(BadLength):
             from_divisor_sequence(ElemDivSeq((1, 1)), 1, 1)
 
+    @given(r=st.integers(1, 8), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_public_constructor_on_the_same_ints(self, r, data):
+        # from_divisor_sequence stores its Fractions unchecked; the public constructor, which
+        # checks them, must make the same value from the same ints
+        t = data.draw(st.integers(0, 48))
+        b = sorted(data.draw(st.lists(st.integers(1, r), max_size=t)), reverse=True)
+        points = [(0, 0)]
+        for l, e in enumerate(b + [0] * (t - len(b)), start=1):
+            points.append((l, points[-1][1] + r - e))
+        fn, public = from_divisor_sequence(ElemDivSeq(tuple(b)), r, t), PiecewiseLinear(points)
+        assert fn.breakpoints == public.breakpoints
+        assert fn.final_slope is None and public.final_slope is None
+        assert hash(fn) == hash(public) and repr(fn) == repr(public)
+        assert all(type(c) is Fraction for point in fn.breakpoints for c in point)
+
     @given(divisor_pairs())
     @settings(max_examples=60, deadline=None)
     def test_convex_and_dominance_transfer(self, pair):
