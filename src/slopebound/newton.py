@@ -25,18 +25,23 @@ are read again: the pivot row keeps its entries, whose residues mod p^s drive
 the step, and the column being cleared keeps its entries below the subdiagonal,
 which nothing reads. So the entries that are read differ from a full
 reduction's by multiples of p^s, and the stored A is upper Hessenberg only in
-them. For t >= 8 and
-a modulus below 2^64 the reduction runs on one int per column with fixed-width
-fields (Kronecker substitution), else on rows of ints; one routine, _pivot,
-takes every decision of a step for both forms, from the same residues mod p^s,
-so they take the same steps by construction and differ only in how they store
-A. Both take M and hand A to the recurrence by columns: the rows form divides
-each entry by its column scale, the packed form packs M's columns and divides
-each packed column once, exactly, since the scale divides every entry. Its
-fields carry a bias that is a multiple of p^s, so a field is congruent to its
-entry mod p^s, and the pivot column and the row step read residues with nothing
-subtracted. The recurrence then runs at a balanced column scale lam, near the
-mean of the e_j: it computes
+them. For t >= 8 and a modulus below 2^113 the reduction runs on one int per
+column with fixed-width fields (Kronecker substitution; Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", 2009), else on rows of
+ints. The packed form packs M's columns and divides each packed column once,
+exactly, since the scale divides every entry; its fields carry a bias that is a
+multiple of p^s, so a field is congruent to its entry mod p^s and is read with
+nothing subtracted. The rows form hands every step to _pivot, which decides it
+from the residues mod p^s of the column below the diagonal. The packed form
+reads that column's fields from the subdiagonal down, takes the first unit mod
+p as the pivot, as _pivot would, and builds the multipliers from the fields;
+only a column with no unit below the diagonal goes to _pivot. Both take a step's
+scale rule from one routine, _lift, so the forms take the same steps and differ
+only in how they store A. The rows form hands A to the recurrence by columns,
+the packed form as its ints, whose Hessenberg fields the recurrence reads as
+they are: the bias changes each column of A by multiples of p^s, which moves no
+residue, so nothing is subtracted. The recurrence then runs at a balanced column
+scale lam, near the mean of the e_j: it computes
 g(Y) = det(Y diag(p^d+) - A diag(p^d-)) = p^(D+ - lam t) det(p^lam Y - M), with
 d+_j = (lam - e_j)+, d-_j = (e_j - lam)+ and D+, E- their sums, so
 c_i = p^(lam i - D+) g_(t-i). The residues c_i mod p^(H(i)+s) need g only mod
@@ -50,7 +55,9 @@ kernel's residues at p = 2 with 2^s past twice the Hadamard bound.
 
 A matrix's polygon takes the kernel at s = 8, and again at s = 16 when 8 digits
 cannot certify the hull; only a polygon neither run certifies (a singular or a
-very deep matrix) takes the exact coefficients.
+very deep matrix) takes the exact coefficients. Its points come from g in one
+pass: c_i's point is v_p(g_(t-i)) + lam i - D+, known where that is below
+H(i)+s, with no division by p^H(i).
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ __all__ = [
 # s = 16 as at s = 8, the exact run at t = 40 about 8 times. A first rung at 4 or 6 left more
 # polygons to the second run and saved no time.
 _SLACK = 8
-# _char_poly_mod reduces packed columns when t >= _PACK_FROM_T and p^s < _PACK_BELOW_Q. Per-call
+# _kernel reduces packed columns when t >= _PACK_FROM_T and p^s < _PACK_BELOW_Q. Per-call
 # time (ms) of _char_poly_mod at s = 8, rows/packed reduction: gen_instance matrices, r = 3,
 # b = (2, 1), entries up to 50, six per cell, each the least of 7 alternating runs (Python 3.11.7;
 # the shared host's speed moved between rows, so compare within a row):
@@ -108,14 +115,26 @@ _SLACK = 8
 #   24  1.426/0.774  2.224/1.210  1.904/1.042  2.379/1.677  4.562/4.557
 # While q = p^8 is at most 101^8 < 2^54, packing's fixed cost loses below t = 7, ties at t = 7
 # and wins from t = 8 on. The fields are about three times as wide as q, so the gain shrinks as q
-# grows: at 257^8 > 2^64 packing wins by 4-13% at t = 8-12, and at 65537^8 = 2^128 it loses up
-# to t = 14 and ties from t = 16 to 24; the crossover between 2^64 and 2^128 is not measured. So
-# char_poly, whose 2^s passes the Hadamard bound, keeps rows unless the entries are tiny. The
-# constant also selects the packed recurrence (below): with both halves packed, the kernel on the
-# same matrices (p = 2, 3, 5, 101, least of 15) took 8%, 11% and 17% less time than on rows at
-# t = 7, 8 and 9, and tied at t = 6.
+# grows. Per-call time (ms) of _char_poly_mod at s = 8 for q = p^8 above 2^64, rows/packed reduction
+# (packed over rows): gen_instance matrices, r = 3, b = (2, 1), entries up to 50, six per cell,
+# each the least of 15 alternating runs (Python 3.11.7; the two runs of the table were apart):
+#    t  2^64.0 (p = 257)    2^80.1 (p = 1031)   2^96.0 (p = 4099)   2^112.0 (p = 16411)
+#    8  0.215/0.196 (0.91)  0.227/0.213 (0.94)  0.255/0.253 (0.99)  0.389/0.367 (0.94)
+#   12  0.489/0.409 (0.84)  0.517/0.453 (0.88)  0.561/0.525 (0.94)  0.587/0.581 (0.99)
+#   16  0.856/0.673 (0.79)  0.981/0.836 (0.85)  1.063/0.956 (0.90)  1.073/1.011 (0.94)
+#   24  2.155/1.445 (0.67)  2.278/1.722 (0.76)  2.907/2.483 (0.85)  2.967/2.806 (0.95)
+#    t  2^116.0 (p = 23159) 2^120.0 (p = 32771) 2^128.0 (p = 65537)
+#    8  0.267/0.277 (1.03)  0.280/0.297 (1.06)  0.294/0.312 (1.06)
+#   12  0.605/0.587 (0.97)  0.627/0.618 (0.99)  0.657/0.671 (1.02)
+#   16  1.083/1.032 (0.95)  1.081/1.030 (0.95)  1.169/1.165 (1.00)
+#   24  4.127/3.989 (0.97)  2.916/2.720 (0.93)  3.138/3.125 (1.00)
+# So packing wins at every t up to 16411^8 and loses at t = 8 from 23159^8 on, and the reduction
+# packs below 2^113; char_poly, whose 2^s passes the Hadamard bound, keeps rows unless the entries
+# are small. The constant _PACK_FROM_T also selects the packed recurrence (below): with both halves
+# packed, the kernel on the matrices of the first table (p = 2, 3, 5, 101, least of 15) took 8%,
+# 11% and 17% less time than on rows at t = 7, 8 and 9, and tied at t = 6.
 _PACK_FROM_T = 8
-_PACK_BELOW_Q = 2**64
+_PACK_BELOW_Q = 2**113
 # _recurrence packs the polynomials when t >= _PACK_FROM_T and Q < _PACK_RECURRENCE_BELOW_Q, Q the
 # recurrence's modulus. Per-call time (ms) of the recurrence, rows/packed, after the reduction at
 # s = 8, and the median size of Q = p^(H(t)+s): gen_instance matrices, r = 3, b = (3, 2, 1),
@@ -221,9 +240,10 @@ class NewtonPolygon(Value):
         return self.polygon.dominates(bound, finite_length)
 
 
-def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[int], list[int]]:
-    """Residues [1, c_1 mod p^(H(1)+s), ..., c_t mod p^(H(t)+s)] of det(X*I - M) = sum c_i X^(t-i),
-    and the Hodge bound [H(0), ..., H(t)], H(i) the sum of the i least column scales e_j.
+def _kernel(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[int], list[int], int, int]:
+    """(g, hodge, lam, D+) for det(X*I - M) = sum c_i X^(t-i): g[i] = g_(t-i) mod Q, from which
+    c_i = p^(lam i - D+) g_(t-i) is known mod p^(H(i)+s), and the Hodge bound [H(0), ..., H(t)],
+    H(i) the sum of the i least column scales e_j.
 
     The recurrence runs at the balanced column scale lam of _balanced_scale. With
     d+_j = (lam - e_j)+ and d-_j = (e_j - lam)+, so that e_j = lam - d+_j + d-_j, and D+, E- their sums,
@@ -235,9 +255,8 @@ def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tupl
     p^s moves c_i by a multiple of p^(H(i)+s), and c_i mod p^(H(i)+s) needs g_(t-i) mod
     p^(H(i) - lam i + D+ + s). H(i) - lam i is the prefix sum of the sorted e_j - lam, convex in i,
     so the exponent is greatest at i = 0 (D+) or i = t (E-), and the recurrence runs mod
-    Q = p^(s + max(D+, E-)). p^D+ divides p^(lam i) g_(t-i) (as d+(J) <= lam i) and Q, so the
-    division of p^(lam i) (g_(t-i) mod Q) by p^D+ is exact. lam = 0 is the plain recurrence mod
-    p^(H(t)+s), and the residues are the same for every lam.
+    Q = p^(s + max(D+, E-)). lam = 0 is the plain recurrence mod p^(H(t)+s), and the residues are
+    the same for every lam.
     """
     q = p**s
     # M = A * diag(p^e), e_j at first the valuation of column j's content (0 for a zero column);
@@ -255,6 +274,17 @@ def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tupl
     lam, D, E = _balanced_scale(ordered, hodge)
     g = _recurrence(columns, [p ** (lam - x) if x < lam else 1 for x in e],
                     [p ** (x - lam) if x > lam else 1 for x in e], p ** (s + max(D, E)))
+    return g, hodge, lam, D
+
+
+def _char_poly_mod(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[int], list[int]]:
+    """Residues [1, c_1 mod p^(H(1)+s), ..., c_t mod p^(H(t)+s)] of det(X*I - M) = sum c_i X^(t-i),
+    and the Hodge bound [H(0), ..., H(t)], from _kernel.
+
+    p^D+ divides p^(lam i) g_(t-i) (as d+(J) <= lam i) and Q, so the division of
+    p^(lam i) (g_(t-i) mod Q) by p^D+ is exact.
+    """
+    g, hodge, lam, D = _kernel(entries, p, s)
     unit = p**D
     return [y * p ** (lam * i) // unit % p ** (h + s) for i, (y, h) in enumerate(zip(g, hodge))], hodge
 
@@ -277,22 +307,36 @@ def _balanced_scale(ordered: list[int], hodge: list[int]) -> tuple[int, int, int
     return low + 1, below, above - (t - j)
 
 
-def _recurrence(columns: Sequence[Sequence[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
+def _recurrence(columns: Sequence[Sequence[int]] | _Packed, weights: list[int], scales: list[int],
+                Q: int) -> list[int]:
     """The coefficients of det(X*W - h) mod Q, in [0, Q), highest power first, for W = diag(weights)
-    and the upper Hessenberg h = A * diag(scales), A given by its columns."""
-    if len(columns) >= _PACK_FROM_T and Q < _PACK_RECURRENCE_BELOW_Q:
+    and the upper Hessenberg h = A * diag(scales), A given by its columns (see _steps)."""
+    if len(scales) >= _PACK_FROM_T and Q < _PACK_RECURRENCE_BELOW_Q:
         return _recurrence_packed(columns, weights, scales, Q)[::-1]
     return _recurrence_rows(columns, weights, scales, Q)[::-1]
 
 
-def _steps(columns: Sequence[Sequence[int]], scales: list[int], Q: int) -> Iterator[tuple[int, list[int]]]:
+def _steps(columns: Sequence[Sequence[int]] | _Packed, scales: list[int],
+           Q: int) -> Iterator[tuple[int, list[int]]]:
     """(d, cs) of each step k of the Hessenberg recurrence for h = A * diag(scales), all mod Q:
     d = h_kk and cs_i = h_ik h_(i+1,i) ... h_(k,k-1) for i < k.
 
-    `columns` holds A by columns, and only the Hessenberg entries, rows 0..j+1 of column j, are
-    read, so a column may stop after row j+1.
+    `columns` holds A by columns, as sequences or as the packed reduction's _Packed, whose fields
+    are read as they are. Only the Hessenberg entries, rows 0..j+1 of column j, are read, so a
+    sequence may stop after row j+1.
     """
-    sub = [columns[i][i + 1] * scales[i] % Q for i in range(len(columns) - 1)]
+    n = len(scales)
+    if isinstance(columns, _Packed):
+        cols, at, mask = columns
+        sub = [(cols[i] >> at[i + 1] & mask) * scales[i] % Q for i in range(n - 1)]
+        for k, (c, scale) in enumerate(zip(cols, scales)):
+            cs, product = [0] * k, scale
+            for i in range(k - 1, -1, -1):
+                product = product * sub[i] % Q
+                cs[i] = (c >> at[i] & mask) * product % Q
+            yield (c >> at[k] & mask) * scale % Q, cs
+        return
+    sub = [columns[i][i + 1] * scales[i] % Q for i in range(n - 1)]
     for k, (column, scale) in enumerate(zip(columns, scales)):
         cs, product = [0] * k, scale
         for i in range(k - 1, -1, -1):
@@ -301,7 +345,7 @@ def _steps(columns: Sequence[Sequence[int]], scales: list[int], Q: int) -> Itera
         yield column[k] * scale % Q, cs
 
 
-def _recurrence_rows(columns: Sequence[Sequence[int]], weights: list[int], scales: list[int],
+def _recurrence_rows(columns: Sequence[Sequence[int]] | _Packed, weights: list[int], scales: list[int],
                      Q: int) -> list[int]:
     """The coefficients of det(X*W - h) mod Q, lowest power first, W = diag(weights) and
     h = A * diag(scales) upper Hessenberg."""
@@ -318,7 +362,7 @@ def _recurrence_rows(columns: Sequence[Sequence[int]], weights: list[int], scale
     return poly
 
 
-def _recurrence_packed(columns: Sequence[Sequence[int]], weights: list[int], scales: list[int],
+def _recurrence_packed(columns: Sequence[Sequence[int]] | _Packed, weights: list[int], scales: list[int],
                        Q: int) -> list[int]:
     """The coefficients of _recurrence_rows, from p_0, ..., p_t held as one int each.
 
@@ -329,7 +373,7 @@ def _recurrence_packed(columns: Sequence[Sequence[int]], weights: list[int], sca
     and field k+1 below 2 Q W, all below 2^w, and no borrow crosses a field. _reduce_fields
     brings T's fields back into [0, 2Q), which makes P_(k+1).
     """
-    n = len(columns)
+    n = len(scales)
     beta = 2 * n * Q * Q
     w = (beta + 2 * Q * max(weights)).bit_length()
     mask = (1 << w) - 1
@@ -359,9 +403,9 @@ def _reduce_fields(x: int, q: int, r: int, w: int, even: int) -> int:
 def _pivot(column: list[int], k: int, e: list[int], scales: list[int], p: int,
            q: int) -> tuple[int, list[int], int, list[int]] | None:
     """Every decision of step k of the Hessenberg reduction, from column k's entries below the
-    diagonal, column = [a_(k+1,k), ..., a_(t-1,k)], which both reductions hand over as residues
-    mod q: None when they are all 0 mod q, else (piv, fs, lift, multiples), with `e` and `scales`
-    updated in place.
+    diagonal, column = [a_(k+1,k), ..., a_(t-1,k)], as residues mod q: the rows reduction hands
+    them over at every step, the packed one where none is a unit mod p. None when they are all 0
+    mod q, else (piv, fs, lift, multiples), with `e` and `scales` updated in place.
 
     Column k pivots on an entry of least valuation: where a_(k+1,k) is not one, M is first
     conjugated by the transposition of k+1 and piv, which swaps e and scales here. Row k+1 is
@@ -371,7 +415,8 @@ def _pivot(column: list[int], k: int, e: list[int], scales: list[int], p: int,
     f_i p^e_i / p^e_(k+1) times column i of A. Where a quotient is fractional, e_(k+1) first drops
     to the least v_p(f_i p^e_i), which multiplies column k+1 of A by lift and leaves M as it is;
     lift is 1 where e_(k+1) stays, as it does whenever no later scale is below p^e_(k+1). So after
-    the row step column k+1 of A becomes lift times itself plus sum_i multiples_i times column k+2+i.
+    the row step column k+1 of A becomes lift times itself plus sum_i multiples_i times column k+2+i;
+    _lift takes that rule for both reductions.
     """
     if (unit := gcd(q, *column)) == q:  # q = p^s, so unit = p^(least valuation of the entries mod q)
         return None
@@ -384,13 +429,21 @@ def _pivot(column: list[int], k: int, e: list[int], scales: list[int], p: int,
         scales[k + 1], scales[piv] = scales[piv], scales[k + 1]
     inverse = pow(column[0] % q // unit, -1, q)
     fs = [x // unit * inverse % q for x in column[1:]]
+    return piv, fs, *_lift(fs, k, e, scales, p, q)
+
+
+def _lift(fs: list[int], k: int, e: list[int], scales: list[int], p: int, q: int) -> tuple[int, list[int]]:
+    """(lift, multiples) of step k of the Hessenberg reduction, after its transposition, for the
+    f_i of rows k+2, ...: column k+1 of A becomes lift times itself plus sum_i multiples_i times
+    column k+2+i, lowering e_(k+1) and scales[k+1] in place where a quotient is fractional (see
+    _pivot)."""
     # where no later scale is below scale = p^e_(k+1), every term f_i p^e_i is a multiple of it, so
     # nothing is lowered and the multiples are f_i p^(e_i - e_(k+1)): f_i where the scales are equal
     scale, later = scales[k + 1], scales[k + 2:]
     if later.count(scale) == len(later):
-        return piv, fs, 1, fs
+        return 1, fs
     if min(later) >= scale:
-        return piv, fs, 1, [f * (x // scale) for f, x in zip(fs, later)]
+        return 1, [f * (x // scale) for f, x in zip(fs, later)]
     terms = list(map(mul, fs, later))
     lift = 1
     if (common := gcd(*terms)) % scale:
@@ -398,7 +451,7 @@ def _pivot(column: list[int], k: int, e: list[int], scales: list[int], p: int,
         lift = scale // p ** e[k + 1] % q
         scales[k + 1] = p ** e[k + 1]
     # every term is a multiple of the scale, so the division is exact
-    return piv, fs, lift, [x // scales[k + 1] for x in terms]
+    return lift, [x // scales[k + 1] for x in terms]
 
 
 def _hessenberg_rows(m: Sequence[Sequence[int]], e: list[int], scales: list[int], p: int,
@@ -431,53 +484,75 @@ def _hessenberg_rows(m: Sequence[Sequence[int]], e: list[int], scales: list[int]
     return list(zip(*a))
 
 
-def _field_width(columns: list[Sequence[int]], scales: list[int], q: int) -> tuple[int, int]:
-    """(w, bias) of a packed field for M's `columns` and column scales: every value v that
+def _field_width(m: Sequence[Sequence[int]], scales: list[int], q: int) -> tuple[int, int]:
+    """(w, bias) of a packed field for the rows `m` of M and its column scales: every value v that
     _hessenberg_rows makes lies in (-V, V), so the field v + bias lies in (0, 2^w).
 
-    The values stay below V = p^E (a0 + t q^2)(1 + t q) in absolute value, E the largest e_j and
-    a0 the largest |a_ij| at the start, the largest of M's column maxima |m_ij| / p^e_j:
+    The values stay below V = (a0 + p^E t q^2)(1 + t q) in absolute value, E the largest e_j,
+    a0 = ceil(max |m_ij| / p^e) and e the least e_j, below which no step lowers an e_j:
+      - A starts at a_ij = m_ij / p^e_j, so |a_ij| <= a0;
       - the row step at k subtracts f * r with f in [0, q) and r a residue mod q from the entries
         of columns k+1 on below row k+1, so at most t - 2 times from one entry, and column j only
-        at k <= j - 1: before its column step column j holds values below a0 + t q^2;
-      - column j's step, at k = j - 1, multiplies it by lift = p^(e_old - e_new) mod q <= p^E and
-        adds at most t - 2 columns not yet stepped times f_i p^e_i / p^e_j <= q p^E, which makes
-        at most p^E (a0 + t q^2)(1 + t q); after it no step changes column j, and row swaps only
-        permute its entries.
+        at k <= j - 1: before its column step column j holds a start value plus less than t q^2;
+      - column j's step, at k = j - 1, multiplies it by lift <= p^(e_j - e') and adds at most
+        t - 2 columns not yet stepped, column i times f_i p^(e_i - e') with f_i < q, e' >= e the
+        new e_j. A start value m / p^e_j times lift, or m / p^e_i times p^(e_i - e'), is at most
+        |m| / p^e' <= a0, and the rest of a value, below t q^2, becomes below p^E t q^2; so column
+        j then holds values below (a0 + p^E t q^2)(1 + t q). After it no step changes column j,
+        and row swaps only permute its entries.
     bias is the least multiple of q above V, so v + bias > 0 and is congruent to v mod q; w is the
     bit length of bias + V, so v + bias < bias + V < 2^w.
     """
-    t = len(columns)
-    a0 = max(max(map(abs, column)) // scale for column, scale in zip(columns, scales))
-    bound = max(scales) * (a0 + t * q * q) * (1 + t * q)
+    least = min(scales)
+    a0 = (max(max(map(max, m)), -min(map(min, m))) + least - 1) // least
+    t = len(m)
+    bound = (a0 + max(scales) * t * q * q) * (1 + t * q)
     bias = (bound // q + 1) * q
     return (bias + bound).bit_length(), bias
 
 
+class _Packed(tuple):
+    """A as _hessenberg_packed leaves it, (cols, at, mask): the entry in row i of column j is the
+    field cols[j] >> at[i] & mask, a_ij plus a multiple of q."""
+
+
 def _hessenberg_packed(m: Sequence[Sequence[int]], e: list[int], scales: list[int], p: int,
-                       q: int) -> list[list[int]]:
-    """The steps of _hessenberg_rows, decided by _pivot from the same values, on A held as one int
-    per column; the Hessenberg entries of A by columns, rows 0..j+1 of column j.
+                       q: int) -> _Packed:
+    """The steps of _hessenberg_rows, on A held as one int per column, which the recurrence reads
+    as it is.
 
     Column j is sum_i (a_ij + bias) 2^at[i], with w and bias from _field_width: the w-bit field at
     bit at[i] holds a_ij + bias and stays in (0, 2^w), so no carry crosses fields. M's column j is
     p^e_j times A's, and so is its packed form sum_i m_ij 2^at[i], so one exact division per column
-    makes A's. bias is a multiple of q, so a field mod q is a_ij's residue with nothing subtracted.
-    A row step is one multiply-add on each column from k+1 on, and a row swap only swaps two
-    offsets.
+    makes A's. bias is a multiple of q, so a field is congruent to a_ij mod q, and step k reads
+    column k's fields from row k+1 down: where one is a unit mod p, the first is _pivot's pivot,
+    and the f_i are the fields below it times its inverse mod q, with _lift's scale rule; else
+    _pivot decides the step from the residues. A row step is one multiply-add on each column from
+    k+1 on, and a row swap only swaps two offsets.
     """
     n = len(m)
     columns = list(zip(*m))
-    w, bias = _field_width(columns, scales, q)
+    w, bias = _field_width(m, scales, q)
     mask = (1 << w) - 1
     biases = bias * ((1 << w * n) - 1) // mask  # every field at bias: the column of zeros
     at = list(range(0, w * n, w))
     cols = [sum(map(lshift, column, at)) // scale + biases for column, scale in zip(columns, scales)]
     for k in range(n - 2):
-        if not (step := _pivot([(cols[k] >> x & mask) % q for x in at[k + 1:]], k, e, scales, p, q)):
-            continue
-        piv, fs, lift, multiples = step
-        if piv > k + 1:
+        column = cols[k]
+        for piv in range(k + 1, n):
+            if (head := column >> at[piv] & mask) % p:
+                e[k + 1], e[piv] = e[piv], e[k + 1]
+                scales[k + 1], scales[piv] = scales[piv], scales[k + 1]
+                at[k + 1], at[piv] = at[piv], at[k + 1]
+                cols[k + 1], cols[piv] = cols[piv], cols[k + 1]
+                inverse = pow(head, -1, q)
+                fs = [(column >> x & mask) * inverse % q for x in at[k + 2:]]
+                lift, multiples = _lift(fs, k, e, scales, p, q)
+                break
+        else:  # no unit below the diagonal
+            if not (step := _pivot([(column >> x & mask) % q for x in at[k + 1:]], k, e, scales, p, q)):
+                continue
+            piv, fs, lift, multiples = step
             at[k + 1], at[piv] = at[piv], at[k + 1]
             cols[k + 1], cols[piv] = cols[piv], cols[k + 1]
         # rows i > k+1 lose f_i times the residues r = x mod q of row k+1: each column from k+1 on
@@ -488,7 +563,7 @@ def _hessenberg_packed(m: Sequence[Sequence[int]], e: list[int], scales: list[in
         # the biases of the fields scale with the column, so lift - 1 + sum(multiples) of them go
         cols[k + 1] = (cols[k + 1] * lift + sum(map(mul, multiples, cols[k + 2:]))
                        - (lift - 1 + sum(multiples)) * biases)
-    return [[(c >> x & mask) - bias for x in at[:j + 2]] for j, c in enumerate(cols)]
+    return _Packed((cols, at, mask))
 
 
 def _exact_precision(entries: tuple[tuple[int, ...], ...]) -> int:
@@ -596,11 +671,16 @@ def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     for s in (_SLACK, 2 * _SLACK):
-        residues, hodge = _char_poly_mod(matrix.entries, p, s)
-        if residues[-1]:
-            hull = _lower_hull([(i, h + (_valuation(c // p**h, p) if c else s))
-                                for i, (c, h) in enumerate(zip(residues, hodge))])
-            if all(residues[i] for i, _ in hull):
+        g, hodge, lam, D = _kernel(matrix.entries, p, s)
+        # c_i = p^(lam i - D+) g_(t-i) is known mod p^(H(i)+s), and g_(t-i) mod Q as far as that
+        # needs: below H(i)+s, v_p(c_i) is v_p(g_(t-i)) + lam i - D+; else c_i's point is unknown,
+        # at H(i)+s or above, and is placed there
+        tops = [h + s for h in hodge]
+        points = [min(_valuation(y, p) + lam * i - D, top) if y else top
+                  for i, (y, top) in enumerate(zip(g, tops))]
+        if points[-1] < tops[-1]:
+            hull = _lower_hull(list(enumerate(points)))
+            if all(points[i] < tops[i] for i, _ in hull):
                 return NewtonPolygon._of_hull(tuple(hull), 0)
     return NewtonPolygon._of_hull(*_coefficient_hull(char_poly(matrix), p))
 

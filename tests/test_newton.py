@@ -25,6 +25,8 @@ from slopebound.newton import (
     _field_width,
     _hessenberg_packed,
     _hessenberg_rows,
+    _kernel,
+    _lift,
     _pivot,
     _recurrence,
     _recurrence_packed,
@@ -203,6 +205,23 @@ class TestKernel:
         assert poly.finite_length == max(i for i, c in enumerate(exact) if c)
         assert poly.finite_length + poly.infinite_slopes == len(rows)
 
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]),
+           kind=st.sampled_from(["generated", "deep", "singular", "spread"]))
+    @settings(max_examples=120, deadline=None)
+    def test_hull_points_from_g_give_the_polygon_of_the_exact_coefficients(self, data, p, kind):
+        # matrix_newton_polygon places each point at v_p(g_(t-i)) + lam i - D+, capped at H(i)+s:
+        # on generated operators at t <= 16 with column scales up to p^12, and on deep, singular
+        # and spread matrices, whose points fall on or above the cap and take the later runs
+        if kind == "generated":
+            t, r = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 12))
+            b = sorted(data.draw(st.lists(st.integers(1, r), max_size=t)), reverse=True)
+            matrix = gen_instance(data.draw(st.integers(0, 2**32)), p=p, t=t, r=r, b_seq=ElemDivSeq(tuple(b)),
+                                  entry_bound=50).matrix
+        else:
+            matrix = IntegerMatrix(tuple(map(tuple, data.draw(shaped_matrices(kind, p, max_t=16)))))
+        matrix_newton_polygon.cache_clear()
+        assert matrix_newton_polygon(matrix, p) == newton_polygon(char_poly(matrix), p)
+
     @pytest.mark.parametrize("kind", KINDS + ["deep", "spread"])
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
     @settings(max_examples=30, deadline=None)
@@ -228,9 +247,9 @@ class TestKernel:
 
         def spy(entries, p, s):
             seen.append((p, s))
-            return _char_poly_mod(entries, p, s)
+            return _kernel(entries, p, s)
 
-        monkeypatch.setattr(newton, "_char_poly_mod", spy)
+        monkeypatch.setattr(newton, "_kernel", spy)
         matrix_newton_polygon.cache_clear()
         return matrix_newton_polygon(matrix, p), seen
 
@@ -446,7 +465,8 @@ def pivot_reference(column, k, e, scales, p, q):
 def hessenberg_reference(m, e, scales, p, q):
     """A's columns after the full reduction of A, M = A * diag(scales): the pivot row is reduced
     mod q in place, and the row step clears column k too, so every entry below the subdiagonal ends
-    a multiple of q. Its steps come from newton._pivot, so a spy on that name sees them."""
+    a multiple of q. Its steps come from newton._pivot, which takes the scale rule from
+    newton._lift, so spies on those names see them."""
     a = [[x // scale for x, scale in zip(row, scales)] for row in m]
     n = len(a)
     for k in range(n - 2):
@@ -529,86 +549,124 @@ class TestPackedReduction:
         assert packed == char_poly_mod_by(_hessenberg_rows, entries, p, s)
 
     @staticmethod
-    def pivot_calls(reduction, entries, p, s):
-        """_char_poly_mod on `reduction`, and a copy of what it hands _pivot at each step."""
-        seen = []
+    def steps_of(reduction, entries, p, s):
+        """_char_poly_mod on `reduction`, the decision of each step, the steps at which it calls
+        _pivot, and A before each step and at the end.
 
-        def spy(column, k, e, scales, p, q):
-            seen.append((column[:], k, e[:], scales[:], p, q))
-            return _pivot(column, k, e, scales, p, q)
+        A decision is (k, None) where _pivot finds column k zero mod q below the diagonal, else
+        (k, piv, fs, lift, multiples, e, scales), e and scales as the step leaves them; piv is read
+        in the frame that calls _lift, _pivot's or the packed reduction's. A state is A row by row,
+        the packed form's fields read minus the bias."""
+        decisions, pivots, states = [], [], []
 
-        with patch.object(newton, "_pivot", spy):
-            return char_poly_mod_by(reduction, entries, p, s), seen
+        def pivot(column, k, e, scales, p, q):
+            pivots.append(k)
+            if (step := _pivot(column, k, e, scales, p, q)) is None:
+                decisions.append((k, None))
+            return step
+
+        def lift(fs, k, e, scales, p, q):
+            lift, multiples = _lift(fs, k, e, scales, p, q)
+            decisions.append((k, sys._getframe(1).f_locals["piv"], fs[:], lift, multiples[:], e[:], scales[:]))
+            return lift, multiples
+
+        def read(names):
+            if "cols" in names:
+                at, mask, bias = names["at"], names["mask"], names["bias"]
+                states.append([[(c >> x & mask) - bias for c in names["cols"]] for x in at])
+            else:
+                states.append([row[:] for row in names["a"]])
+
+        def local(frame, event, arg):
+            # before step k, k states are kept, and the step's first line runs with k bound to it
+            names = frame.f_locals
+            if event == "return" or names.get("k") == len(states):
+                read(names)
+            return local
+
+        def traced(*args):
+            before = sys.gettrace()
+            sys.settrace(lambda frame, event, arg: local if frame.f_code is reduction.__code__ else None)
+            try:
+                return reduction(*args)
+            finally:
+                sys.settrace(before)
+
+        with patch.object(newton, "_pivot", pivot), patch.object(newton, "_lift", lift):
+            return char_poly_mod_by(traced, entries, p, s), decisions, pivots, states
+
+    @staticmethod
+    def read_again(states, q):
+        """The residues mod q of the entries that a step or the recurrence reads after each state:
+        before step k, columns k on whole and rows 0..j+1 of column j < k."""
+        return [[x % q for i, row in enumerate(state) for j, x in enumerate(row) if j >= k or i <= j + 1]
+                for k, state in enumerate(states)]
+
+    def assert_same_steps(self, entries, p, s):
+        """The rows form, the packed form and the full reduction reach the same residues through the
+        same decisions; the two forms hold the same A before every step and at the end, and the full
+        reduction the same residues of every entry read again. Returns the packed run."""
+        rows, packed, full = (self.steps_of(reduction, entries, p, s)
+                              for reduction in (_hessenberg_rows, _hessenberg_packed, hessenberg_reference))
+        steps = list(range(len(entries) - 2))
+        assert packed[:2] == rows[:2] == full[:2]
+        assert [k for k, *_ in rows[1]] == rows[2] == full[2] == steps
+        assert len(rows[3]) == len(steps) + 1 and packed[3] == rows[3]
+        assert self.read_again(full[3], p**s) == self.read_again(rows[3], p**s)
+        return packed
 
     @pytest.mark.parametrize("kind", KINDS + ["deep"])
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
     @settings(max_examples=40, deadline=None)
-    def test_rows_and_packed_hand_the_pivot_the_same_values_at_every_step(self, kind, data, p, s):
-        # the column below the diagonal and the scales before each step, so the packed field reads
-        # are checked step by step and not only through the residues; both are also checked against
-        # the full reduction, which writes back the pivot row mod q and clears column k
-        entries = tuple(map(tuple, data.draw(shaped_matrices(kind, p, max_t=16))))
-        rows, rows_steps = self.pivot_calls(_hessenberg_rows, entries, p, s)
-        packed, packed_steps = self.pivot_calls(_hessenberg_packed, entries, p, s)
-        full, full_steps = self.pivot_calls(hessenberg_reference, entries, p, s)
-        assert packed_steps == rows_steps == full_steps
-        assert [k for _, k, *_ in rows_steps] == list(range(len(entries) - 2))
-        assert packed == rows == full
+    def test_rows_packed_and_full_reductions_take_the_same_steps(self, kind, data, p, s):
+        # the decision and A at every step, so the packed field reads are checked step by step and
+        # not only through the residues; the full reduction writes back the pivot row mod q and
+        # clears column k, so it agrees with the forms on the residues of what is read again
+        self.assert_same_steps(tuple(map(tuple, data.draw(shaped_matrices(kind, p, max_t=16)))), p, s)
 
     @pytest.mark.parametrize(("seed", "p", "t"), [(3, 2, 24), (4, 3, 32), (6, 2, 40)])
     def test_generated_instances_take_the_full_reductions_steps(self, seed, p, t):
         entries = gen_instance(seed, p=p, t=t, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50).matrix.entries
-        full, full_steps = self.pivot_calls(hessenberg_reference, entries, p, SLACK)
-        for reduction in (_hessenberg_rows, _hessenberg_packed):
-            assert self.pivot_calls(reduction, entries, p, SLACK) == (full, full_steps)
+        self.assert_same_steps(entries, p, SLACK)
 
-    @staticmethod
-    def states(reduction, m, e, scales, p, q):
-        """Run `reduction` on M and return A as it holds it before each step and at the end, row by
-        row; the packed form's fields are decoded, row i from bit at[i] of each column."""
-        seen = []
-
-        def read(frame):
-            names = frame.f_locals
-            if "cols" in names:
-                at, mask, bias = names["at"], names["mask"], names["bias"]
-                seen.append([[(c >> x & mask) - bias for c in names["cols"]] for x in at])
-            else:
-                seen.append([row[:] for row in names["a"]])
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code is _pivot.__code__ and frame.f_back.f_code is reduction.__code__:
-                read(frame.f_back)
-            elif event == "return" and frame.f_code is reduction.__code__:
-                read(frame)
-
-        before = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            reduction(m, e, scales, p, q)
-        finally:
-            sys.setprofile(before)
-        return seen
+    # p = 2 and q = 16: step 0 of each matrix takes one path of the packed form. Column 0 below the
+    # diagonal is [1, 2, 3]: a unit subdiagonal; [2, 3, 5]: a transposition to the first unit row,
+    # 2, not the later 3; [2, 4, 6] and [0, 16, 32]: no unit, a pivot of valuation 1 and none;
+    # and the matrix of test_column_op_lowers_a_larger_scale_just_enough at p = 2, whose
+    # transposition brings the scale 2^3 next to the pivot, where f = 2 lowers it to 2^1
+    @pytest.mark.parametrize(("entries", "path"), [
+        (((1, 2, 3, 4), (1, 5, 6, 7), (2, 1, 1, 3), (3, 2, 5, 1)), "unit"),
+        (((1, 2, 3, 4), (2, 5, 6, 7), (3, 1, 1, 3), (5, 2, 5, 1)), "transposition"),
+        (((1, 2, 3, 4), (2, 5, 6, 7), (4, 1, 1, 3), (6, 2, 5, 1)), "no unit"),
+        (((1, 2, 3, 4), (0, 5, 6, 7), (16, 1, 1, 3), (32, 2, 5, 1)), "no unit"),
+        (((2, 5, 24), (2, 1, 56), (1, 4, 16)), "lowering"),
+    ])
+    def test_each_path_of_a_step(self, entries, path):
+        _, decisions, pivots, _ = self.assert_same_steps(entries, 2, 4)
+        first = decisions[0]
+        assert first[0] == 0 and (0 in pivots) == (path == "no unit")
+        if path == "unit":
+            assert first[1] == 1
+        elif path == "transposition":
+            assert first[1] == 2
+        elif path == "lowering":
+            assert first[1:4] == (2, [2], 4) and first[5:] == ([0, 1, 0], [1, 2, 1])
 
     def assert_fields_hold_every_value(self, entries, p, s):
-        """Both forms hold the same A after every step, and every value plus the bias of
-        _field_width inside (0, 2^w) for its width w: so no packed field, Hessenberg or not, carried
-        into the next. Returns the largest field, max(value + bias)."""
-        runs = {}
+        """Both forms hold the same A before every step and at the end, and every value plus the
+        bias of _field_width inside (0, 2^w) for its width w: so no packed field, Hessenberg or not,
+        carried into the next. Returns the largest field, max(value + bias)."""
+        widths = []
 
-        def both(m, e, scales, p, q):
-            runs["w"], runs["bias"] = _field_width(list(zip(*m)), scales, q)
-            for reduction in (_hessenberg_rows, _hessenberg_packed):
-                runs[reduction] = self.states(reduction, m, e[:], scales[:], p, q)
-            return _hessenberg_rows(m, e, scales, p, q)
+        def packed(m, e, scales, p, q):
+            widths.append(_field_width(m, scales, q))
+            return _hessenberg_packed(m, e, scales, p, q)
 
-        char_poly_mod_by(both, entries, p, s)
-        w, bias = runs["w"], runs["bias"]
-        rows = runs[_hessenberg_rows]
-        assert len(rows) == max(len(entries) - 2, 0) + 1  # before each step, and at the end
-        assert runs[_hessenberg_packed] == rows
+        states = self.assert_same_steps(entries, p, s)[3]
+        char_poly_mod_by(packed, entries, p, s)
+        [(w, bias)] = widths
         assert bias % p**s == 0
-        fields = [x + bias for state in rows for row in state for x in row]
+        fields = [x + bias for state in states for row in state for x in row]
         assert 0 < min(fields) and max(fields) < 2**w
         return max(fields)
 
@@ -624,15 +682,18 @@ class TestPackedReduction:
         self.assert_fields_hold_every_value(inst.matrix.entries, p, SLACK)
 
     @staticmethod
-    def far_reaching(p, a0, t=10, s=4, E=6):
+    def far_reaching(p, a0, t=10, s=4, E=6, least=False):
         """(M, e, s): column 0 pivots on row 1 with f_i = q - 1 for every lower row, and every
-        column after column 1 has scale p^E and entries a0, so row 0 of column 1 gains
-        (t - 2)(q - 1) p^E a0, about three quarters of the bound V of _field_width at t = 10."""
+        column after column 1 has entries a0, so row 0 of column 1 gains about (t - 2)(q - 1) times
+        a0 times the column scales. By default those columns have scale p^E, and row 0 of column 1
+        gains (t - 2)(q - 1) p^E a0, about three quarters of the bound V of _field_width at t = 10;
+        with `least`, all but the last, which holds ones, have scale 1, the least, as M's largest
+        entries do."""
         q = p**s
         a = [[a0, a0], [1, 1]] + [[q - 1, 1] for _ in range(t - 2)]
         for row in a:
-            row += [a0] * (t - 2)
-        e = [0, 0] + [E] * (t - 2)
+            row += [a0] * (t - 3) + [1 if least else a0]
+        e = [0] * (t - 1) + [E] if least else [0, 0] + [E] * (t - 2)
         return tuple(tuple(x * p**k for x, k in zip(row, e)) for row in a), e, s
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -640,7 +701,7 @@ class TestPackedReduction:
         entries, e, s = self.far_reaching(p, 10**6 + 1)
         t, q = len(entries), p**s
         scales = [p**k for k in e]
-        _, bias = _field_width(list(zip(*entries)), scales, q)
+        _, bias = _field_width(entries, scales, q)
         columns = _hessenberg_rows(entries, e[:], scales, p, q)
         biggest = max(abs(columns[j][i]) for j in range(t) for i in range(min(j + 2, t)))
         # bias is the least multiple of q above the bound on the values
@@ -656,17 +717,32 @@ class TestPackedReduction:
         # 3/4 V, passes 2^(w-1) when the bias sits above about 0.29 * 2^w: at a0 = 1.5e6 it is
         # 0.45 (p = 2) and 0.42 (p = 3). A field one bit narrower would carry into the next.
         entries, e, s = self.far_reaching(p, 3 * 10**6 // 2 + 1)
-        w, _ = _field_width(list(zip(*entries)), [p**k for k in e], p**s)
+        w, _ = _field_width(entries, [p**k for k in e], p**s)
         assert self.assert_fields_hold_every_value(entries, p, s) >= 2 ** (w - 1)
+
+    @pytest.mark.parametrize("least", [False, True])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_fields_hold_the_values_wherever_the_largest_entry_lies(self, p, least):
+        # a0 of _field_width is M's largest |m_ij| over the least scale: in a column of the least
+        # scale it is that entry, in one of the largest it bounds that entry over its own scale
+        # times p^E. Over the largest scale instead, the bound falls below the values in both.
+        entries, e, s = self.far_reaching(p, 10**7, least=least)
+        top = max(abs(x) for row in entries for x in row)
+        assert {e[j] for row in entries for j, x in enumerate(row) if abs(x) == top} == {min(e) if least else max(e)}
+        self.assert_fields_hold_every_value(entries, p, s)
+
 
     @pytest.mark.parametrize(("t", "p", "s", "packed"), [
         (newton._PACK_FROM_T - 1, 2, SLACK, False),
         (newton._PACK_FROM_T, 2, SLACK, True),
-        (newton._PACK_FROM_T, 2, 63, True),
-        (newton._PACK_FROM_T, 2, 64, False),
-        (newton._PACK_FROM_T, 257, SLACK, False),
+        (newton._PACK_FROM_T, 2, 112, True),
+        (newton._PACK_FROM_T, 2, 113, False),
+        (newton._PACK_FROM_T, 257, SLACK, True),
+        (newton._PACK_FROM_T, 16411, SLACK, True),
+        (newton._PACK_FROM_T, 23159, SLACK, False),
     ])
     def test_selection_by_size_and_modulus(self, t, p, s, packed):
+        assert newton._PACK_BELOW_Q == 2**113
         calls = []
 
         def spy(name, reduction):
