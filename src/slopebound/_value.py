@@ -51,6 +51,14 @@ class Value:
         for name, value in zip(names, args):
             _store(self, name, value)
 
+    @classmethod
+    def _unchecked(cls, *fields: object) -> Value:
+        """The value with these fields, stored as given, with none of the checks or conversions of
+        the type's own constructor: for values the library builds that meet them by construction."""
+        value = object.__new__(cls)
+        Value.__init__(value, *fields)
+        return value
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import accumulate, chain, product, repeat
-from operator import mul
+from operator import index, mul
 
 from ._value import Value
 from .rootsystems import RootSystem
@@ -34,7 +34,10 @@ class ElemDivSeq(Value):
     _fields = ("exponents",)
 
     def __init__(self, exponents: tuple[int, ...]) -> None:
-        exponents = tuple(exponents)
+        try:
+            exponents = tuple(map(index, exponents))
+        except TypeError:
+            raise ValueError("exponents must be integers") from None
         if any(e <= 0 for e in exponents):
             raise ValueError("exponents must be strictly positive")
         if any(a < b for a, b in zip(exponents, exponents[1:])):

@@ -25,33 +25,34 @@ are read again: the pivot row keeps its entries, whose residues mod p^s drive
 the step, and the column being cleared keeps its entries below the subdiagonal,
 which nothing reads. So the entries that are read differ from a full
 reduction's by multiples of p^s, and the stored A is upper Hessenberg only in
-them. For t >= 8 and a modulus below 2^113 the reduction runs on one int per
-column with fixed-width fields (Kronecker substitution; Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", 2009), else on rows of
-ints. The packed form packs M's columns and divides each packed column once,
-exactly, since the scale divides every entry; its fields carry a bias that is a
-multiple of p^s, so a field is congruent to its entry mod p^s and is read with
-nothing subtracted. The rows form hands every step to _pivot, which decides it
-from the residues mod p^s of the column below the diagonal. The packed form
-reads that column's fields from the subdiagonal down, takes the first unit mod
-p as the pivot, as _pivot would, and builds the multipliers from the fields;
-only a column with no unit below the diagonal goes to _pivot. Both take a step's
-scale rule from one routine, _lift, so the forms take the same steps and differ
-only in how they store A. The rows form hands A to the recurrence by columns,
-the packed form as its ints, whose Hessenberg fields the recurrence reads as
-they are: the bias changes each column of A by multiples of p^s, which moves no
-residue, so nothing is subtracted. The recurrence then runs at a balanced column
+them. Each half of the kernel runs on packed ints, fixed-width fields in one int
+(Kronecker substitution; Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", 2009), where t >= 7 and those fields would
+be narrower than that half's bound, 436 bits for the reduction and 512 for the
+recurrence, else on rows of ints. The packed reduction holds one int per column;
+it packs M's columns and divides each packed column once, exactly, since the
+scale divides every entry; its fields carry a bias that is a multiple of p^s, so
+a field is congruent to its entry mod p^s and is read with nothing subtracted.
+The rows form hands every step to _pivot, which decides it from the residues mod
+p^s of the column below the diagonal. The packed form reads that column's fields
+from the subdiagonal down, takes the first unit mod p as the pivot, as _pivot
+would, and builds the multipliers from the fields; only a column with no unit
+below the diagonal goes to _pivot. Both take a step's scale rule from one
+routine, _lift, so the forms take the same steps and differ only in how they
+store A. The rows form hands A to the recurrence by columns, the packed form as
+its ints, whose Hessenberg fields the recurrence reads as they are: the bias
+changes each column of A by multiples of p^s, which moves no residue, so nothing
+is subtracted. The recurrence then runs at a balanced column
 scale lam, near the mean of the e_j: it computes
 g(Y) = det(Y diag(p^d+) - A diag(p^d-)) = p^(D+ - lam t) det(p^lam Y - M), with
 d+_j = (lam - e_j)+, d-_j = (e_j - lam)+ and D+, E- their sums, so
 c_i = p^(lam i - D+) g_(t-i). The residues c_i mod p^(H(i)+s) need g only mod
 Q = p^(s + max(D+, E-)), where the plain recurrence (lam = 0) needs
 p^(H(t)+s): about 2^20 against 2^120 at t = 40 and p = 2 when most e_j are
-alike. For t >= 8 and Q below 2^256 the recurrence holds each polynomial as
-one int with fixed-width fields and reduces every field at once (Barrett),
-else lists of ints; both take each step's coefficients from one routine,
-_steps. The exact coefficients, char_poly, are the symmetric lift of the
-kernel's residues at p = 2 with 2^s past twice the Hadamard bound.
+alike. The packed recurrence holds each polynomial as one int and reduces every
+field at once (Barrett); both forms take each step's coefficients from _steps.
+The exact coefficients, char_poly, are the symmetric lift of the kernel's
+residues at p = 2 with 2^s past twice the Hadamard bound.
 
 A matrix's polygon takes the kernel at s = 8, and again at s = 16 when 8 digits
 cannot certify the hull; only a polygon neither run certifies (a singular or a
@@ -63,7 +64,7 @@ H(i)+s, with no division by p^H(i).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -93,69 +94,52 @@ __all__ = [
 # s = 16 as at s = 8, the exact run at t = 40 about 8 times. A first rung at 4 or 6 left more
 # polygons to the second run and saved no time.
 _SLACK = 8
-# _kernel reduces packed columns when t >= _PACK_FROM_T and p^s < _PACK_BELOW_Q. Per-call
-# time (ms) of _char_poly_mod at s = 8, rows/packed reduction: gen_instance matrices, r = 3,
-# b = (2, 1), entries up to 50, six per cell, each the least of 7 alternating runs (Python 3.11.7;
-# the shared host's speed moved between rows, so compare within a row):
-#    t  p = 2        p = 3        p = 5        p = 101      p = 65537
-#    2  0.026/0.036  0.026/0.037  0.031/0.044  0.028/0.041  0.029/0.043
-#    3  0.055/0.070  0.058/0.072  0.059/0.075  0.063/0.080  0.069/0.090
-#    4  0.088/0.104  0.091/0.106  0.092/0.107  0.108/0.127  0.125/0.150
-#    5  0.130/0.144  0.126/0.142  0.111/0.126  0.166/0.178  0.208/0.240
-#    6  0.159/0.165  0.172/0.183  0.183/0.190  0.227/0.235  0.302/0.332
-#    7  0.226/0.223  0.222/0.220  0.237/0.229  0.304/0.300  0.409/0.451
-#    8  0.276/0.266  0.291/0.280  0.292/0.275  0.223/0.214  0.318/0.342
-#    9  0.205/0.192  0.212/0.197  0.226/0.206  0.288/0.269  0.408/0.430
-#   10  0.220/0.195  0.228/0.200  0.241/0.200  0.320/0.285  0.493/0.520
-#   11  0.277/0.235  0.285/0.243  0.297/0.249  0.553/0.456  0.744/0.812
-#   12  0.367/0.324  0.389/0.323  0.447/0.347  0.471/0.393  0.694/0.716
-#   14  0.742/0.542  0.435/0.324  0.796/0.551  1.090/0.845  0.979/1.007
-#   16  0.936/0.633  0.976/0.655  1.051/0.682  0.852/0.659  1.911/1.847
-#   20  0.914/0.567  1.578/0.952  1.052/0.627  2.417/1.723  2.518/2.536
-#   24  1.426/0.774  2.224/1.210  1.904/1.042  2.379/1.677  4.562/4.557
-# While q = p^8 is at most 101^8 < 2^54, packing's fixed cost loses below t = 7, ties at t = 7
-# and wins from t = 8 on. The fields are about three times as wide as q, so the gain shrinks as q
-# grows. Per-call time (ms) of _char_poly_mod at s = 8 for q = p^8 above 2^64, rows/packed reduction
-# (packed over rows): gen_instance matrices, r = 3, b = (2, 1), entries up to 50, six per cell,
-# each the least of 15 alternating runs (Python 3.11.7; the two runs of the table were apart):
-#    t  2^64.0 (p = 257)    2^80.1 (p = 1031)   2^96.0 (p = 4099)   2^112.0 (p = 16411)
-#    8  0.215/0.196 (0.91)  0.227/0.213 (0.94)  0.255/0.253 (0.99)  0.389/0.367 (0.94)
-#   12  0.489/0.409 (0.84)  0.517/0.453 (0.88)  0.561/0.525 (0.94)  0.587/0.581 (0.99)
-#   16  0.856/0.673 (0.79)  0.981/0.836 (0.85)  1.063/0.956 (0.90)  1.073/1.011 (0.94)
-#   24  2.155/1.445 (0.67)  2.278/1.722 (0.76)  2.907/2.483 (0.85)  2.967/2.806 (0.95)
-#    t  2^116.0 (p = 23159) 2^120.0 (p = 32771) 2^128.0 (p = 65537)
-#    8  0.267/0.277 (1.03)  0.280/0.297 (1.06)  0.294/0.312 (1.06)
-#   12  0.605/0.587 (0.97)  0.627/0.618 (0.99)  0.657/0.671 (1.02)
-#   16  1.083/1.032 (0.95)  1.081/1.030 (0.95)  1.169/1.165 (1.00)
-#   24  4.127/3.989 (0.97)  2.916/2.720 (0.93)  3.138/3.125 (1.00)
-# So packing wins at every t up to 16411^8 and loses at t = 8 from 23159^8 on, and the reduction
-# packs below 2^113; char_poly, whose 2^s passes the Hadamard bound, keeps rows unless the entries
-# are small. The constant _PACK_FROM_T also selects the packed recurrence (below): with both halves
-# packed, the kernel on the matrices of the first table (p = 2, 3, 5, 101, least of 15) took 8%,
-# 11% and 17% less time than on rows at t = 7, 8 and 9, and tied at t = 6.
-_PACK_FROM_T = 8
-_PACK_BELOW_Q = 2**113
-# _recurrence packs the polynomials when t >= _PACK_FROM_T and Q < _PACK_RECURRENCE_BELOW_Q, Q the
-# recurrence's modulus. Per-call time (ms) of the recurrence, rows/packed, after the reduction at
-# s = 8, and the median size of Q = p^(H(t)+s): gen_instance matrices, r = 3, b = (3, 2, 1),
-# entries up to 50, three per cell, each the least of 5 alternating runs (Python 3.11.7):
-#    t  p = 2                 p = 3                 p = 5
-#   10  2^33:  0.066/0.033    2^51:  0.073/0.037    2^75:  0.076/0.041
-#   16  2^51:  0.188/0.080    2^80:  0.200/0.090    2^117: 0.217/0.119
-#   24  2^75:  0.515/0.219    2^118: 0.783/0.408    2^172: 0.854/0.546
-#   32  2^98:  1.050/0.480    2^156: 1.223/0.656    2^228: 1.441/1.052
-#   40  2^121: 1.896/0.815    2^194: 2.313/1.392    2^284: 2.807/2.350
-#   48  2^147: 3.043/1.500    2^230: 3.947/2.699    2^340: 5.295/4.911
-#   64  2^191: 10.02/5.962    2^308: 14.96/12.62    2^451: 21.89/23.88
-#   96  2^287: 32.10/22.68    2^460: 58.25/63.08    2^674: 90.94/128.7
-# Packing wins by a quarter or more below 2^256. Its fields are about twice as wide as Q, so as Q
-# grows the digit work takes over: the gain falls to 7% at 2^340, packing ties at about 2^390
-# and loses from 2^410 on. The table was taken on the plain recurrence, Q = p^(H(t)+s); at the
-# balanced scale verify's Q on these matrices is far smaller (about 2^23 at p = 3, t = 64 and
-# 2^21 at p = 2, t = 128, r = 4), so verify packs from t = 8 on. The bound keeps a margin below
-# the tie for the exact run's Q = 2^(s + max(D+, E-)), which keeps rows once twice the Hadamard
-# bound passes 2^256 (2^375 for CLI newton on a t = 32 matrix with entries up to 1000).
-_PACK_RECURRENCE_BELOW_Q = 2**256
+# _packed_field picks each half's form: packed ints where t >= _PACK_FROM_T and the fields that half
+# would pack are narrower than its bound, w of _field_width below _REDUCTION_BELOW_BITS for the
+# reduction and w of _recurrence_field below _RECURRENCE_BELOW_BITS for the recurrence, else rows.
+# Per-call time (ms) of _char_poly_mod under the former gates (both halves packed from t = 8, the
+# reduction below q = 2^113 and the recurrence below Q = 2^256) / under this rule, at q = p^s as
+# headed: gen_instance matrices, b = (r - 1, r // 2), entries up to 50, six per cell (three from
+# t = 48), each matrix's least of 15 alternating runs with the collector off, summed (Python 3.11.7;
+# cells more than 4% apart were timed again at 21 runs, t = 64 at 2^120 twice); * marks a changed choice.
+#  r  t     2^8         257^8        2^120       65537^8       2^208        2^240        3^161       65537^64
+#  3  2 .0236/.0237  .0153/.0155  .0161/.0163  .0158/.0161  .0164/.0165  .0171/.0174   .017/.0172  .0212/.0213
+#  3  3 .0302/.0308  .0341/.0348   .035/.0356  .0337/.0345  .0373/.0377  .0383/.0389  .0398/.0403  .0649/.0659
+#  3  4  .0478/.049   .059/.0594  .0641/.0646  .0646/.0657  .0657/.0666  .0726/.0727  .0735/.0738    .183/.184
+#  3  5 .0721/.0727  .0905/.0909    .107/.108    .114/.115     .12/.121    .125/.126    .126/.127    .383/.383
+#  3  6  .093/.0939    .133/.134     .149/.15    .164/.165    .175/.177    .183/.185    .186/.187    .674/.686
+#  3  7   .195/.158*   .286/.254*    .343/.33*    .23/.237*   .256/.266*   .436/.463*   .441/.465    1.05/1.07
+#  3  8   .141/.143    .195/.203    .386/.377*   .447/.464    .499/.505    .557/.567    .614/.623    2.41/2.46
+#  3 12   .303/.298    .595/.588       1/.915*   1.06/1.09    1.28/1.32    1.53/1.57    1.44/1.44    7.32/7.45
+#  3 16   .316/.316    .677/.683     1.9/1.62*   1.19/1.23    1.48/1.48     1.78/1.8    1.98/2.04    11.6/11.6
+#  3 24    .58/.582    1.54/1.53    4.82/3.68*   3.24/3.28    4.15/4.18    4.96/4.87    5.58/5.58    35.3/35.6
+#  3 32   .973/.974    3.18/3.16    6.29/5.23*   6.88/6.78    8.48/8.62    10.8/10.7    11.7/11.9    79.8/79.2
+#  3 48   2.24/2.25    8.79/8.91    18.9/14.6*   20.2/20.3    24.9/24.7        30/30      34.2/35      241/239
+#  3 64   3.86/3.89      16.9/17    38.9/28.9*     40.4/41    51.6/51.8    69.3/68.4    75.3/75.8      523/521
+# 16  2 .0153/.0154  .0164/.0165  .0166/.0167   .018/.0181  .0171/.0175  .0174/.0176  .0176/.0178  .0246/.0247
+# 16  3 .0329/.0337  .0402/.0409  .0381/.0381  .0436/.0442  .0391/.0393  .0399/.0406  .0422/.0428  .0771/.0776
+# 16  4 .0539/.0544   .069/.0702  .0675/.0682  .0812/.0817  .0735/.0745   .077/.0776  .0792/.0801    .226/.226
+# 16  5 .0853/.0855    .116/.117    .114/.115    .139/.139    .128/.129    .132/.133     .14/.141    .562/.546
+# 16  6   .105/.106    .165/.166    .161/.161    .207/.204    .184/.185    .201/.202    .217/.217    .956/.956
+# 16  7   .159/.127*   .217/.221*   .227/.229*     .475/.5    .441/.474*   .481/.506*    .52/.538    2.14/2.11
+# 16  8   .193/.198     .425/.42    .423/.421*   .636/.651    .586/.608      .61/.63    .649/.653     3.31/3.3
+# 16 12   .357/.368    .903/.871    .813/.815*   1.34/1.33    1.42/1.47    1.38/1.42    1.04/1.06    6.03/6.02
+# 16 16   .388/.392     1.1/1.11    1.88/1.72*   1.85/1.88    1.62/1.64    1.89/1.91     2.06/2.1    12.7/12.5
+# 16 24   1.11/1.11     3.12/3.1     3.2/2.82*   5.23/5.26    4.58/4.62    5.33/5.37     5.8/5.84    39.6/39.6
+# 16 32   1.26/1.26    6.11/6.16    6.39/5.33*   11.1/11.1    8.72/8.83      10.8/11    12.5/12.7    90.7/87.9
+# 16 48   2.76/2.75    14.7/14.7    19.3/15.2*   25.8/25.8    20.8/21.4    28.1/28.4    32.1/31.9      241/242
+# 16 64   4.99/4.93    28.5/28.8    40.4/31.3*   65.1/64.7    57.5/57.4    70.4/71.4    75.3/76.9      583/576
+# Each half timed both ways on 126 cells (t = 7-48, r = 3 and 16, q = 2^64 to 2^240): the packed
+# reduction wins below about 380 bits at t = 7, 430 at t = 8-12, 460 at t = 16-24 and 500 from t = 32;
+# the packed recurrence below about 400 bits at t = 7, 460 at t = 8-12 and past 530 from t = 16. So
+# one bound for both halves loses somewhere: at 436 the recurrence on rows costs up to 8% at Q near
+# 2^240 from t = 16, at 512 the packed reduction up to 12% at t = 7-8. With these bounds only t = 7
+# loses, where the recurrence packs from about 440 bits: 5-8% at 2^208 and 2^240 above. Below t = 7
+# both halves packed win only at small q (16% at t = 6 and q = 2^8, nothing at t = 4) and lose 12-28%
+# at 65537^8 (t = 4-6), so those sizes keep rows.
+_PACK_FROM_T = 7
+_REDUCTION_BELOW_BITS = 436
+_RECURRENCE_BELOW_BITS = 512
 
 
 class NotMonic(ValueError):
@@ -203,14 +187,6 @@ class NewtonPolygon(Value):
             raise ValueError("Newton polygon vertices must be lattice points") from None
         _check_anchored(vertices)
         super().__init__(vertices, infinite_slopes)
-
-    @classmethod
-    def _of_hull(cls, vertices: tuple[tuple[int, int], ...], infinite_slopes: int) -> "NewtonPolygon":
-        """The polygon with the given vertices, stored as given: the caller's vertices are a lower
-        hull of int points that starts at (0, 0), increases strictly in x and has y >= 0."""
-        polygon = object.__new__(cls)
-        Value.__init__(polygon, vertices, infinite_slopes)
-        return polygon
 
     @property
     def polygon(self) -> PiecewiseLinear:
@@ -267,8 +243,9 @@ def _kernel(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[
         entries = [[entries[i][j] for j in order] for i in order]
         e = [e[j] for j in order]
     scales = [p**x for x in e]
-    reduction = _hessenberg_packed if len(entries) >= _PACK_FROM_T and q < _PACK_BELOW_Q else _hessenberg_rows
-    columns = reduction(entries, e, scales, p, q)
+    field = _packed_field(len(entries), _REDUCTION_BELOW_BITS, _field_width, entries, scales, q)
+    columns = (_hessenberg_packed(entries, e, scales, p, q, *field) if field
+               else _hessenberg_rows(entries, e, scales, p, q))
     ordered = sorted(e)
     hodge = list(accumulate(ordered, initial=0))
     lam, D, E = _balanced_scale(ordered, hodge)
@@ -311,9 +288,24 @@ def _recurrence(columns: Sequence[Sequence[int]] | _Packed, weights: list[int], 
                 Q: int) -> list[int]:
     """The coefficients of det(X*W - h) mod Q, in [0, Q), highest power first, for W = diag(weights)
     and the upper Hessenberg h = A * diag(scales), A given by its columns (see _steps)."""
-    if len(scales) >= _PACK_FROM_T and Q < _PACK_RECURRENCE_BELOW_Q:
-        return _recurrence_packed(columns, weights, scales, Q)[::-1]
+    n = len(scales)
+    if field := _packed_field(n, _RECURRENCE_BELOW_BITS, _recurrence_field, n, weights, Q):
+        return _recurrence_packed(columns, weights, scales, Q, *field)[::-1]
     return _recurrence_rows(columns, weights, scales, Q)[::-1]
+
+
+def _packed_field(t: int, bound: int, field: Callable[..., tuple[int, int]],
+                  *args: object) -> tuple[int, int] | None:
+    """field(*args), the width and offset of the fields that a half of the kernel at size t would
+    pack, where that half runs on packed ints: when t >= _PACK_FROM_T and the fields are narrower
+    than `bound` bits. None where it runs on rows; below _PACK_FROM_T nothing is computed."""
+    return packed if t >= _PACK_FROM_T and (packed := field(*args))[0] < bound else None
+
+
+def _recurrence_field(t: int, weights: list[int], Q: int) -> tuple[int, int]:
+    """(w, beta) of _recurrence_packed's fields: beta = 2 t Q^2 and w the bit length of
+    beta + 2 Q W, W the largest weight."""
+    return ((beta := 2 * t * Q * Q) + 2 * Q * max(weights)).bit_length(), beta
 
 
 def _steps(columns: Sequence[Sequence[int]] | _Packed, scales: list[int],
@@ -363,8 +355,9 @@ def _recurrence_rows(columns: Sequence[Sequence[int]] | _Packed, weights: list[i
 
 
 def _recurrence_packed(columns: Sequence[Sequence[int]] | _Packed, weights: list[int], scales: list[int],
-                       Q: int) -> list[int]:
-    """The coefficients of _recurrence_rows, from p_0, ..., p_t held as one int each.
+                       Q: int, w: int, beta: int) -> list[int]:
+    """The coefficients of _recurrence_rows, from p_0, ..., p_t held as one int each, with w and beta
+    from _recurrence_field.
 
     P_i = sum_m x_m 2^(w m) with every field x_m in [0, 2Q) and congruent to p_i's X^m coefficient
     mod Q. With cs_i and d in [0, Q), each field of S = sum_(i<k) cs_i P_i + d P_k is below
@@ -374,8 +367,6 @@ def _recurrence_packed(columns: Sequence[Sequence[int]] | _Packed, weights: list
     brings T's fields back into [0, 2Q), which makes P_(k+1).
     """
     n = len(scales)
-    beta = 2 * n * Q * Q
-    w = (beta + 2 * Q * max(weights)).bit_length()
     mask = (1 << w) - 1
     even = mask * ((1 << 2 * w * (n // 2 + 1)) - 1) // ((1 << 2 * w) - 1)  # fields 0, 2, 4, ...
     r = (1 << w) // Q
@@ -517,7 +508,7 @@ class _Packed(tuple):
 
 
 def _hessenberg_packed(m: Sequence[Sequence[int]], e: list[int], scales: list[int], p: int,
-                       q: int) -> _Packed:
+                       q: int, w: int, bias: int) -> _Packed:
     """The steps of _hessenberg_rows, on A held as one int per column, which the recurrence reads
     as it is.
 
@@ -531,12 +522,10 @@ def _hessenberg_packed(m: Sequence[Sequence[int]], e: list[int], scales: list[in
     k+1 on, and a row swap only swaps two offsets.
     """
     n = len(m)
-    columns = list(zip(*m))
-    w, bias = _field_width(m, scales, q)
     mask = (1 << w) - 1
     biases = bias * ((1 << w * n) - 1) // mask  # every field at bias: the column of zeros
     at = list(range(0, w * n, w))
-    cols = [sum(map(lshift, column, at)) // scale + biases for column, scale in zip(columns, scales)]
+    cols = [sum(map(lshift, column, at)) // scale + biases for column, scale in zip(zip(*m), scales)]
     for k in range(n - 2):
         column = cols[k]
         for piv in range(k + 1, n):
@@ -681,8 +670,8 @@ def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
         if points[-1] < tops[-1]:
             hull = _lower_hull(list(enumerate(points)))
             if all(points[i] < tops[i] for i, _ in hull):
-                return NewtonPolygon._of_hull(tuple(hull), 0)
-    return NewtonPolygon._of_hull(*_coefficient_hull(char_poly(matrix), p))
+                return NewtonPolygon._unchecked(tuple(hull), 0)
+    return NewtonPolygon._unchecked(*_coefficient_hull(char_poly(matrix), p))
 
 
 def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:

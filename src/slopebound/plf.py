@@ -7,7 +7,7 @@ convexity, and is where a caller's coordinate becomes a Fraction (from
 anything Fraction() takes, "3/2" included). The named constructors produce
 convex functions. All but one go through the constructor; from_divisor_sequence,
 built once per instance by verify_chain, makes its Fractions itself and stores
-them through the private PiecewiseLinear._of_fractions, which skips the checks.
+them through the private Value._unchecked, which skips the checks.
 Its points cannot break them: x runs over 0, 1, ..., t from (0, 0), and each
 value adds r - e_l >= 0 to the last, as it refuses an exponent above r first.
 Comparisons are decided exactly at merged breakpoints, which suffices for any
@@ -77,14 +77,6 @@ class PiecewiseLinear(Value):
         if final_slope is not None and final_slope < 0:
             raise ValueError("a final ray must have non-negative slope")
         super().__init__(pts, final_slope)
-
-    @classmethod
-    def _of_fractions(cls, breakpoints: tuple[Point, ...]) -> "PiecewiseLinear":
-        """The profile through `breakpoints`, with no final ray, stored as given: the caller's
-        Fractions already start at (0, 0), increase strictly in x and are non-negative."""
-        profile = object.__new__(cls)
-        Value.__init__(profile, breakpoints, None)
-        return profile
 
     @property
     def domain_end(self) -> Fraction | None:
@@ -187,7 +179,7 @@ def from_divisor_sequence(seq: ElemDivSeq, r: int, t: int) -> PiecewiseLinear:
     for l, e in enumerate(seq.padded(t), start=1):
         total += r - e
         points.append((Fraction(l), Fraction(total)))
-    return PiecewiseLinear._of_fractions(tuple(points))
+    return PiecewiseLinear._unchecked(tuple(points), None)
 
 
 def f_r(system_s: int, g: int, r: int) -> PiecewiseLinear:

@@ -13,6 +13,7 @@ a root nor a rank-sized tuple is ever built.
 from __future__ import annotations
 
 from itertools import chain, count, repeat
+from operator import index
 
 from ._value import Value
 
@@ -41,8 +42,12 @@ class RootSystem(Value):
     _fields = ("letter", "rank")
 
     def __init__(self, letter: str, rank: int) -> None:
+        try:
+            rank = index(rank)
+        except TypeError:
+            raise InvalidType(f"no simple root system of type {letter}{rank!r}") from None
         if letter in _LEAST_RANK:
-            ok = isinstance(rank, int) and rank >= _LEAST_RANK[letter]
+            ok = rank >= _LEAST_RANK[letter]
         else:
             ok = (letter, rank) in _EXCEPTIONAL_EXPONENTS
         if not ok:

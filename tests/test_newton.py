@@ -27,8 +27,10 @@ from slopebound.newton import (
     _hessenberg_rows,
     _kernel,
     _lift,
+    _packed_field,
     _pivot,
     _recurrence,
+    _recurrence_field,
     _recurrence_packed,
     _recurrence_rows,
     _reduce_fields,
@@ -359,6 +361,65 @@ class TestKernel:
         with pytest.raises(NotPrime):
             matrix_newton_polygon(identity(2), p)
 
+    # a kernel call at size t, and the forms its halves take at t = 7, reduction first. The exact run at
+    # 2^13, and at 2^220, where only the recurrence's fields (428 bits) fit; the s = 8 rung at p = 65537,
+    # q = 2^128, where the reduction's fields are 423 bits at E = 2 and 439 at E = 3; a rung at a prime
+    # above 2^32; scales 1 and 2^E at q = 2^8, whose reduction's fields are 435 bits at E = 404 and 436
+    # at E = 405; and the recurrence alone on I mod 3 * 2^252 and 2^254, in fields of 511 and 512 bits
+    SELECTION = {
+        "exact-I": (lambda t: (char_poly, identity(t)), ("packed", "packed")),
+        "exact-2^30-I": (lambda t: (char_poly, IntegerMatrix.diagonal([2**30] * t)), ("rows", "packed")),
+        "p65537-E2": (lambda t: (_char_poly_mod, gen_instance(1, 65537, t, 2, ElemDivSeq((1,)), 50).matrix.entries,
+                                 65537, SLACK), ("packed", "packed")),
+        "p65537-E3": (lambda t: (_char_poly_mod, gen_instance(1, 65537, t, 3, ElemDivSeq((2, 1)), 50).matrix.entries,
+                                 65537, SLACK), ("rows", "packed")),
+        "p-above-2^32": (lambda t: (_char_poly_mod, gen_instance(1, 2**32 + 15, t, 3, ElemDivSeq((2, 1)), 50)
+                                    .matrix.entries, 2**32 + 15, SLACK), ("rows", "rows")),
+        "spread-435": (lambda t: (_char_poly_mod, IntegerMatrix.diagonal([1] * (t - 1) + [2**404]).entries, 2, SLACK),
+                       ("packed", "rows")),
+        "spread-436": (lambda t: (_char_poly_mod, IntegerMatrix.diagonal([1] * (t - 1) + [2**405]).entries, 2, SLACK),
+                       ("rows", "rows")),
+        "recurrence-511": (lambda t: (_recurrence, identity(t).entries, [1] * t, [1] * t, 3 << 252), ("packed",)),
+        "recurrence-512": (lambda t: (_recurrence, identity(t).entries, [1] * t, [1] * t, 1 << 254), ("rows",)),
+    }
+
+    @pytest.mark.parametrize("t", [6, 7])
+    @pytest.mark.parametrize("case", list(SELECTION))
+    def test_each_half_packs_from_t_7_below_its_bound(self, case, t):
+        # a half packs when t >= 7 and the fields it would pack are narrower than its bound, 436 bits for
+        # the reduction (_field_width) and 512 for the recurrence (_recurrence_field); each width is
+        # computed once, and only from t = 7 on
+        assert (newton._PACK_FROM_T, newton._REDUCTION_BELOW_BITS, newton._RECURRENCE_BELOW_BITS) == (7, 436, 512)
+        build, forms = self.SELECTION[case]
+        kernel, *args = build(t)
+        widths, fits, taken = [], [], []
+
+        def width(field, bound):
+            def spy(*xs):
+                packed = field(*xs)
+                widths.append(packed[0])
+                fits.append(packed[0] < bound)
+                return packed
+
+            return spy
+
+        def form(name, fn):
+            return lambda *xs: taken.append(name) or fn(*xs)
+
+        with patch.object(newton, "_field_width", width(_field_width, 436)), \
+                patch.object(newton, "_recurrence_field", width(_recurrence_field, 512)), \
+                patch.object(newton, "_hessenberg_rows", form("rows", _hessenberg_rows)), \
+                patch.object(newton, "_hessenberg_packed", form("packed", _hessenberg_packed)), \
+                patch.object(newton, "_recurrence_rows", form("rows", _recurrence_rows)), \
+                patch.object(newton, "_recurrence_packed", form("packed", _recurrence_packed)):
+            kernel(*args)
+        if t < 7:
+            assert widths == [] and taken == ["rows"] * len(forms)
+            return
+        assert taken == list(forms) == ["packed" if fit else "rows" for fit in fits]
+        if case[-3:].isdigit():
+            assert widths[0] == int(case[-3:])
+
 
 def moduli(kernel, *args):
     """kernel(*args), and the modulus Q of each recurrence it runs."""
@@ -529,16 +590,28 @@ class TestPivot:
         assert (column, k, e, scales) == expected_args
 
 
-def char_poly_mod_by(reduction, entries, p, s):
-    """_char_poly_mod with `reduction` in place of whichever Hessenberg reduction it selects."""
-    with patch.object(newton, "_hessenberg_rows", reduction), \
-            patch.object(newton, "_hessenberg_packed", reduction):
+def on_form(packed, field):
+    """A patch of _packed_field that runs the half of the kernel whose fields `field` computes on
+    packed ints (`packed`) or on rows, whatever its size, and leaves the other half to the rule."""
+    def chosen(t, bound, half, *args):
+        if half is not field:
+            return _packed_field(t, bound, half, *args)
+        return field(*args) if packed else None
+
+    return patch.object(newton, "_packed_field", chosen)
+
+
+def char_poly_mod_by(reduction, entries, p, s, packed=None):
+    """_char_poly_mod with its reduction on `reduction`, whatever the size: in place of
+    _hessenberg_packed where `packed` (by default, where `reduction` is it), else of _hessenberg_rows."""
+    packed = reduction is _hessenberg_packed if packed is None else packed
+    with on_form(packed, _field_width), \
+            patch.object(newton, "_hessenberg_packed" if packed else "_hessenberg_rows", reduction):
         return _char_poly_mod(entries, p, s)
 
 
 class TestPackedReduction:
-    """_hessenberg_packed, which packs M's columns, makes the values of _hessenberg_rows, and
-    _char_poly_mod picks it by t and q."""
+    """_hessenberg_packed, which packs M's columns, makes the values of _hessenberg_rows."""
 
     @pytest.mark.parametrize("kind", KINDS + ["deep"])
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
@@ -593,7 +666,8 @@ class TestPackedReduction:
                 sys.settrace(before)
 
         with patch.object(newton, "_pivot", pivot), patch.object(newton, "_lift", lift):
-            return char_poly_mod_by(traced, entries, p, s), decisions, pivots, states
+            return (char_poly_mod_by(traced, entries, p, s, reduction is _hessenberg_packed),
+                    decisions, pivots, states)
 
     @staticmethod
     def read_again(states, q):
@@ -658,12 +732,13 @@ class TestPackedReduction:
         carried into the next. Returns the largest field, max(value + bias)."""
         widths = []
 
-        def packed(m, e, scales, p, q):
-            widths.append(_field_width(m, scales, q))
-            return _hessenberg_packed(m, e, scales, p, q)
+        def packed(m, e, scales, p, q, w, bias):
+            widths.append((w, bias))
+            assert (w, bias) == _field_width(m, scales, q)
+            return _hessenberg_packed(m, e, scales, p, q, w, bias)
 
         states = self.assert_same_steps(entries, p, s)[3]
-        char_poly_mod_by(packed, entries, p, s)
+        char_poly_mod_by(packed, entries, p, s, True)
         [(w, bias)] = widths
         assert bias % p**s == 0
         fields = [x + bias for state in states for row in state for x in row]
@@ -731,27 +806,35 @@ class TestPackedReduction:
         assert {e[j] for row in entries for j, x in enumerate(row) if abs(x) == top} == {min(e) if least else max(e)}
         self.assert_fields_hold_every_value(entries, p, s)
 
-
     @pytest.mark.parametrize(("t", "p", "s", "packed"), [
-        (newton._PACK_FROM_T - 1, 2, SLACK, False),
-        (newton._PACK_FROM_T, 2, SLACK, True),
-        (newton._PACK_FROM_T, 2, 112, True),
-        (newton._PACK_FROM_T, 2, 113, False),
-        (newton._PACK_FROM_T, 257, SLACK, True),
-        (newton._PACK_FROM_T, 16411, SLACK, True),
-        (newton._PACK_FROM_T, 23159, SLACK, False),
+        (8, 2, SLACK, True),
+        (8, 2, 112, True),
+        (8, 2, 141, True),
+        (8, 2, 142, False),
+        (8, 257, SLACK, True),
+        (8, 16411, SLACK, True),
+        (8, 23159, SLACK, True),
     ])
     def test_selection_by_size_and_modulus(self, t, p, s, packed):
-        assert newton._PACK_BELOW_Q == 2**113
-        calls = []
+        # diag(1..8) packs its reduction while its fields are narrower than 436 bits: 434 at 2^141,
+        # 437 at 2^142. The width, not q, decides: q = 23159^8 > 2^113 packs in fields of 355 bits.
+        calls, widths = [], []
 
         def spy(name, reduction):
             return lambda *args: calls.append(name) or reduction(*args)
 
+        def width(*args):
+            packed = _field_width(*args)
+            widths.append(packed[0])
+            return packed
+
         with patch.object(newton, "_hessenberg_rows", spy("rows", _hessenberg_rows)), \
-                patch.object(newton, "_hessenberg_packed", spy("packed", _hessenberg_packed)):
+                patch.object(newton, "_hessenberg_packed", spy("packed", _hessenberg_packed)), \
+                patch.object(newton, "_field_width", width):
             _char_poly_mod(IntegerMatrix.diagonal(list(range(1, t + 1))).entries, p, s)
         assert calls == ["packed" if packed else "rows"]
+        assert newton._REDUCTION_BELOW_BITS == 436
+        assert len(widths) == 1 and (widths[0] < 436) == packed
 
     @pytest.mark.parametrize(("seed", "p", "t"), [(5, 2, 24), (9, 3, 40), (11, 2, 64)])
     def test_generated_instances_against_faddeev_leverrier(self, seed, p, t):
@@ -762,10 +845,15 @@ class TestPackedReduction:
 
 
 def recurrence_by(recurrence, kernel, *args):
-    """`kernel(*args)` with `recurrence` in place of whichever Hessenberg recurrence it selects."""
-    with patch.object(newton, "_recurrence_rows", recurrence), \
-            patch.object(newton, "_recurrence_packed", recurrence):
+    """`kernel(*args)` with its recurrence on `recurrence`, _recurrence_packed or _recurrence_rows,
+    whatever the size."""
+    with on_form(recurrence is _recurrence_packed, _recurrence_field):
         return kernel(*args)
+
+
+def packed_recurrence(columns, weights, scales, Q):
+    """_recurrence_packed on the fields of _recurrence_field, as _recurrence hands them over."""
+    return _recurrence_packed(columns, weights, scales, Q, *_recurrence_field(len(scales), weights, Q))
 
 
 def fields(x, w, count):
@@ -785,7 +873,7 @@ def hessenberg_inputs(draw, max_t=16):
 
 
 class TestPackedRecurrence:
-    """_recurrence_packed makes the coefficients of _recurrence_rows, and _recurrence picks it by t and Q."""
+    """_recurrence_packed makes the coefficients of _recurrence_rows."""
 
     @pytest.mark.parametrize("kind", KINDS + ["deep"])
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
@@ -804,14 +892,14 @@ class TestPackedRecurrence:
     @given(hessenberg_inputs())
     @settings(max_examples=200, deadline=None)
     def test_same_coefficients_as_rows_for_any_modulus(self, inputs):
-        assert _recurrence_packed(*inputs) == _recurrence_rows(*inputs)
+        assert packed_recurrence(*inputs) == _recurrence_rows(*inputs)
 
     @given(hessenberg_inputs())
     @settings(max_examples=50, deadline=None)
     def test_rows_and_packed_take_their_steps_from_one_routine(self, inputs):
         columns, _, scales, Q = inputs
         taken = []
-        for recurrence in (_recurrence_rows, _recurrence_packed):
+        for recurrence in (_recurrence_rows, packed_recurrence):
             seen = []
 
             def spy(*args):
@@ -896,7 +984,7 @@ class TestPackedRecurrence:
         h = [[x * c for x, c in zip(row, scales)] for row in a]
         expected = [c % Q for c in reversed(charpoly_faddeev_leverrier(h))]
         columns = list(zip(*a))
-        coeffs, seen = self.steps(_recurrence_packed, columns, [1] * t, scales, Q)
+        coeffs, seen = self.steps(packed_recurrence, columns, [1] * t, scales, Q)
         assert coeffs == expected == _recurrence_rows(columns, [1] * t, scales, Q)
         w = seen[0][3]
         biggest = max(max(fields(before, w, i + 1)) for i, (before, *_) in enumerate(seen))
@@ -904,31 +992,41 @@ class TestPackedRecurrence:
 
     @staticmethod
     def taken(kernel, *args):
-        """The recurrences kernel(*args) runs, in order."""
-        calls = []
+        """The recurrences kernel(*args) runs, in order, and the width of each _recurrence_field."""
+        calls, widths = [], []
 
         def spy(name, recurrence):
             return lambda *xs: calls.append(name) or recurrence(*xs)
 
+        def width(*xs):
+            packed = _recurrence_field(*xs)
+            widths.append(packed[0])
+            return packed
+
         with patch.object(newton, "_recurrence_rows", spy("rows", _recurrence_rows)), \
-                patch.object(newton, "_recurrence_packed", spy("packed", _recurrence_packed)):
+                patch.object(newton, "_recurrence_packed", spy("packed", _recurrence_packed)), \
+                patch.object(newton, "_recurrence_field", width):
             kernel(*args)
+        assert newton._RECURRENCE_BELOW_BITS == 512
+        assert calls == ["packed" if w < 512 else "rows" for w in widths]
         return calls
 
     @pytest.mark.parametrize(("t", "s", "packed"), [
-        (newton._PACK_FROM_T - 1, SLACK, False),
-        (newton._PACK_FROM_T, SLACK, True),
-        (newton._PACK_FROM_T, 255, True),
-        (newton._PACK_FROM_T, 256, False),
+        (8, SLACK, True),
+        (8, 253, True),
+        (8, 254, False),
+        (8, 255, False),
+        (8, 256, False),
     ])
     def test_selection_by_size_and_modulus(self, t, s, packed):
-        # the identity has every column scale 0, so lam = 0 and Q = 2^s
-        assert newton._PACK_RECURRENCE_BELOW_Q == 2**256
+        # the identity has every column scale 0, so lam = 0 and Q = 2^s; at t = 8 the recurrence's
+        # fields are 511 bits at 2^253 and 513 at 2^254, and pack below 512
         assert self.taken(_char_poly_mod, identity(t).entries, 2, s) == ["packed" if packed else "rows"]
 
     @pytest.mark.parametrize(("diagonal", "packed"), [([1] * 10, True), ([2**30] * 10, False)])
     def test_exact_run_selects_by_its_own_modulus(self, diagonal, packed):
-        # 2^s passes twice the Hadamard bound: 2 * 3^10 < 2^17 for the identity, above 2^300 for 2^30 I
+        # 2^s passes twice the Hadamard bound: 2 * 3^10 < 2^17 for the identity, above 2^300 for 2^30 I,
+        # whose fields (609 bits) no longer pack
         assert self.taken(char_poly, IntegerMatrix.diagonal(diagonal)) == ["packed" if packed else "rows"]
 
 

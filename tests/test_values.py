@@ -200,6 +200,15 @@ def test_matrix_entries_are_whatever_operator_index_accepts():
     assert all(type(entry) is int for row in matrix.entries for entry in row)
 
 
+def test_exponents_and_rank_are_whatever_operator_index_accepts():
+    np = pytest.importorskip("numpy")
+    assert build_root_system("A", np.int64(2)) == build_root_system("A", 2)
+    assert build_root_system("A", True).label == "A1"
+    assert build_root_system("E", np.int32(6)) == build_root_system("E", 6)
+    sequence = ElemDivSeq((np.int64(3), True))
+    assert sequence == ElemDivSeq((3, 1)) and all(type(e) is int for e in sequence.exponents)
+
+
 def _pl(*points, final_slope=None):
     return lambda: PiecewiseLinear(points, final_slope)
 
@@ -208,6 +217,9 @@ VALIDATION = {
     "root system E9": (lambda: RootSystem("E", 9), "no simple root system"),
     "exponent zero": (lambda: ElemDivSeq((2, 0)), "strictly positive"),
     "exponents increase": (lambda: ElemDivSeq((1, 2)), "non-increasing"),
+    "exponent a float": (lambda: ElemDivSeq((2.5,)), "exponents must be integers"),
+    "exponent a Fraction": (lambda: ElemDivSeq((Fraction(3, 2),)), "exponents must be integers"),
+    "exponent a string": (lambda: ElemDivSeq(("3",)), "exponents must be integers"),
     "first breakpoint": (_pl((1, 0), (2, 1)), r"\(0, 0\)"),
     "breakpoints increase": (_pl((0, 0), (2, 1), (2, 3)), "strictly increasing"),
     "negative value": (_pl((0, 0), (1, -1)), "non-negative"),
