@@ -29,10 +29,16 @@ them. Each half of the kernel runs on packed ints, fixed-width fields in one int
 (Kronecker substitution; Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", 2009), where t >= 7 and those fields would
 be narrower than that half's bound, 436 bits for the reduction and 512 for the
-recurrence, else on rows of ints. The packed reduction holds one int per column;
-it packs M's columns and divides each packed column once, exactly, since the
-scale divides every entry; its fields carry a bias that is a multiple of p^s, so
-a field is congruent to its entry mod p^s and is read with nothing subtracted.
+recurrence, else on rows of ints. The packed reduction holds one int per column,
+in fields w bits wide and a whole number of bytes apart, at least 16 bits. It
+packs each of M's columns with one struct call, every entry as a 16-bit value in
+its field, reads the bytes as one int and corrects the signs of all fields at
+once. w is taken with 2^15 in place of M's largest |m_ij|, so no pass reads M.
+Only where an entry lies outside [-2^15, 2^15) does the call fail; then M's
+largest |m_ij| is read, w taken again, and each column summed by shifts.
+Each packed column is divided once, exactly, since the scale divides every
+entry; its fields carry a bias that is a multiple of p^s, so a field is
+congruent to its entry mod p^s and is read with nothing subtracted.
 The rows form hands every step to _pivot, which decides it from the residues mod
 p^s of the column below the diagonal. The packed form reads that column's fields
 from the subdiagonal down, takes the first unit mod p as the pivot, as _pivot
@@ -63,6 +69,7 @@ H(i)+s, with no division by p^H(i).
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -243,8 +250,8 @@ def _kernel(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[
         entries = [[entries[i][j] for j in order] for i in order]
         e = [e[j] for j in order]
     scales = [p**x for x in e]
-    field = _packed_field(len(entries), _REDUCTION_BELOW_BITS, _field_width, entries, scales, q)
-    columns = (_hessenberg_packed(entries, e, scales, p, q, *field) if field
+    packed = _packed_columns(entries, scales, q)
+    columns = (_hessenberg_packed(*packed, e, scales, p, q) if packed
                else _hessenberg_rows(entries, e, scales, p, q))
     ordered = sorted(e)
     hodge = list(accumulate(ordered, initial=0))
@@ -475,12 +482,13 @@ def _hessenberg_rows(m: Sequence[Sequence[int]], e: list[int], scales: list[int]
     return list(zip(*a))
 
 
-def _field_width(m: Sequence[Sequence[int]], scales: list[int], q: int) -> tuple[int, int]:
-    """(w, bias) of a packed field for the rows `m` of M and its column scales: every value v that
-    _hessenberg_rows makes lies in (-V, V), so the field v + bias lies in (0, 2^w).
+def _field_width(top: int, scales: list[int], q: int) -> tuple[int, int]:
+    """(w, bias) of a packed field for a matrix M whose entries lie in [-top, top], given its column
+    scales: every value v that _hessenberg_rows makes lies in (-V, V), so the field v + bias lies in
+    (0, 2^w).
 
     The values stay below V = (a0 + p^E t q^2)(1 + t q) in absolute value, E the largest e_j,
-    a0 = ceil(max |m_ij| / p^e) and e the least e_j, below which no step lowers an e_j:
+    a0 = ceil(top / p^e) and e the least e_j, below which no step lowers an e_j:
       - A starts at a_ij = m_ij / p^e_j, so |a_ij| <= a0;
       - the row step at k subtracts f * r with f in [0, q) and r a residue mod q from the entries
         of columns k+1 on below row k+1, so at most t - 2 times from one entry, and column j only
@@ -491,15 +499,64 @@ def _field_width(m: Sequence[Sequence[int]], scales: list[int], q: int) -> tuple
         |m| / p^e' <= a0, and the rest of a value, below t q^2, becomes below p^E t q^2; so column
         j then holds values below (a0 + p^E t q^2)(1 + t q). After it no step changes column j,
         and row swaps only permute its entries.
+    Any top at least M's largest |m_ij| is valid, and a larger one only widens the field.
+    _packed_columns first takes top = 2^15, which holds wherever every entry packs as a 16-bit
+    value; where one does not, M's largest |m_ij| is at least 2^15, so the exact top it takes
+    then gives a width no smaller.
     bias is the least multiple of q above V, so v + bias > 0 and is congruent to v mod q; w is the
     bit length of bias + V, so v + bias < bias + V < 2^w.
     """
     least = min(scales)
-    a0 = (max(max(map(max, m)), -min(map(min, m))) + least - 1) // least
-    t = len(m)
+    a0 = (top + least - 1) // least
+    t = len(scales)
     bound = (a0 + max(scales) * t * q * q) * (1 + t * q)
     bias = (bound // q + 1) * q
     return (bias + bound).bit_length(), bias
+
+
+def _stride(w: int) -> int:
+    """Bits from one packed field to the next for fields of width w: w rounded up to whole bytes,
+    and at least the 16 bits of a struct "h" value."""
+    return max(16, (w + 7) // 8 * 8)
+
+
+@lru_cache(maxsize=64)
+def _short_fields(t: int, stride: int) -> tuple[Callable[..., bytes], int]:
+    """(pack, signs): pack(*column) writes t values of [-2^15, 2^15) as 16-bit two's complement,
+    little-endian, the first in the lowest of t fields of `stride` bits and the rest of each field
+    zero, and raises struct.error for a value outside that range; signs has bit 15 of every field
+    set. Kept per size, so a kernel builds neither."""
+    fields = struct.Struct("<" + ("h" + "x" * (stride // 8 - 2)) * t)
+    return fields.pack, ((1 << stride * t) - 1) // ((1 << stride) - 1) << 15
+
+
+def _packed_columns(m: Sequence[Sequence[int]], scales: list[int],
+                    q: int) -> tuple[list[int], int, int] | None:
+    """(sums, w, bias) for _hessenberg_packed, or None where the reduction runs on rows: column j of
+    M as one int, sums[j] = sum_i m_ij 2^(stride i) with stride = _stride(w), and w and bias from
+    _field_width.
+
+    The width is taken first with top = 2^15, and each column is packed with one struct call, its
+    entries as 16-bit two's complement, read as one unsigned int x. Field i of x holds m_ij mod 2^16,
+    whose bit 15 is set exactly where m_ij < 0, so field i of x ^ signs holds m_ij + 2^15 and
+    (x ^ signs) - signs is the signed sum. Where an entry lies outside [-2^15, 2^15), struct.error
+    is raised: M's largest |m_ij| is then at least 2^15, its width no smaller than the first, and a
+    first verdict of rows stands. Only then is that |m_ij| read, the width taken again and, where
+    it still packs, each column summed by shifts.
+    """
+    t = len(m)
+    if not (field := _packed_field(t, _REDUCTION_BELOW_BITS, _field_width, 1 << 15, scales, q)):
+        return None
+    pack, signs = _short_fields(t, _stride(field[0]))
+    try:
+        return [(int.from_bytes(pack(*column), "little") ^ signs) - signs for column in zip(*m)], *field
+    except struct.error:
+        top = max(max(map(max, m)), -min(map(min, m)))
+    if not (field := _packed_field(t, _REDUCTION_BELOW_BITS, _field_width, top, scales, q)):
+        return None
+    stride = _stride(field[0])
+    at = range(0, stride * t, stride)
+    return [sum(map(lshift, column, at)) for column in zip(*m)], *field
 
 
 class _Packed(tuple):
@@ -507,25 +564,26 @@ class _Packed(tuple):
     field cols[j] >> at[i] & mask, a_ij plus a multiple of q."""
 
 
-def _hessenberg_packed(m: Sequence[Sequence[int]], e: list[int], scales: list[int], p: int,
-                       q: int, w: int, bias: int) -> _Packed:
+def _hessenberg_packed(sums: list[int], w: int, bias: int, e: list[int], scales: list[int], p: int,
+                       q: int) -> _Packed:
     """The steps of _hessenberg_rows, on A held as one int per column, which the recurrence reads
-    as it is.
+    as it is, from M's columns packed by _packed_columns.
 
-    Column j is sum_i (a_ij + bias) 2^at[i], with w and bias from _field_width: the w-bit field at
-    bit at[i] holds a_ij + bias and stays in (0, 2^w), so no carry crosses fields. M's column j is
-    p^e_j times A's, and so is its packed form sum_i m_ij 2^at[i], so one exact division per column
-    makes A's. bias is a multiple of q, so a field is congruent to a_ij mod q, and step k reads
-    column k's fields from row k+1 down: where one is a unit mod p, the first is _pivot's pivot,
-    and the f_i are the fields below it times its inverse mod q, with _lift's scale rule; else
-    _pivot decides the step from the residues. A row step is one multiply-add on each column from
-    k+1 on, and a row swap only swaps two offsets.
+    Column j is sum_i (a_ij + bias) 2^at[i], with w and bias from _field_width and the fields
+    _stride(w) bits apart: the field at bit at[i] holds a_ij + bias and stays in (0, 2^w), so no
+    carry crosses fields. M's column j is p^e_j times A's, and so is its packed form sums[j], so
+    one exact division per column makes A's. bias is a multiple of q, so a field is congruent to
+    a_ij mod q, and step k reads column k's fields from row k+1 down: where one is a unit mod p,
+    the first is _pivot's pivot, and the f_i are the fields below it times its inverse mod q, with
+    _lift's scale rule; else _pivot decides the step from the residues. A row step is one
+    multiply-add on each column from k+1 on, and a row swap only swaps two offsets.
     """
-    n = len(m)
-    mask = (1 << w) - 1
-    biases = bias * ((1 << w * n) - 1) // mask  # every field at bias: the column of zeros
-    at = list(range(0, w * n, w))
-    cols = [sum(map(lshift, column, at)) // scale + biases for column, scale in zip(zip(*m), scales)]
+    n = len(sums)
+    stride = _stride(w)
+    mask = (1 << stride) - 1
+    biases = bias * ((1 << stride * n) - 1) // mask  # every field at bias: the column of zeros
+    at = list(range(0, stride * n, stride))
+    cols = [c // scale + biases for c, scale in zip(sums, scales)]
     for k in range(n - 2):
         column = cols[k]
         for piv in range(k + 1, n):

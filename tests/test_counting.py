@@ -82,6 +82,18 @@ def test_e8_table_frozen_digest():
     assert digest == "e79d472eef535d09bd291c40efe84326a141e2c4e7ed24b9610ac3932345b2d5"
 
 
+# every type of rank <= 8: A1-A8, B2-B8, C3-C8, D4-D8, E6-E8, F4 and G2, 31 in all
+RANK_8_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(3, 9)]
+                + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("label", RANK_8_TYPES)
+def test_counts_below_the_paper_bound_for_every_type_of_rank_8_or_less(label):
+    # the paper's counting bound N_h <= (h+1)^(s-1), s the number of positive roots, on which f_a >= f_r rests
+    system = build_root_system(label[0], int(label[1:]))
+    assert [h for h, count in enumerate(count_nh(system, 30)) if count > (h + 1) ** (system.s - 1)] == []
+
+
 def test_bruteforce_h0():
     assert count_nh_bruteforce(A1, 0) == (1,)
 

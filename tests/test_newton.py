@@ -27,6 +27,7 @@ from slopebound.newton import (
     _hessenberg_rows,
     _kernel,
     _lift,
+    _packed_columns,
     _packed_field,
     _pivot,
     _recurrence,
@@ -35,6 +36,7 @@ from slopebound.newton import (
     _recurrence_rows,
     _reduce_fields,
     _steps,
+    _stride,
     char_poly,
     check_lower_bound,
     matrix_newton_polygon,
@@ -392,13 +394,12 @@ class TestKernel:
         assert (newton._PACK_FROM_T, newton._REDUCTION_BELOW_BITS, newton._RECURRENCE_BELOW_BITS) == (7, 436, 512)
         build, forms = self.SELECTION[case]
         kernel, *args = build(t)
-        widths, fits, taken = [], [], []
+        widths, taken = {436: [], 512: []}, []
 
         def width(field, bound):
             def spy(*xs):
                 packed = field(*xs)
-                widths.append(packed[0])
-                fits.append(packed[0] < bound)
+                widths[bound].append(packed[0])
                 return packed
 
             return spy
@@ -414,11 +415,18 @@ class TestKernel:
                 patch.object(newton, "_recurrence_packed", form("packed", _recurrence_packed)):
             kernel(*args)
         if t < 7:
-            assert widths == [] and taken == ["rows"] * len(forms)
+            assert widths == {436: [], 512: []} and taken == ["rows"] * len(forms)
             return
+        # the reduction takes its width again, from M's largest entry, only where the first one fits
+        # and an entry lies outside [-2^15, 2^15); the last width of each half decides its form
+        if reduction := widths[436]:
+            entries = args[0].entries if kernel is char_poly else args[0]
+            wide = not all(-2**15 <= x < 2**15 for row in entries for x in row)
+            assert len(reduction) == 1 + (wide and reduction[0] < 436)
+        fits = [taken_widths[-1] < bound for bound, taken_widths in widths.items() if taken_widths]
         assert taken == list(forms) == ["packed" if fit else "rows" for fit in fits]
         if case[-3:].isdigit():
-            assert widths[0] == int(case[-3:])
+            assert next(taken_widths[-1] for taken_widths in widths.values() if taken_widths) == int(case[-3:])
 
 
 def moduli(kernel, *args):
@@ -610,8 +618,23 @@ def char_poly_mod_by(reduction, entries, p, s, packed=None):
         return _char_poly_mod(entries, p, s)
 
 
+def reduction_tops(entries, p, s):
+    """_char_poly_mod with its reduction packed whatever the size, and the top of each width
+    _packed_columns takes: [2^15] where it packs M's columns with struct, [2^15, max |m_ij|] where
+    an entry lies outside [-2^15, 2^15) and it sums them by shifts."""
+    tops = []
+
+    def width(top, scales, q):
+        tops.append(top)
+        return _field_width(top, scales, q)
+
+    with patch.object(newton, "_field_width", width), on_form(True, width):
+        return _char_poly_mod(entries, p, s), tops
+
+
 class TestPackedReduction:
-    """_hessenberg_packed, which packs M's columns, makes the values of _hessenberg_rows."""
+    """_hessenberg_packed, on M's columns as _packed_columns packs them, makes the values of
+    _hessenberg_rows."""
 
     @pytest.mark.parametrize("kind", KINDS + ["deep"])
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 13]), s=st.integers(min_value=1, max_value=12))
@@ -728,14 +751,16 @@ class TestPackedReduction:
 
     def assert_fields_hold_every_value(self, entries, p, s):
         """Both forms hold the same A before every step and at the end, and every value plus the
-        bias of _field_width inside (0, 2^w) for its width w: so no packed field, Hessenberg or not,
-        carried into the next. Returns the largest field, max(value + bias)."""
+        bias inside (0, 2^w) for the width w and bias the kernel took: those of _field_width at top
+        2^15 where every entry packs into 16 bits, else at M's largest |m_ij|. So no packed field,
+        Hessenberg or not, carried into the next. Returns the largest field, max(value + bias)."""
         widths = []
+        top = max(2**15, *(abs(x) for row in entries for x in row))
 
-        def packed(m, e, scales, p, q, w, bias):
+        def packed(sums, w, bias, e, scales, p, q):
             widths.append((w, bias))
-            assert (w, bias) == _field_width(m, scales, q)
-            return _hessenberg_packed(m, e, scales, p, q, w, bias)
+            assert (w, bias) == _field_width(top, scales, q)
+            return _hessenberg_packed(sums, w, bias, e, scales, p, q)
 
         states = self.assert_same_steps(entries, p, s)[3]
         char_poly_mod_by(packed, entries, p, s, True)
@@ -771,12 +796,18 @@ class TestPackedReduction:
         e = [0] * (t - 1) + [E] if least else [0, 0] + [E] * (t - 2)
         return tuple(tuple(x * p**k for x, k in zip(row, e)) for row in a), e, s
 
+    @staticmethod
+    def largest(entries):
+        """M's largest |m_ij|, the top of the width the kernel takes where an entry does not pack."""
+        return max(abs(x) for row in entries for x in row)
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_values_reach_a_quarter_of_the_field(self, p):
         entries, e, s = self.far_reaching(p, 10**6 + 1)
         t, q = len(entries), p**s
         scales = [p**k for k in e]
-        _, bias = _field_width(entries, scales, q)
+        assert reduction_tops(entries, p, s)[1] == [2**15, self.largest(entries)]
+        _, bias = _field_width(self.largest(entries), scales, q)
         columns = _hessenberg_rows(entries, e[:], scales, p, q)
         biggest = max(abs(columns[j][i]) for j in range(t) for i in range(min(j + 2, t)))
         # bias is the least multiple of q above the bound on the values
@@ -792,7 +823,8 @@ class TestPackedReduction:
         # 3/4 V, passes 2^(w-1) when the bias sits above about 0.29 * 2^w: at a0 = 1.5e6 it is
         # 0.45 (p = 2) and 0.42 (p = 3). A field one bit narrower would carry into the next.
         entries, e, s = self.far_reaching(p, 3 * 10**6 // 2 + 1)
-        w, _ = _field_width(entries, [p**k for k in e], p**s)
+        assert reduction_tops(entries, p, s)[1] == [2**15, self.largest(entries)]
+        w, _ = _field_width(self.largest(entries), [p**k for k in e], p**s)
         assert self.assert_fields_hold_every_value(entries, p, s) >= 2 ** (w - 1)
 
     @pytest.mark.parametrize("least", [False, True])
@@ -802,8 +834,9 @@ class TestPackedReduction:
         # scale it is that entry, in one of the largest it bounds that entry over its own scale
         # times p^E. Over the largest scale instead, the bound falls below the values in both.
         entries, e, s = self.far_reaching(p, 10**7, least=least)
-        top = max(abs(x) for row in entries for x in row)
+        top = self.largest(entries)
         assert {e[j] for row in entries for j, x in enumerate(row) if abs(x) == top} == {min(e) if least else max(e)}
+        assert reduction_tops(entries, p, s)[1] == [2**15, top]
         self.assert_fields_hold_every_value(entries, p, s)
 
     @pytest.mark.parametrize(("t", "p", "s", "packed"), [
@@ -842,6 +875,85 @@ class TestPackedReduction:
         matrix_newton_polygon.cache_clear()
         expected = newton_polygon(charpoly_faddeev_leverrier(inst.matrix.entries), p)
         assert matrix_newton_polygon(inst.matrix, p) == expected
+
+
+def column_scales(entries, p):
+    """The column scales p^e_j that _kernel takes, e_j the valuation of column j's content."""
+    return [p ** newton._valuation(c, p) if c else 1 for c in map(gcd, *entries)]
+
+
+class TestShortPacking:
+    """_packed_columns packs M's columns with one struct call each where every entry lies in
+    [-2^15, 2^15), and sums them by shifts, from a width taken again at M's largest |m_ij|, where
+    one does not; the packed reduction makes the values of the rows reduction either way."""
+
+    @staticmethod
+    def with_values(values, t=8, scale=1, seed=0):
+        """A t x t matrix of `scale` times odd integers in [-49, 49], with `values` written in turn
+        at the corners, the lowest and the highest field of the first and the last column, and at
+        (t // 2, 1), one value to a cell."""
+        rng = random.Random(seed)
+        rows = [[scale * rng.randrange(-49, 50, 2) for _ in range(t)] for _ in range(t)]
+        for (i, j), value in zip([(0, 0), (t - 1, t - 1), (t - 1, 0), (0, t - 1), (t // 2, 1)], values):
+            rows[i][j] = value
+        return tuple(map(tuple, rows))
+
+    @staticmethod
+    def assert_agrees(entries, p, s, tops):
+        """The reduction, packed whatever the size, takes the widths at `tops` and gives the
+        residues of the rows reduction and of Faddeev-LeVerrier."""
+        (residues, hodge), taken = reduction_tops(entries, p, s)
+        assert taken == tops
+        assert (residues, hodge) == char_poly_mod_by(_hessenberg_rows, entries, p, s)
+        assert residues == [c % p ** (h + s) for c, h in zip(charpoly_faddeev_leverrier(entries), hodge)]
+
+    @pytest.mark.parametrize(("values", "top"), [
+        ((-2**15, 2**15 - 1), None),
+        ((-2**15,), None),
+        ((2**15 - 1,), None),
+        ((2**15,), 2**15),
+        ((-2**15 - 1,), 2**15 + 1),
+        ((2**15 - 1, -2**15 - 1), 2**15 + 1),
+    ])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_the_16_bit_range_decides_the_packing(self, values, top, p):
+        # -2^15 and 2^15 - 1 pack with struct; 2^15 and -2^15 - 1 raise struct.error, and the
+        # kernel takes the width again at M's largest |m_ij| and sums the columns by shifts
+        entries = self.with_values(values * 2)
+        self.assert_agrees(entries, p, SLACK, [2**15] if top is None else [2**15, top])
+        sums, w, bias = _packed_columns(entries, column_scales(entries, p), p**SLACK)
+        stride = _stride(w)
+        assert (w, bias) == _field_width(top or 2**15, column_scales(entries, p), p**SLACK)
+        assert sums == [sum(x << stride * i for i, x in enumerate(column)) for column in zip(*entries)]
+
+    # (t, s, e, w): columns of content 2^e, where the width at top 2^15 is least; below 16 bits at
+    # t <= 4 and s = 1, where the reduction packs only when forced, 16 bits at t = 7 and s = 1, and
+    # 18 at t = 7 and s = 2, whose stride rounds up to 24 bits
+    @pytest.mark.parametrize(("t", "s", "e", "w"), [(2, 1, 5, 14), (3, 1, 4, 15), (4, 1, 5, 15),
+                                                    (7, 1, 5, 16), (7, 2, 4, 18)])
+    def test_each_stride_holds_a_16_bit_value(self, t, s, e, w):
+        entries = self.with_values((-2**15, 2**15 - 2**e), t, 2**e)
+        assert _field_width(2**15, column_scales(entries, 2), 2**s)[0] == w
+        assert _stride(w) == (16 if w <= 16 else 24)
+        self.assert_agrees(entries, 2, s, [2**15])
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_a_sign_correction_one_bit_off_fails(self, off):
+        # the same packing with the sign bit taken one bit lower or higher in every field: the sums,
+        # and with them the residues, are no longer M's. The errors are multiples of 2^15, which move
+        # no residue mod 2^(H(i)+8) at p = 2, so the kernel runs at p = 3
+        entries = self.with_values((-2**15, 2**15 - 1, -5, 3))
+        scales, q = column_scales(entries, 3), 3**SLACK
+        expected = _packed_columns(entries, scales, q)
+        short_fields = newton._short_fields
+
+        def shifted(t, stride):
+            pack, signs = short_fields(t, stride)
+            return pack, signs << 1 if off > 0 else signs >> 1
+
+        with patch.object(newton, "_short_fields", shifted):
+            assert _packed_columns(entries, scales, q)[0] != expected[0]
+            assert reduction_tops(entries, 3, SLACK)[0] != char_poly_mod_by(_hessenberg_rows, entries, 3, SLACK)
 
 
 def recurrence_by(recurrence, kernel, *args):
