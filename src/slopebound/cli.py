@@ -77,21 +77,20 @@ BOUND_S_CAP = 500
 # and `--type G2 --p 5 --r 4` at t = 500 took 2.59/2.90
 VERIFY_T_CAP = 500
 # most --t times --r times the bit length of --p that `verify` takes, checked before gen_instance. The
-# matrix entries carry p^(r - b_l), and where the kernel lowers the column scales by more than its
-# 8 and 16 digits of slack, both runs leave zero residues on the hull and the exact char_poly runs
-# on t-by-t entries of about r log2(p) bits. Fresh-interpreter `verify chain --type A2 --g 1 --p P
-# --t T --r R --trials 1` took, at the last two r of the doubling from 1 (worst of seeds 0, 1, 2, in
-# seconds, Python 3.11.7; "-" did not end in 15 s)
-#     t  p = 2                p = 3                p = 5                p = 65537
-#    16  2048 3.30 4096 12.3  2048 7.25 4096 -     2048 9.18 4096 -     2048 3.34 4096 11.3
-#    32   512 5.63 1024 -      256 3.61  512 11.3   256 5.37  512 -      512 5.57 1024 -
-#    64    64 4.22  128 10.3    32 3.75   64 10.9    32 0.12   64 12.1    64 4.47  128 10.7
-#   128    16 0.25   32 -       32 0.70   64 -       64 5.41  128 -       16 4.70   32 -
-#   256     8 0.66   16 -       32 7.55   64 -       16 4.26   32 -        4 4.07    8 -
-#   500     8 2.25   16 14.2     8 3.63   16 -        8 8.21   16 -              1 -
-# Every cell at or below the cap took at most 3.75 s (p = 3, t = 64, r = 32); at twice the cap
-# p = 2 did not end at t = 128 (r = 32) and t = 256 (r = 16). At p = 65537, t = 500 did not end
-# even at r = 1, and the cap refuses t > 240 there.
+# matrix entries carry p^(r - b_l), and where the reduction lowers the column scales by more than 16
+# digits, the kernel's precision ladder climbs past s = 16 on t-by-t entries of about r log2(p) bits.
+# The cap was set when such a polygon took the exact char_poly: fresh-interpreter `verify chain --type
+# A2 --g 1 --p P --t T --r R --trials 1` then took up to 3.75 s at the cap (p = 3, t = 64, r = 32),
+# and some cells at twice it did not end in 15 s. With the ladder it took, at the largest r the cap
+# admits (worst of seeds 0, 1, 2, in seconds, Python 3.11.7)
+#     t  p = 2       p = 3       p = 5       p = 65537
+#    16  128 0.08    128 0.08    85 0.07     15 0.08
+#    32   64 0.11     64 0.09    42 0.07      7 0.08
+#    64   32 0.16     32 0.17    21 0.09      3 0.11
+#   128   16 0.21     16 0.19    10 0.21      1 0.30
+#   256    8 0.32      8 0.52     5 0.39      refused: t > 240 at p = 65537
+#   500    4 0.99      4 1.25     2 1.27
+# so the t = 500 cells, whose cost is VERIFY_T_CAP's, are now the slowest.
 VERIFY_SIZE_CAP = 4096
 _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
 

@@ -60,11 +60,12 @@ field at once (Barrett); both forms take each step's coefficients from _steps.
 The exact coefficients, char_poly, are the symmetric lift of the kernel's
 residues at p = 2 with 2^s past twice the Hadamard bound.
 
-A matrix's polygon takes the kernel at s = 8, and again at s = 16 when 8 digits
-cannot certify the hull; only a polygon neither run certifies (a singular or a
-very deep matrix) takes the exact coefficients. Its points come from g in one
-pass: c_i's point is v_p(g_(t-i)) + lam i - D+, known where that is below
-H(i)+s, with no division by p^H(i).
+A matrix's polygon climbs one ladder of kernel runs at p itself, s = 8, 16, 32,
+..., and stops at the first run that certifies the hull. The last rung is the
+least s with p^s past twice the Hadamard bound, where every zero residue is a
+zero coefficient, so it settles a singular or a very deep matrix. Each run's
+points come from g in one pass: c_i's point is v_p(g_(t-i)) + lam i - D+, known
+where that is below H(i)+s, with no division by p^H(i).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, isqrt, prod
+from math import gcd, inf, isqrt, prod
 from operator import floordiv, gt, index, lshift, mul
 
 from ._value import Value
@@ -94,13 +95,22 @@ __all__ = [
 ]
 
 
-# digits kept above the Hodge bound: matrix_newton_polygon reads c_i mod p^(H(i) + s) at
-# s = _SLACK, and at s = 2 * _SLACK where that leaves the hull uncertified, before any exact run.
+# digits kept above the Hodge bound at the ladder's first rung: matrix_newton_polygon reads
+# c_i mod p^(H(i) + s) at s = _SLACK, 2 * _SLACK, 4 * _SLACK, ... until the hull is certified.
 # On the verify_chain cells A2/B2, r = 3, p = 2, 3, t = 24, 32, 40 (432 polygons, Python 3.11.7)
-# 10 needed the second run and none the exact one; the kernel took 1.03-1.15 times as long at
+# 10 needed the second rung and none a third; the kernel took 1.03-1.15 times as long at
 # s = 16 as at s = 8, the exact run at t = 40 about 8 times. A first rung at 4 or 6 left more
-# polygons to the second run and saved no time.
+# polygons to the second rung and saved no time.
 _SLACK = 8
+# where the rung at s = 2 * _SLACK leaves c_t's residue at 0, matrix_newton_polygon checks det M mod
+# l, the first of these primes that is not p, by one _char_poly_mod(entries, l, 1). In ms (least of
+# 7, Python 3.11.7), on a singular t = 48 matrix (entries up to 30, last row the sum of the others)
+# and on a gen_instance matrix at t = 64, r = 32, b = (32, 16), p = 2, seed 0:
+#   l = 251: 1.54 / 6.32     65521: 1.79 / 7.64     2^31 - 1: 7.16 / 12.4     2^61 - 1: 9.65 / 22.4
+#   the rung at s = 16: p = 2 3.16 / 14.0, p = 3 2.31 / 8.72
+# so the check costs less than one rung below 2^16, and more above, where the fields grow. 65521, the
+# largest prime below 2^16, sends a non-singular M to the last rung with chance 1/65521.
+_DET_PRIMES = (65521, 65519)
 # _packed_field picks each half's form: packed ints where t >= _PACK_FROM_T and the fields that half
 # would pack are narrower than its bound, w of _field_width below _REDUCTION_BELOW_BITS for the
 # reduction and w of _recurrence_field below _RECURRENCE_BELOW_BITS for the recurrence, else rows.
@@ -613,9 +623,15 @@ def _hessenberg_packed(sums: list[int], w: int, bias: int, e: list[int], scales:
     return _Packed((cols, at, mask))
 
 
-def _exact_precision(entries: tuple[tuple[int, ...], ...]) -> int:
-    """Least P with 2^P > 2 * prod_l (2 + isqrt(|column l|^2)), twice a Hadamard bound on every |c_i|."""
-    return (2 * prod(2 + isqrt(sum(x * x for x in column)) for column in zip(*entries))).bit_length()
+def _exact_precision(entries: tuple[tuple[int, ...], ...], p: int) -> int:
+    """Least s with p^s > 2 * prod_l (2 + isqrt(|column l|^2)), twice a Hadamard bound on every |c_i|."""
+    bound = 2 * prod(2 + isqrt(sum(x * x for x in column)) for column in zip(*entries))
+    s = (bound.bit_length() - 1) // p.bit_length()  # p^s < 2^(s bitlen p) <= bound: s is too small
+    power = p**s
+    while power <= bound:
+        power *= p
+        s += 1
+    return s
 
 
 def char_poly(matrix: IntegerMatrix) -> list[int]:
@@ -624,7 +640,7 @@ def char_poly(matrix: IntegerMatrix) -> list[int]:
     The symmetric lift of the kernel's residues c_i mod 2^(H(i)+s) at p = 2, with 2^s past twice
     the Hadamard bound: 2^(H(i)+s) >= 2^s > 2|c_i|, so the lift is c_i.
     """
-    residues, hodge = _char_poly_mod(matrix.entries, 2, s := _exact_precision(matrix.entries))
+    residues, hodge = _char_poly_mod(matrix.entries, 2, s := _exact_precision(matrix.entries, 2))
     moduli = [2 ** (h + s) for h in hodge]
     return [c - m if 2 * c > m else c for c, m in zip(residues, moduli)]
 
@@ -684,23 +700,29 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def _coefficient_hull(coeffs: list[int], p: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """(vertices, infinite_slopes) of the Newton polygon of [1, c_1, ..., c_t]: the lower hull of the
-    points (i, v_p(c_i)) of the non-zero c_i, and the count of the coefficients after the last one."""
-    points = [(i, _valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]
-    return tuple(_lower_hull(points)), len(coeffs) - 1 - points[-1][0]
+def _prime(p: int) -> int:
+    """p as an int where it is a prime int; NotPrime for any other p, 3.0 and Fraction(3) included."""
+    try:
+        p = index(p)
+    except TypeError:
+        raise NotPrime(f"{p!r} is not an int") from None
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    return p
 
 
 def newton_polygon(coeffs: list[int], p: int) -> NewtonPolygon:
-    """Newton polygon of a monic integer polynomial given as [1, c_1, ..., c_t]."""
+    """Newton polygon of a monic integer polynomial given as [1, c_1, ..., c_t]: the lower hull of the
+    points (i, v_p(c_i)) of the non-zero c_i, and an infinite slope for each coefficient after the
+    last of them."""
     if not coeffs or coeffs[0] != 1:
         raise NotMonic(f"leading coefficient must be 1, got {coeffs[:1]}")
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    return NewtonPolygon(*_coefficient_hull(coeffs, p))
+    p = _prime(p)
+    points = [(i, _valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]
+    return NewtonPolygon(_lower_hull(points), len(coeffs) - 1 - points[-1][0])
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
     """Newton polygon at p of the characteristic polynomial of `matrix`, one shared immutable value
     per (matrix, p) of the last 8. Callers reuse a polygon only right after computing it (once per
@@ -711,14 +733,20 @@ def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
     v_p(c_i) >= H(i)+s. So the hull of the known points is the polygon when
     c_t's residue is non-zero and every point (i, H(i)+s) of a zero residue lies
     on or above it, i.e. is no vertex of the hull of all the points. The kernel
-    runs at s = _SLACK and, if that does not certify the hull, at s = 2 * _SLACK;
-    if neither does, the hull comes from the exact coefficients, through
-    char_poly, which also settles a singular matrix.
+    runs at s = _SLACK, 2 * _SLACK, 4 * _SLACK, ... and stops at the first s that
+    certifies the hull, or at s_max = _exact_precision(entries, p): there
+    p^(H(i)+s) > 2|c_i|, so a zero residue is a zero c_i, and the polygon is the
+    hull of the known points, with an infinite slope for each coefficient after the
+    last of them. s_max is taken only once s = 2 * _SLACK leaves the hull
+    uncertified. Where c_t's residue is still 0 there and det M is 0 mod a prime of
+    _DET_PRIMES as well, M is most likely singular, which no rung below s_max
+    certifies, and the next rung is s_max.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    for s in (_SLACK, 2 * _SLACK):
-        g, hodge, lam, D = _kernel(matrix.entries, p, s)
+    p = _prime(p)
+    entries = matrix.entries
+    s, exact = _SLACK, inf  # exact: s_max, once taken
+    while True:
+        g, hodge, lam, D = _kernel(entries, p, s)
         # c_i = p^(lam i - D+) g_(t-i) is known mod p^(H(i)+s), and g_(t-i) mod Q as far as that
         # needs: below H(i)+s, v_p(c_i) is v_p(g_(t-i)) + lam i - D+; else c_i's point is unknown,
         # at H(i)+s or above, and is placed there
@@ -729,7 +757,16 @@ def matrix_newton_polygon(matrix: IntegerMatrix, p: int) -> NewtonPolygon:
             hull = _lower_hull(list(enumerate(points)))
             if all(points[i] < tops[i] for i, _ in hull):
                 return NewtonPolygon._unchecked(tuple(hull), 0)
-    return NewtonPolygon._unchecked(*_coefficient_hull(char_poly(matrix), p))
+        if s == 2 * _SLACK:
+            exact = _exact_precision(entries, p)
+            ell = next(ell for ell in _DET_PRIMES if ell != p)
+            if s < exact and points[-1] == tops[-1] and not _char_poly_mod(entries, ell, 1)[0][-1]:
+                s = exact  # most likely singular, which no rung below s_max certifies
+                continue
+        if s >= exact:
+            known = [(i, y) for i, (y, top) in enumerate(zip(points, tops)) if y < top]
+            return NewtonPolygon._unchecked(tuple(_lower_hull(known)), len(points) - 1 - known[-1][0])
+        s = min(2 * s, exact)
 
 
 def slope_le_dimension(np_: NewtonPolygon, alpha: Fraction | int) -> int:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from slopebound import newton
 from slopebound.counting import ElemDivSeq
-from slopebound.harness import gen_instance
+from slopebound.harness import draw_b_seq, gen_instance
 from slopebound.newton import (
     IntegerMatrix,
     NewtonPolygon,
@@ -44,6 +44,7 @@ from slopebound.newton import (
     slope_le_dimension,
 )
 from slopebound.plf import DomainTooShort, PiecewiseLinear, _check_anchored, from_divisor_sequence
+from slopebound.rootsystems import build_root_system, parse_label
 
 small_matrices = st.integers(min_value=2, max_value=5).flatmap(
     lambda n: st.lists(
@@ -210,19 +211,33 @@ class TestKernel:
         assert poly.finite_length + poly.infinite_slopes == len(rows)
 
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]),
-           kind=st.sampled_from(["generated", "deep", "singular", "spread"]))
-    @settings(max_examples=120, deadline=None)
+           kind=st.sampled_from(["generated", "transposed", "generated singular", "generated deep",
+                                 "deep", "singular", "spread"]))
+    @settings(max_examples=180, deadline=None)
     def test_hull_points_from_g_give_the_polygon_of_the_exact_coefficients(self, data, p, kind):
-        # matrix_newton_polygon places each point at v_p(g_(t-i)) + lam i - D+, capped at H(i)+s:
-        # on generated operators at t <= 16 with column scales up to p^12, and on deep, singular
-        # and spread matrices, whose points fall on or above the cap and take the later runs
-        if kind == "generated":
-            t, r = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 12))
-            b = sorted(data.draw(st.lists(st.integers(1, r), max_size=t)), reverse=True)
-            matrix = gen_instance(data.draw(st.integers(0, 2**32)), p=p, t=t, r=r, b_seq=ElemDivSeq(tuple(b)),
-                                  entry_bound=50).matrix
+        # matrix_newton_polygon places each point at v_p(g_(t-i)) + lam i - D+, capped at H(i)+s, on
+        # every rung of its ladder. The matrices: generated operators at t <= 24 with column scales up
+        # to p^40, and from them transposes (the Hodge bound of the rows' contents), singular matrices
+        # (last row the sum of the others, which keeps the column contents) and deep ones (the last
+        # column replaced by the first plus p^d times itself, which multiplies det by p^d and mixes
+        # the contents); and deep, singular and spread matrices from shaped_matrices. So polygons
+        # certify at s = 8, at higher rungs and at s_max, singular ones after a jump from s = 16
+        if kind in ("deep", "singular", "spread"):
+            rows = data.draw(shaped_matrices(kind, p, max_t=16))
         else:
-            matrix = IntegerMatrix(tuple(map(tuple, data.draw(shaped_matrices(kind, p, max_t=16)))))
+            t, r = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 40))
+            b = sorted(data.draw(st.lists(st.integers(1, r), max_size=t)), reverse=True)
+            rows = [list(row) for row in gen_instance(data.draw(st.integers(0, 2**32)), p=p, t=t, r=r,
+                                                       b_seq=ElemDivSeq(tuple(b)), entry_bound=50).matrix.entries]
+            if kind == "transposed":
+                rows = [list(column) for column in zip(*rows)]
+            elif kind == "generated singular":
+                rows[-1] = [sum(column) for column in zip(*rows[:-1])] if t > 1 else [0]
+            elif kind == "generated deep":
+                d = data.draw(st.integers(1, 60))
+                for row in rows:
+                    row[-1] = row[0] + p**d * row[-1]
+        matrix = IntegerMatrix(tuple(map(tuple, rows)))
         matrix_newton_polygon.cache_clear()
         assert matrix_newton_polygon(matrix, p) == newton_polygon(char_poly(matrix), p)
 
@@ -259,13 +274,17 @@ class TestKernel:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_deep_determinant_runs_again_at_the_exact_precision(self, monkeypatch, p):
-        # v_p(det) = 40, far above the Hodge bound from the columns' contents, which is 0
+        # v_p(det) = 40, far above the Hodge bound from the columns' contents, which is 0: det is 0
+        # mod p^16 but not mod 65521, so the ladder doubles to s = 32 and then ends at s_max, the
+        # least s past twice the Hadamard bound, which lies between 40 and 64
         matrix = IntegerMatrix(((1, 1), (1, 1 + p**40)))
         assert _char_poly_mod(matrix.entries, p, SLACK) == ([1, (-2 - p**40) % p**SLACK, 0], [0, 0, 0])
         poly, seen = self.precisions(monkeypatch, matrix, p)
         assert poly == newton_polygon([1, -(2 + p**40), p**40], p)
         assert poly.finite_length == 2
-        assert seen == [(p, SLACK), (p, 2 * SLACK), (2, _exact_precision(matrix.entries))]
+        exact = _exact_precision(matrix.entries, p)
+        assert 40 < exact < 8 * SLACK
+        assert seen == [(p, SLACK), (p, 2 * SLACK), (65521, 1), (p, 4 * SLACK), (p, exact)]
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_start_precision_covers_the_column_contents(self, monkeypatch, p):
@@ -283,10 +302,48 @@ class TestKernel:
         matrix = IntegerMatrix(rows)
         # each column's content is 2, and no column op needs a lower scale
         assert _char_poly_mod(rows, 2, SLACK) == ([1, 484, 84, 0], [0, 1, 2, 3])
+        # 2^16 is past twice the Hadamard bound, so the rung at s = 16 is exact: its zero residue
+        # is a zero det, and no det check or further rung runs
+        assert _exact_precision(rows, 2) <= 2 * SLACK
         poly, seen = self.precisions(monkeypatch, matrix, 2)
-        assert seen == [(2, SLACK), (2, 2 * SLACK), (2, _exact_precision(rows))]
+        assert seen == [(2, SLACK), (2, 2 * SLACK)]
         assert poly == newton_polygon(charpoly_faddeev_leverrier(rows), 2)
         assert (poly.finite_length, poly.infinite_slopes) == (2, 1)
+
+    @pytest.mark.parametrize(("p", "ell"), [(2, 65521), (3, 65521), (65521, 65519)])
+    def test_singular_matrix_jumps_from_s_16_to_the_exact_precision(self, monkeypatch, p, ell):
+        # the singular matrix above times p^12: s_max is past 32, c_t's residue is 0 at s = 16 and
+        # det is 0 mod ell, a prime other than p, so the next rung is s_max, not s = 32
+        rows = tuple(tuple(x * p**12 for x in row) for row in ((4, 2, 6), (2, 8, 10), (6, 10, 16)))
+        exact = _exact_precision(rows, p)
+        assert exact > 4 * SLACK
+        poly, seen = self.precisions(monkeypatch, IntegerMatrix(rows), p)
+        assert seen == [(p, SLACK), (p, 2 * SLACK), (ell, 1), (p, exact)]
+        assert poly == newton_polygon(charpoly_faddeev_leverrier(rows), p)
+        assert (poly.finite_length, poly.infinite_slopes) == (2, 1)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_singular_matrix_at_t48_takes_no_rung_between_16_and_the_exact_precision(self, monkeypatch, p):
+        rng = random.Random(48)
+        rows = [[rng.randint(-30, 30) for _ in range(48)] for _ in range(47)]
+        rows.append([sum(column) for column in zip(*rows)])
+        matrix = IntegerMatrix(tuple(map(tuple, rows)))
+        poly, seen = self.precisions(monkeypatch, matrix, p)
+        assert seen == [(p, SLACK), (p, 2 * SLACK), (65521, 1), (p, _exact_precision(matrix.entries, p))]
+        assert poly == newton_polygon(char_poly(matrix), p)
+        assert poly.infinite_slopes >= 1
+
+    @pytest.mark.parametrize(("p", "upper"), [(2, [4 * SLACK, 8 * SLACK]), (3, [4 * SLACK])])
+    def test_large_r_instance_certifies_below_the_exact_precision(self, monkeypatch, p, upper):
+        # verify chain --type A2 --g 1 --t 64 --r 32, seed 0: the reduction lowers H(t) past 16
+        # digits, and the ladder doubles from s = 16 (det is not 0 mod 65521) up to the first
+        # certifying rung, s = 64 at p = 2 and s = 32 at p = 3, far below s_max
+        system = build_root_system(*parse_label("A2"))
+        matrix = gen_instance(0, p, 64, 32, draw_b_seq(0, system, 1, 32, 64), 50).matrix
+        poly, seen = self.precisions(monkeypatch, matrix, p)
+        assert seen == [(p, SLACK), (p, 2 * SLACK), (65521, 1)] + [(p, s) for s in upper]
+        assert upper[-1] < _exact_precision(matrix.entries, p)
+        assert poly.infinite_slopes == 0
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_column_op_lowers_a_larger_scale_just_enough(self, monkeypatch, p):
@@ -328,6 +385,17 @@ class TestKernel:
         assert seen == [(p, SLACK), (p, 2 * SLACK)]
         assert poly.slopes() == ((SLACK, 1), (SLACK + 2, 1))
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_known_determinant_takes_no_check_and_keeps_doubling(self, monkeypatch, p):
+        # column contents 1 and p^40; c_1 = -(p^20 + p^40) is 0 mod p^16, and (1, 16) lies below the
+        # chord to (2, 40), so s = 16 does not certify. c_2 = 65521 p^40 is known there, so det is
+        # not checked, although it is 0 mod 65521, and the next rung is s = 32, not s_max
+        matrix = IntegerMatrix(((p**20, (p**20 - 65521) * p**40), (1, p**40)))
+        poly, seen = self.precisions(monkeypatch, matrix, p)
+        assert seen == [(p, SLACK), (p, 2 * SLACK), (p, 4 * SLACK)]
+        assert poly == newton_polygon([1, -(p**20 + p**40), 65521 * p**40], p)
+        assert poly.vertices == ((0, 0), (2, 40))
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_zero_residue_above_the_known_hull_needs_no_second_run(self, monkeypatch, p):
         # c_1 = 0 is 0 mod p^s, and (1, s) lies above the chord to (2, 2)
@@ -338,16 +406,16 @@ class TestKernel:
         assert poly.slopes() == ((1, 2),)
 
     @pytest.mark.parametrize("kind", KINDS)
-    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 257, 65537]))
     @settings(max_examples=30, deadline=None)
     def test_exact_precision_is_the_least_above_the_bound(self, kind, data, p):
         rows = data.draw(shaped_matrices(kind, p))
-        P = _exact_precision(tuple(map(tuple, rows)))
+        P = _exact_precision(tuple(map(tuple, rows)), p)
         bound = 2
         for column in zip(*rows):
             bound *= 2 + isqrt(sum(x * x for x in column))
-        assert 2 ** (P - 1) <= bound < 2**P
-        assert all(2 * abs(c) < 2**P for c in charpoly_faddeev_leverrier(rows))
+        assert p ** (P - 1) <= bound < p**P
+        assert all(2 * abs(c) < p**P for c in charpoly_faddeev_leverrier(rows))
 
     def test_polygon_is_cached_per_matrix_and_prime(self):
         # chi = X^2 - 5X + 5: at p = 5 the point (1, 1) lies above the chord from (0, 0) to (2, 1)
@@ -358,8 +426,12 @@ class TestKernel:
         assert all(type(c) is int for vertex in poly.vertices for c in vertex)
         assert poly.polygon == PiecewiseLinear(poly.vertices)
 
-    @pytest.mark.parametrize("p", [1, 4])
-    def test_not_prime(self, p):
+    @pytest.mark.parametrize("p", [1, 4, 3.0, Fraction(3), 2.0])
+    def test_not_prime(self, monkeypatch, p):
+        # 3.0 and Fraction(3) equal 3 and hash as 3, yet a polygon cached at 3 must not answer them
+        matrix_newton_polygon(identity(2), 3)
+        matrix_newton_polygon(identity(2), 2)
+        monkeypatch.setattr(newton, "_kernel", None)  # no work is done before the refusal
         with pytest.raises(NotPrime):
             matrix_newton_polygon(identity(2), p)
 
@@ -1209,7 +1281,7 @@ class TestMetamorphic:
     @settings(max_examples=8, deadline=None)
     def test_unimodular_similarity_keeps_the_polygon(self, case, rng):
         # t elementary similarities E M E^-1, E = I + c E_ij: row i gains c row j, column j loses
-        # c column i; the column contents mix, so the conjugate often takes the exact rerun
+        # c column i; the column contents mix, so the conjugate often climbs the ladder past s = 16
         matrix, p = case
         rows = [list(row) for row in matrix.entries]
         for _ in range(matrix.t):
@@ -1267,12 +1339,15 @@ class TestMetamorphic:
                                                               self.packed_polygon(second, 2))
 
     @pytest.mark.parametrize(("seed", "p"), [(0, 2), (1, 3)])
-    def test_transpose_keeps_the_polygon(self, seed, p):
-        # the transpose's column contents are those of M's rows, so it takes the exact rerun
-        matrix = gen_instance(seed, p=p, t=24, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50).matrix
+    def test_transpose_keeps_the_polygon(self, monkeypatch, seed, p):
+        # the transpose's column contents are those of M's rows, mostly 1, so its Hodge bound is
+        # about 0 while v_p(det) is about 3 t: the ladder climbs past s = 16, but certifies below s_max
+        matrix = gen_instance(seed, p=p, t=64, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50).matrix
         transposed = IntegerMatrix(tuple(zip(*matrix.entries)))
-        matrix_newton_polygon.cache_clear()
-        assert matrix_newton_polygon(transposed, p) == self.packed_polygon(matrix, p)
+        polygon, seen = TestKernel.precisions(monkeypatch, transposed, p)
+        rungs = [s for prime, s in seen if prime == p]
+        assert rungs[2:] and max(rungs) < _exact_precision(transposed.entries, p)
+        assert polygon == self.packed_polygon(matrix, p)
 
 
 class TestCharPoly:
@@ -1373,6 +1448,11 @@ class TestPolygon:
             newton_polygon([2, 1], 2)
         with pytest.raises(NotPrime):
             newton_polygon([1, -2, 8], 4)
+        # 3**60 + 3**59 = 4 * 3**59: at the int 3 the point is (2, 59); a float 3.0 would lose it
+        assert newton_polygon([1, 0, 3**60 + 3**59], 3).vertices == ((0, 0), (2, 59))
+        for p in (3.0, Fraction(3)):
+            with pytest.raises(NotPrime):
+                newton_polygon([1, 0, 3**60 + 3**59], p)
 
     def test_slope_sum_equals_last_valuation(self):
         coeffs = char_poly(IntegerMatrix.diagonal([2, 12, 40, 9]))
