@@ -79,18 +79,25 @@ VERIFY_T_CAP = 500
 # most --t times --r times the bit length of --p that `verify` takes, checked before gen_instance. The
 # matrix entries carry p^(r - b_l), and where the reduction lowers the column scales by more than 16
 # digits, the kernel's precision ladder climbs past s = 16 on t-by-t entries of about r log2(p) bits.
-# The cap was set when such a polygon took the exact char_poly: fresh-interpreter `verify chain --type
-# A2 --g 1 --p P --t T --r R --trials 1` then took up to 3.75 s at the cap (p = 3, t = 64, r = 32),
-# and some cells at twice it did not end in 15 s. With the ladder it took, at the largest r the cap
-# admits (worst of seeds 0, 1, 2, in seconds, Python 3.11.7)
-#     t  p = 2       p = 3       p = 5       p = 65537
-#    16  128 0.08    128 0.08    85 0.07     15 0.08
-#    32   64 0.11     64 0.09    42 0.07      7 0.08
-#    64   32 0.16     32 0.17    21 0.09      3 0.11
-#   128   16 0.21     16 0.19    10 0.21      1 0.30
-#   256    8 0.32      8 0.52     5 0.39      refused: t > 240 at p = 65537
-#   500    4 0.99      4 1.25     2 1.27
-# so the t = 500 cells, whose cost is VERIFY_T_CAP's, are now the slowest.
+# Fresh-interpreter `verify chain|corollary --type A2 --g 1 --p P --t T --r R --trials 1` (corollary
+# with --alpha 1) took, at the largest r the cap admits (worst of seeds 0, 1, 2, chain/corollary, in
+# seconds, Python 3.11.7)
+#     t  p = 2           p = 3           p = 5           p = 65537
+#    16  128 0.16/0.16   128 0.12/0.09    85 0.07/0.06    15 0.06/0.08
+#    32   64 0.11/0.12    64 0.12/0.12    42 0.09/0.09     7 0.10/0.10
+#    64   32 0.24/0.24    32 0.18/0.20    21 0.11/0.09     3 0.16/0.16
+#   128   16 0.32/0.37    16 0.20/0.21    10 0.20/0.27     1 0.55/0.53
+#   192   10 0.30/0.22    10 0.57/0.45     7 0.31/0.28     1 1.86/1.08
+#   240    8 0.30/0.32     8 0.52/0.52     5 0.38/0.39     1 1.94/1.76
+#   256    8 0.33/0.33     8 0.67/0.88     5 0.63/0.52     refused from t = 241
+#   400    5 0.67/0.65     5 0.85/1.23     3 0.87/0.93
+#   500    4 1.45/1.17     4 1.36/1.98     2 2.41/2.28
+# A larger cap admits slower cells, first at t = 256: r = 9 and 10 at p = 3 (sizes 4608 and 5120) took
+# 0.70-1.18 s over four runs, r = 12 at p = 2 (6144) 2.9 s and r = 16 (8192) 4.1-4.9 s; at smaller t,
+# r = 32 at t = 128 (8192) took 1.0-1.3 s, r = 512 at t = 32 (32768) 1.2-1.8 s and r = 2048 at t = 16
+# (65536) 0.84-0.94 s. So no larger cap on this product keeps every cell it adds below 1 s, and the cap
+# stays. The slowest cells it admits are those at p = 65537 from t = 192, whose first rung alone takes
+# over a second, and those at t = 400 and 500.
 VERIFY_SIZE_CAP = 4096
 _EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
 

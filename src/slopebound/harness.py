@@ -159,12 +159,6 @@ class CorollaryReport(Value):
         return ok
 
 
-class _ChainConstants(Value):
-    """What verify_chain needs that depends only on (system, g, r, t)."""
-
-    _fields = ("a_adjusted", "f_a", "f_r", "f_inf", "fa_ge_fr", "fr_eq_finf_on_window")
-
-
 # 64 holds every (s, g, r) of the acceptance grid (36 keys).
 @lru_cache(maxsize=64)
 def _ramp_constants(s: int, g: int, r: int) -> tuple[PiecewiseLinear, PiecewiseLinear, bool]:
@@ -176,18 +170,13 @@ def _ramp_constants(s: int, g: int, r: int) -> tuple[PiecewiseLinear, PiecewiseL
 
 # 256 holds every (type, g, r, t) of the acceptance grid (252 keys).
 @lru_cache(maxsize=256)
-def _chain_constants(system: RootSystem, g: int, r: int, t: int) -> _ChainConstants:
+def _chain_constants(system: RootSystem, g: int, r: int, t: int) -> tuple:
+    """(a_adjusted, f_a, f_r, f_infinity, link 3, link 4): what verify_chain needs that depends
+    only on (system, g, r, t)."""
     a_adjusted = _adjusted_divisors(system, g, r, t)
     f_a = from_divisor_sequence(ElemDivSeq(tuple(e for e in a_adjusted if e > 0)), r, t)
     ramp, limit, fr_eq_finf_on_window = _ramp_constants(system.s, g, r)
-    return _ChainConstants(
-        a_adjusted=a_adjusted,
-        f_a=f_a,
-        f_r=ramp,
-        f_inf=limit,
-        fa_ge_fr=f_a.dominates(ramp, t),
-        fr_eq_finf_on_window=fr_eq_finf_on_window,
-    )
+    return a_adjusted, f_a, ramp, limit, f_a.dominates(ramp, t), fr_eq_finf_on_window
 
 
 def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
@@ -210,20 +199,20 @@ def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
     """
     if g < 1:
         raise ValueError("g must be positive")
-    const = _chain_constants(system, g, inst.r, inst.t)
-    _require_hypothesis(inst, const.a_adjusted)
+    a_adjusted, f_a, ramp, limit, fa_ge_fr, fr_eq_finf_on_window = _chain_constants(system, g, inst.r, inst.t)
+    _require_hypothesis(inst, a_adjusted)
     f_b = from_divisor_sequence(inst.b_seq, inst.r, inst.t)
     polygon = matrix_newton_polygon(inst.matrix, inst.p)
     return ChainReport(
         newton_ge_fb=all(y >= f_b.breakpoints[x][1] for x, y in polygon.vertices),
-        fb_ge_fa=min(accumulate(map(sub, const.a_adjusted, inst.b_seq.padded(inst.t)))) >= 0,
-        fa_ge_fr=const.fa_ge_fr,
-        fr_eq_finf_on_window=const.fr_eq_finf_on_window,
+        fb_ge_fa=min(accumulate(map(sub, a_adjusted, inst.b_seq.padded(inst.t)))) >= 0,
+        fa_ge_fr=fa_ge_fr,
+        fr_eq_finf_on_window=fr_eq_finf_on_window,
         polygon=polygon,
         f_b=f_b,
-        f_a=const.f_a,
-        f_r=const.f_r,
-        f_inf=const.f_inf,
+        f_a=f_a,
+        f_r=ramp,
+        f_inf=limit,
     )
 
 

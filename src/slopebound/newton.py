@@ -45,10 +45,10 @@ from the subdiagonal down, takes the first unit mod p as the pivot, as _pivot
 would, and builds the multipliers from the fields; only a column with no unit
 below the diagonal goes to _pivot. Both take a step's scale rule from one
 routine, _lift, so the forms take the same steps and differ only in how they
-store A. The rows form hands A to the recurrence by columns, the packed form as
-its ints, whose Hessenberg fields the recurrence reads as they are: the bias
-changes each column of A by multiples of p^s, which moves no residue, so nothing
-is subtracted. The recurrence then runs at a balanced column
+store A. Both hand A to the recurrence in one shape, column j as its rows
+0..j+1; the packed form reads those fields once, at its end, as they are: the
+bias changes each column of A by multiples of p^s, which moves no residue, so
+nothing is subtracted. The recurrence then runs at a balanced column
 scale lam, near the mean of the e_j: it computes
 g(Y) = det(Y diag(p^d+) - A diag(p^d-)) = p^(D+ - lam t) det(p^lam Y - M), with
 d+_j = (lam - e_j)+, d-_j = (e_j - lam)+ and D+, E- their sums, so
@@ -260,9 +260,7 @@ def _kernel(entries: tuple[tuple[int, ...], ...], p: int, s: int) -> tuple[list[
         entries = [[entries[i][j] for j in order] for i in order]
         e = [e[j] for j in order]
     scales = [p**x for x in e]
-    packed = _packed_columns(entries, scales, q)
-    columns = (_hessenberg_packed(*packed, e, scales, p, q) if packed
-               else _hessenberg_rows(entries, e, scales, p, q))
+    columns = _hessenberg(entries, e, scales, p, q)
     ordered = sorted(e)
     hodge = list(accumulate(ordered, initial=0))
     lam, D, E = _balanced_scale(ordered, hodge)
@@ -301,8 +299,7 @@ def _balanced_scale(ordered: list[int], hodge: list[int]) -> tuple[int, int, int
     return low + 1, below, above - (t - j)
 
 
-def _recurrence(columns: Sequence[Sequence[int]] | _Packed, weights: list[int], scales: list[int],
-                Q: int) -> list[int]:
+def _recurrence(columns: Sequence[Sequence[int]], weights: list[int], scales: list[int], Q: int) -> list[int]:
     """The coefficients of det(X*W - h) mod Q, in [0, Q), highest power first, for W = diag(weights)
     and the upper Hessenberg h = A * diag(scales), A given by its columns (see _steps)."""
     n = len(scales)
@@ -325,27 +322,14 @@ def _recurrence_field(t: int, weights: list[int], Q: int) -> tuple[int, int]:
     return ((beta := 2 * t * Q * Q) + 2 * Q * max(weights)).bit_length(), beta
 
 
-def _steps(columns: Sequence[Sequence[int]] | _Packed, scales: list[int],
-           Q: int) -> Iterator[tuple[int, list[int]]]:
+def _steps(columns: Sequence[Sequence[int]], scales: list[int], Q: int) -> Iterator[tuple[int, list[int]]]:
     """(d, cs) of each step k of the Hessenberg recurrence for h = A * diag(scales), all mod Q:
     d = h_kk and cs_i = h_ik h_(i+1,i) ... h_(k,k-1) for i < k.
 
-    `columns` holds A by columns, as sequences or as the packed reduction's _Packed, whose fields
-    are read as they are. Only the Hessenberg entries, rows 0..j+1 of column j, are read, so a
-    sequence may stop after row j+1.
+    `columns` holds A by columns, as _hessenberg hands it over. Only the Hessenberg entries, rows
+    0..j+1 of column j, are read, so a column may stop after row j+1.
     """
-    n = len(scales)
-    if isinstance(columns, _Packed):
-        cols, at, mask = columns
-        sub = [(cols[i] >> at[i + 1] & mask) * scales[i] % Q for i in range(n - 1)]
-        for k, (c, scale) in enumerate(zip(cols, scales)):
-            cs, product = [0] * k, scale
-            for i in range(k - 1, -1, -1):
-                product = product * sub[i] % Q
-                cs[i] = (c >> at[i] & mask) * product % Q
-            yield (c >> at[k] & mask) * scale % Q, cs
-        return
-    sub = [columns[i][i + 1] * scales[i] % Q for i in range(n - 1)]
+    sub = [columns[i][i + 1] * scales[i] % Q for i in range(len(scales) - 1)]
     for k, (column, scale) in enumerate(zip(columns, scales)):
         cs, product = [0] * k, scale
         for i in range(k - 1, -1, -1):
@@ -354,7 +338,7 @@ def _steps(columns: Sequence[Sequence[int]] | _Packed, scales: list[int],
         yield column[k] * scale % Q, cs
 
 
-def _recurrence_rows(columns: Sequence[Sequence[int]] | _Packed, weights: list[int], scales: list[int],
+def _recurrence_rows(columns: Sequence[Sequence[int]], weights: list[int], scales: list[int],
                      Q: int) -> list[int]:
     """The coefficients of det(X*W - h) mod Q, lowest power first, W = diag(weights) and
     h = A * diag(scales) upper Hessenberg."""
@@ -371,7 +355,7 @@ def _recurrence_rows(columns: Sequence[Sequence[int]] | _Packed, weights: list[i
     return poly
 
 
-def _recurrence_packed(columns: Sequence[Sequence[int]] | _Packed, weights: list[int], scales: list[int],
+def _recurrence_packed(columns: Sequence[Sequence[int]], weights: list[int], scales: list[int],
                        Q: int, w: int, beta: int) -> list[int]:
     """The coefficients of _recurrence_rows, from p_0, ..., p_t held as one int each, with w and beta
     from _recurrence_field.
@@ -462,10 +446,19 @@ def _lift(fs: list[int], k: int, e: list[int], scales: list[int], p: int, q: int
     return lift, [x // scales[k + 1] for x in terms]
 
 
+def _hessenberg(m: Sequence[Sequence[int]], e: list[int], scales: list[int], p: int, q: int) -> list[list[int]]:
+    """The Hessenberg entries of A, M = A * diag(scales) for the rows `m` of M, brought to upper
+    Hessenberg form, lowering `e` and `scales` as needed: column j as rows 0..j+1, each entry a_ij
+    or a_ij plus a multiple of q. On M's columns packed by _packed_columns where they pack, else on
+    its rows."""
+    if packed := _packed_columns(m, scales, q):
+        return _hessenberg_packed(*packed, e, scales, p, q)
+    return _hessenberg_rows(m, e, scales, p, q)
+
+
 def _hessenberg_rows(m: Sequence[Sequence[int]], e: list[int], scales: list[int], p: int,
-                     q: int) -> list[tuple[int, ...]]:
-    """The columns of A, M = A * diag(scales) for the rows `m` of M, brought to upper Hessenberg
-    form, lowering `e` and `scales` as needed.
+                     q: int) -> list[list[int]]:
+    """_hessenberg on the rows `m` of M.
 
     Each step is a similarity of M by an integer matrix with an integer inverse, or changes a
     column of A by a multiple of q; _pivot decides it from the residues mod q of column k below the
@@ -489,7 +482,7 @@ def _hessenberg_rows(m: Sequence[Sequence[int]], e: list[int], scales: list[int]
             row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], pivot)]
         for row in a:
             row[k + 1] = row[k + 1] * lift + sum(map(mul, multiples, row[k + 2:]))
-    return list(zip(*a))
+    return [list(column[:j + 2]) for j, column in enumerate(zip(*a))]
 
 
 def _field_width(top: int, scales: list[int], q: int) -> tuple[int, int]:
@@ -569,15 +562,10 @@ def _packed_columns(m: Sequence[Sequence[int]], scales: list[int],
     return [sum(map(lshift, column, at)) for column in zip(*m)], *field
 
 
-class _Packed(tuple):
-    """A as _hessenberg_packed leaves it, (cols, at, mask): the entry in row i of column j is the
-    field cols[j] >> at[i] & mask, a_ij plus a multiple of q."""
-
-
 def _hessenberg_packed(sums: list[int], w: int, bias: int, e: list[int], scales: list[int], p: int,
-                       q: int) -> _Packed:
-    """The steps of _hessenberg_rows, on A held as one int per column, which the recurrence reads
-    as it is, from M's columns packed by _packed_columns.
+                       q: int) -> list[list[int]]:
+    """The steps of _hessenberg_rows, on A held as one int per column, from M's columns packed by
+    _packed_columns.
 
     Column j is sum_i (a_ij + bias) 2^at[i], with w and bias from _field_width and the fields
     _stride(w) bits apart: the field at bit at[i] holds a_ij + bias and stays in (0, 2^w), so no
@@ -586,7 +574,9 @@ def _hessenberg_packed(sums: list[int], w: int, bias: int, e: list[int], scales:
     a_ij mod q, and step k reads column k's fields from row k+1 down: where one is a unit mod p,
     the first is _pivot's pivot, and the f_i are the fields below it times its inverse mod q, with
     _lift's scale rule; else _pivot decides the step from the residues. A row step is one
-    multiply-add on each column from k+1 on, and a row swap only swaps two offsets.
+    multiply-add on each column from k+1 on, and a row swap only swaps two offsets. At the end A
+    is handed over in the shape of _hessenberg_rows, the fields of rows 0..j+1 of each column j
+    read as they are: a_ij + bias changes column j of A by a multiple of q, which moves no residue.
     """
     n = len(sums)
     stride = _stride(w)
@@ -620,7 +610,7 @@ def _hessenberg_packed(sums: list[int], w: int, bias: int, e: list[int], scales:
         # the biases of the fields scale with the column, so lift - 1 + sum(multiples) of them go
         cols[k + 1] = (cols[k + 1] * lift + sum(map(mul, multiples, cols[k + 2:]))
                        - (lift - 1 + sum(multiples)) * biases)
-    return _Packed((cols, at, mask))
+    return [[c >> x & mask for x in at[:j + 2]] for j, c in enumerate(cols)]
 
 
 def _exact_precision(entries: tuple[tuple[int, ...], ...], p: int) -> int:

@@ -292,7 +292,8 @@ def size_cap_message(t, r, p):
 @pytest.mark.parametrize("what", VERIFY_KINDS)
 @pytest.mark.parametrize(("t", "r"), [(128, 30), (16, 10**4)])
 def test_verify_size_above_its_cap_is_refused_before_any_draw_or_profile(capsys, monkeypatch, what, t, r):
-    # each within the caps on --t and --r; unrefused, both took over 30 s in a fresh interpreter
+    # each within the caps on --t and --r; unrefused, at p = 2 in a fresh interpreter, t = 16, r = 10^4
+    # took about 17 s and t = 128, r = 30 0.83 s, but a cap that admits it admits t = 256, r = 12 (2.9 s)
     monkeypatch.setattr(harness, "_chain_constants", lambda *args: pytest.fail("the chain's profiles were built"))
     argv = ["verify", *what, "--type", "A2", "--g", "1", "--p", "2", "--t", str(t), "--r", str(r), "--trials", "1"]
     err = usage_error_before_any_work(capsys, monkeypatch, ["draw_b_seq", "gen_instance", "verify_chain",
@@ -333,8 +334,8 @@ def test_verify_size_cap_admits_every_ci_run_and_the_acceptance_grid():
     assert sorted(call for call, (t, r, p, refused) in calls.items()
                   if refused and t <= cli.VERIFY_T_CAP and r <= cli.BREAKPOINTS_CAP
                   and t * r * p.bit_length() > cli.VERIFY_SIZE_CAP) == [
-        "verify chain --type A2 --g 1 --p 2 --t 128 --r 30 --trials 1",
         "verify chain --type A2 --g 1 --p 2 --t 16 --r 10000 --trials 1",
+        "verify chain --type A2 --g 1 --p 2 --t 256 --r 16 --trials 1",
     ]
     assert 8 * 4 * (5).bit_length() <= cli.VERIFY_SIZE_CAP  # acceptance grid: t <= 8, r <= 4, p <= 5
 

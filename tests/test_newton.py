@@ -670,13 +670,14 @@ class TestPivot:
         assert (column, k, e, scales) == expected_args
 
 
-def on_form(packed, field):
-    """A patch of _packed_field that runs the half of the kernel whose fields `field` computes on
-    packed ints (`packed`) or on rows, whatever its size, and leaves the other half to the rule."""
+def on_form(forms):
+    """A patch of _packed_field that runs each half of the kernel whose fields a key of `forms`
+    computes on packed ints where its value is true, else on rows, whatever its size, and leaves any
+    other half to the rule."""
     def chosen(t, bound, half, *args):
-        if half is not field:
+        if half not in forms:
             return _packed_field(t, bound, half, *args)
-        return field(*args) if packed else None
+        return half(*args) if forms[half] else None
 
     return patch.object(newton, "_packed_field", chosen)
 
@@ -685,7 +686,7 @@ def char_poly_mod_by(reduction, entries, p, s, packed=None):
     """_char_poly_mod with its reduction on `reduction`, whatever the size: in place of
     _hessenberg_packed where `packed` (by default, where `reduction` is it), else of _hessenberg_rows."""
     packed = reduction is _hessenberg_packed if packed is None else packed
-    with on_form(packed, _field_width), \
+    with on_form({_field_width: packed}), \
             patch.object(newton, "_hessenberg_packed" if packed else "_hessenberg_rows", reduction):
         return _char_poly_mod(entries, p, s)
 
@@ -700,7 +701,7 @@ def reduction_tops(entries, p, s):
         tops.append(top)
         return _field_width(top, scales, q)
 
-    with patch.object(newton, "_field_width", width), on_form(True, width):
+    with patch.object(newton, "_field_width", width), on_form({width: True}):
         return _char_poly_mod(entries, p, s), tops
 
 
@@ -719,13 +720,14 @@ class TestPackedReduction:
     @staticmethod
     def steps_of(reduction, entries, p, s):
         """_char_poly_mod on `reduction`, the decision of each step, the steps at which it calls
-        _pivot, and A before each step and at the end.
+        _pivot, A before each step and at the end, and the columns it hands over.
 
         A decision is (k, None) where _pivot finds column k zero mod q below the diagonal, else
         (k, piv, fs, lift, multiples, e, scales), e and scales as the step leaves them; piv is read
         in the frame that calls _lift, _pivot's or the packed reduction's. A state is A row by row,
-        the packed form's fields read minus the bias."""
-        decisions, pivots, states = [], [], []
+        and the handed columns are the reduction's return value, the packed form's fields minus the
+        bias."""
+        decisions, pivots, states, handed = [], [], [], []
 
         def pivot(column, k, e, scales, p, q):
             pivots.append(k)
@@ -750,6 +752,9 @@ class TestPackedReduction:
             names = frame.f_locals
             if event == "return" or names.get("k") == len(states):
                 read(names)
+            if event == "return":
+                bias = names.get("bias", 0)
+                handed.append([[x - bias for x in column] for column in arg])
             return local
 
         def traced(*args):
@@ -762,7 +767,7 @@ class TestPackedReduction:
 
         with patch.object(newton, "_pivot", pivot), patch.object(newton, "_lift", lift):
             return (char_poly_mod_by(traced, entries, p, s, reduction is _hessenberg_packed),
-                    decisions, pivots, states)
+                    decisions, pivots, states, handed)
 
     @staticmethod
     def read_again(states, q):
@@ -773,8 +778,9 @@ class TestPackedReduction:
 
     def assert_same_steps(self, entries, p, s):
         """The rows form, the packed form and the full reduction reach the same residues through the
-        same decisions; the two forms hold the same A before every step and at the end, and the full
-        reduction the same residues of every entry read again. Returns the packed run."""
+        same decisions; the two forms hold the same A before every step and at the end, and hand over
+        its Hessenberg entries, rows 0..j+1 of column j, and the full reduction the same residues of
+        every entry read again. Returns the packed run."""
         rows, packed, full = (self.steps_of(reduction, entries, p, s)
                               for reduction in (_hessenberg_rows, _hessenberg_packed, hessenberg_reference))
         steps = list(range(len(entries) - 2))
@@ -782,6 +788,8 @@ class TestPackedReduction:
         assert [k for k, *_ in rows[1]] == rows[2] == full[2] == steps
         assert len(rows[3]) == len(steps) + 1 and packed[3] == rows[3]
         assert self.read_again(full[3], p**s) == self.read_again(rows[3], p**s)
+        end = rows[3][-1]
+        assert packed[4] == rows[4] == [[[row[j] for row in end[:j + 2]] for j in range(len(end))]]
         return packed
 
     @pytest.mark.parametrize("kind", KINDS + ["deep"])
@@ -811,7 +819,7 @@ class TestPackedReduction:
         (((2, 5, 24), (2, 1, 56), (1, 4, 16)), "lowering"),
     ])
     def test_each_path_of_a_step(self, entries, path):
-        _, decisions, pivots, _ = self.assert_same_steps(entries, 2, 4)
+        _, decisions, pivots, *_ = self.assert_same_steps(entries, 2, 4)
         first = decisions[0]
         assert first[0] == 0 and (0 in pivots) == (path == "no unit")
         if path == "unit":
@@ -1031,7 +1039,7 @@ class TestShortPacking:
 def recurrence_by(recurrence, kernel, *args):
     """`kernel(*args)` with its recurrence on `recurrence`, _recurrence_packed or _recurrence_rows,
     whatever the size."""
-    with on_form(recurrence is _recurrence_packed, _recurrence_field):
+    with on_form({_recurrence_field: recurrence is _recurrence_packed}):
         return kernel(*args)
 
 
@@ -1214,6 +1222,47 @@ class TestPackedRecurrence:
         assert self.taken(char_poly, IntegerMatrix.diagonal(diagonal)) == ["packed" if packed else "rows"]
 
 
+class TestHandOff:
+    """Both reductions hand the recurrence one shape, whichever form either half takes: column j of
+    A as a list of the ints in its rows 0..j+1. The packed form's ints are the rows form's plus the
+    bias of its fields, a multiple of q."""
+
+    @staticmethod
+    def handed(entries, p, reduction, recurrence):
+        """_char_poly_mod at s = SLACK with each half on the form asked for, the columns that _steps
+        is given, and the bias of the packed reduction's fields, 0 where it runs on rows."""
+        seen, biases = [], [0]
+
+        def steps(columns, scales, Q):
+            seen.append(columns)
+            return _steps(columns, scales, Q)
+
+        def packed_columns(m, scales, q):
+            if packed := _packed_columns(m, scales, q):
+                biases.append(packed[2])
+            return packed
+
+        with on_form({_field_width: reduction, _recurrence_field: recurrence}), \
+                patch.object(newton, "_steps", steps), \
+                patch.object(newton, "_packed_columns", packed_columns):
+            residues = _char_poly_mod(entries, p, SLACK)
+        [columns] = seen
+        return residues, columns, biases[-1]
+
+    @pytest.mark.parametrize(("t", "p"), [(8, 2), (8, 3), (16, 2), (16, 3)])
+    def test_both_reductions_hand_over_plain_hessenberg_columns(self, t, p):
+        entries = gen_instance(t, p=p, t=t, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50).matrix.entries
+        runs = {(reduction, recurrence): self.handed(entries, p, reduction, recurrence)
+                for reduction in (False, True) for recurrence in (False, True)}
+        residues, rows, _ = runs[False, False]
+        for (reduction, _), (taken, columns, bias) in runs.items():
+            assert type(columns) is list and [len(column) for column in columns] == [min(j + 2, t) for j in range(t)]
+            assert all(type(column) is list and all(type(x) is int for x in column) for column in columns)
+            assert (bias > 0) == reduction and bias % p**SLACK == 0
+            assert columns == [[x + bias for x in column] for column in rows]
+            assert taken == residues
+
+
 @st.composite
 def generated_matrices(draw, min_t=16, max_t=64, primes=(2, 3, 5)):
     """(matrix, p): a gen_instance matrix at t = 16..64 by default, where both packed paths run and the
@@ -1337,6 +1386,22 @@ class TestMetamorphic:
                               + tuple(zeros + row for row in second.entries))
         assert self.packed_polygon(block, 2) == minkowski_sum(self.packed_polygon(first, 2),
                                                               self.packed_polygon(second, 2))
+
+    @pytest.mark.parametrize(("t", "p"), [(3, 2), (5, 3), (6, 2), (16, 2), (16, 3), (24, 2), (24, 3)])
+    def test_row_scaled_matrix_has_the_polygon_of_its_column_scaled_conjugate(self, t, p):
+        # diag(p^f) B = diag(p^f) (B diag(p^f)) diag(p^-f), so the two are similar; the kernel sees f
+        # in the column contents of B diag(p^f) only, and climbs the ladder on diag(p^f) B
+        rng = random.Random(t * p)
+        for seed in range(3):
+            b = gen_instance(seed, p=p, t=t, r=3, b_seq=ElemDivSeq((3, 2, 1)), entry_bound=50).matrix.entries
+            f = [rng.randrange(4) for _ in range(t)]
+            rows = IntegerMatrix(tuple(tuple(p**k * x for x in row) for k, row in zip(f, b)))
+            columns = IntegerMatrix(tuple(tuple(x * p**k for x, k in zip(row, f)) for row in b))
+            matrix_newton_polygon.cache_clear()
+            polygon = matrix_newton_polygon(rows, p)
+            assert polygon == matrix_newton_polygon(columns, p)
+            if t <= 6:
+                assert polygon == newton_polygon(char_poly(rows), p) == newton_polygon(char_poly(columns), p)
 
     @pytest.mark.parametrize(("seed", "p"), [(0, 2), (1, 3)])
     def test_transpose_keeps_the_polygon(self, monkeypatch, seed, p):

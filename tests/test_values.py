@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import pytest
 
-from slopebound import harness
 from slopebound.bernoulli import RationalPolynomial
 from slopebound.bounds import BoundParams
 from slopebound.counting import ElemDivSeq
@@ -22,8 +21,6 @@ from slopebound.harness import ChainReport, CorollaryReport, Instance, gen_insta
 from slopebound.newton import IntegerMatrix, NewtonPolygon, newton_polygon
 from slopebound.plf import PiecewiseLinear
 from slopebound.rootsystems import RootSystem, build_root_system
-
-A1 = build_root_system("A", 1)
 
 
 def _params():
@@ -82,17 +79,6 @@ SAMPLES = {
         lambda: CorollaryReport(Fraction(1, 2), 1, Fraction(7), None, _params()),
         "CorollaryReport(alpha=Fraction(1, 2), dimension=1, bound=Fraction(7, 1), sharp_bound=None, "
         "params=BoundParams(s=1, g=1, M=4, c_pow_s=Fraction(1, 16), m=Fraction(16, 1), n=Fraction(6, 1)))",
-    ),
-    "_ChainConstants": (
-        # past the memo, so that every call builds a fresh instance
-        lambda: harness._chain_constants.__wrapped__(A1, 1, 1, 2),
-        "_ChainConstants(a_adjusted=(1, 0), "
-        "f_a=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1)), "
-        "(Fraction(2, 1), Fraction(1, 1))), final_slope=None), "
-        "f_r=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1))), "
-        "final_slope=Fraction(1, 1)), "
-        "f_inf=PiecewiseLinear(breakpoints=((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1)), "
-        "(Fraction(2, 1), Fraction(1, 1))), final_slope=None), fa_ge_fr=True, fr_eq_finf_on_window=True)",
     ),
 }
 
