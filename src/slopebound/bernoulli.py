@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 from ._value import Value
@@ -39,18 +39,24 @@ class RationalPolynomial(Value):
         """Degree, with -1 for the zero polynomial."""
         return len(self.coefficients) - 1
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """D, the least common denominator of the coefficients, and the coefficients of D * self."""
+        den = math.lcm(*(c.denominator for c in self.coefficients))
+        return den, tuple(c.numerator * (den // c.denominator) for c in self.coefficients)
+
     def evaluate(self, x: Fraction | int) -> Fraction:
         """The exact value at x, with one reduction instead of one per coefficient.
 
-        D * self, with D the least common denominator of the coefficients, is
-        evaluated in integers at x = u/v, homogenised: neighbouring terms
-        combine pairwise, lo * v^w + hi * u^w, with w = 1, 2, 4, ...
-        (Estrin's scheme), so the value is the last term over D * v^(w - 1).
+        D * self, with D the least common denominator of the coefficients (both
+        computed once per polynomial), is evaluated in integers at x = u/v,
+        homogenised: neighbouring terms combine pairwise, lo * v^w + hi * u^w,
+        with w = 1, 2, 4, ... (Estrin's scheme), so the value is the last term
+        over D * v^(w - 1).
         """
         x = Fraction(x)
         u, v = x.numerator, x.denominator
-        den = math.lcm(*(c.denominator for c in self.coefficients))
-        terms = [c.numerator * (den // c.denominator) for c in self.coefficients]
+        den, terms = self._integer_form
         if not terms:
             return Fraction(0)
         width = 1
@@ -107,11 +113,14 @@ def bernoulli_poly(s: int) -> RationalPolynomial:
 
 
 def _sum_from_bernoulli(k: int, j: int) -> Fraction:
-    """(B_k(j+1) - B_k(0))/k: the sum of h^(k-1) over h = 0..j, counting 0^0 as 1."""
+    """(B_k(j+1) - B_k(0))/k: the sum of h^(k-1) over h = 0..j, counting 0^0 as 1.
+
+    B_k(0) is B_k's constant coefficient, read rather than evaluated.
+    """
     if j < 0:
         raise ValueError("j must be non-negative")
     poly = bernoulli_poly(k)
-    return (poly(j + 1) - poly(0)) / k
+    return (poly(j + 1) - poly.coefficients[0]) / k
 
 
 def faulhaber_sum(s: int, j: int) -> Fraction:

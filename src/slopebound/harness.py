@@ -14,6 +14,11 @@ draws its whole b-sequence with one ``PCG64.bounded`` call, and
 is cut into rows and scaled column by column with ``map(mul, ...)``. Every
 stream is unchanged: a batch draws the same values, in the same order, as one
 call per value.
+
+No link of the chain walks merged breakpoints: links 2 and 3 are prefix sums
+of exponent differences on the unit grid, and link 4 is a breakpoint identity.
+``PiecewiseLinear.dominates`` keeps the merge walk for ``newton --bound`` and
+``check_lower_bound``, whose bounds need not be convex.
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ from operator import mul, sub
 
 from ._pcg64 import PCG64
 from ._value import Value
-from .bernoulli import faulhaber_sum
-from .bounds import build_params, dimension_bound, sharp_dimension_bound
+from .bounds import BoundParams, build_params, dimension_bound, sharp_dimension_bound
 from .counting import ElemDivSeq, _divisor_exponents
 from .newton import IntegerMatrix, matrix_newton_polygon, slope_le_dimension
-from .plf import PiecewiseLinear, f_infinity, f_r, from_divisor_sequence
+from .plf import f_infinity, f_r, from_divisor_sequence
 from .rootsystems import RootSystem
 
 __all__ = [
@@ -159,35 +163,38 @@ class CorollaryReport(Value):
         return ok
 
 
-# 64 holds every (s, g, r) of the acceptance grid (36 keys).
-@lru_cache(maxsize=64)
-def _ramp_constants(s: int, g: int, r: int) -> tuple[PiecewiseLinear, PiecewiseLinear, bool]:
-    """f_r, f_infinity and link 4, which depend on the type only through s, and not on t."""
-    ramp = f_r(s, g, r)
-    limit = f_infinity(s, g, r)
-    return ramp, limit, ramp.agrees_with(limit, g * faulhaber_sum(s, r + 1))
-
-
 # 256 holds every (type, g, r, t) of the acceptance grid (252 keys).
 @lru_cache(maxsize=256)
 def _chain_constants(system: RootSystem, g: int, r: int, t: int) -> tuple:
     """(a_adjusted, f_a, f_r, f_infinity, link 3, link 4): what verify_chain needs that depends
-    only on (system, g, r, t)."""
+    only on (system, g, r, t).
+
+    verify_chain's docstring gives the argument for links 3 and 4. Each run of f_r's exponents is
+    capped at t, the most that link 3 reads; uncapped, repeat's count overflows at E8.
+    """
+    s = system.s
     a_adjusted = _adjusted_divisors(system, g, r, t)
     f_a = from_divisor_sequence(ElemDivSeq(tuple(e for e in a_adjusted if e > 0)), r, t)
-    ramp, limit, fr_eq_finf_on_window = _ramp_constants(system.s, g, r)
-    return a_adjusted, f_a, ramp, limit, f_a.dominates(ramp, t), fr_eq_finf_on_window
+    ramp_exponents = chain.from_iterable(repeat(r - j, min(t, g * (j + 1) ** (s - 1))) for j in range(r))
+    fa_ge_fr = min(accumulate(map(sub, chain(ramp_exponents, repeat(0)), a_adjusted), initial=0)) >= 0
+    ramp, limit = f_r(s, g, r), f_infinity(s, g, r)
+    (x0, y0), (x1, y1) = limit.breakpoints[-2:]
+    fr_eq_finf_on_window = (ramp.breakpoints == limit.breakpoints[:r + 1]
+                            and y1 - y0 == ramp.final_slope * (x1 - x0))
+    return a_adjusted, f_a, ramp, limit, fa_ge_fr, fr_eq_finf_on_window
 
 
 def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
     """Check polygon >= f_b >= f_a >= f_r plus the f_r/f_infinity coincidence window.
 
-    Only the first two links depend on the instance; link 3 is computed once
-    per (system, g, r, t), and f_r, f_infinity and link 4 once per (s, g, r).
-    The b-sequence is non-increasing, so f_b is convex and the polygon minus
-    f_b is concave on each hull segment: the polygon dominates f_b exactly
-    when its vertices do. Link 1 compares only those, each with f_b's
-    breakpoint at the same integer x.
+    Only the first two links depend on the instance; links 3 and 4, with the
+    profiles f_a, f_r and f_infinity, are computed once per (system, g, r, t).
+    No link walks merged breakpoints.
+
+    Link 1: the b-sequence is non-increasing, so f_b is convex and the
+    polygon minus f_b is concave on each hull segment: the polygon dominates
+    f_b exactly when its vertices do. Link 1 compares only those, each with
+    f_b's breakpoint at the same integer x.
 
     Link 2: f_b and f_a both have a breakpoint at every integer of [0, t] and
     are linear in between, so f_b >= f_a exactly when C_b(j) - C_a(j), the
@@ -196,6 +203,19 @@ def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
     whenever the guard passes. The check still catches a guard that is
     bypassed or compares the wrong sequences. It is weaker than the guard:
     a b above a at some l passes it while no prefix sum of b exceeds a's.
+
+    Link 3 is link 2's argument with f_r's exponents in place of a and a in
+    place of b, since f_r breaks at integers too. It holds for every type:
+    N_h <= (h+1)^(s-1), because the coefficients of all roots but one simple
+    root fix that root's, so each run of a ends no later than f_r's run of
+    the same exponent. It fails only on a wrong a-sequence.
+
+    Link 4 is a breakpoint identity. The j-th breakpoint of f_r is P_(j-1),
+    so f_r = f_infinity on [0, g*faulhaber_sum(s, r+1)], which ends at P_r,
+    exactly when their first r+1 breakpoints are equal and P_r lies on f_r's
+    ray. f_r sums its breakpoints directly and f_infinity takes its
+    x-coordinates from the Bernoulli closed form, so this checks one against
+    the other.
     """
     if g < 1:
         raise ValueError("g must be positive")
@@ -218,11 +238,12 @@ def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
 
 # 64 holds every (s, g, alpha) of the corollary benchmark's grid (45 keys).
 @lru_cache(maxsize=64)
-def _bounds(s: int, g: int, alpha: Fraction) -> tuple[Fraction, Fraction | None]:
-    """m*alpha^s + n, and m*alpha^s once alpha >= M (else None), which depend only on (s, g, alpha)."""
+def _bounds(s: int, g: int, alpha: Fraction) -> tuple[Fraction, Fraction | None, BoundParams]:
+    """m*alpha^s + n, m*alpha^s once alpha >= M (else None) and the params they come from, which
+    depend only on (s, g, alpha)."""
     params = build_params(s, g)
     sharp = sharp_dimension_bound(params, alpha) if alpha >= params.M else None
-    return dimension_bound(params, alpha), sharp
+    return dimension_bound(params, alpha), sharp, params
 
 
 def verify_corollary(inst: Instance, system: RootSystem, g: int, alpha: Fraction | int) -> CorollaryReport:
@@ -238,6 +259,6 @@ def verify_corollary(inst: Instance, system: RootSystem, g: int, alpha: Fraction
         raise ValueError("alpha must be non-negative")
     a_adjusted = _adjusted_divisors(system, g, inst.r, inst.t)
     _require_hypothesis(inst, a_adjusted)
-    bound, sharp = _bounds(system.s, g, alpha)
+    bound, sharp, params = _bounds(system.s, g, alpha)
     dim = slope_le_dimension(matrix_newton_polygon(inst.matrix, inst.p), alpha)
-    return CorollaryReport(alpha, dim, bound, sharp, build_params(system.s, g))
+    return CorollaryReport(alpha, dim, bound, sharp, params)

@@ -1,17 +1,19 @@
 import hashlib
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopebound import bounds, harness, plf
+from slopebound import bounds, counting, harness, plf
 from slopebound._pcg64 import PCG64
 from slopebound.bernoulli import faulhaber_sum
-from slopebound.counting import ElemDivSeq, truncation_divisors
+from slopebound.counting import ElemDivSeq, count_nh, count_nh_bruteforce, truncation_divisors
 from slopebound.harness import (
     HypothesisViolation,
     corrupt_instance,
@@ -246,7 +248,7 @@ def test_entry_bound_past_int64_raises():
 @pytest.fixture
 def fresh_chain_cache():
     """Empty per-parameter caches of verify_chain and verify_corollary, before the test and after it."""
-    caches = (harness._chain_constants, harness._ramp_constants, harness._bounds)
+    caches = (harness._adjusted_divisors, harness._chain_constants, harness._bounds)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -279,7 +281,8 @@ def test_cached_links_equal_direct_recomputation(fresh_chain_cache):
 
 
 def test_cached_link_can_fail(fresh_chain_cache, monkeypatch):
-    """A ramp raised by x breaks f_a >= f_r at x = 1, where f_a is 0 (a_1 = r)."""
+    """A ramp raised by x is no longer f_infinity's profile, so link 4 fails. Link 3 reads f_r's
+    exponents, not the raised ramp, and still holds."""
     def raised_ramp(s, g, r):
         ramp = f_r(s, g, r)
         return PiecewiseLinear(tuple((x, y + x) for x, y in ramp.breakpoints), ramp.final_slope + 1)
@@ -288,8 +291,25 @@ def test_cached_link_can_fail(fresh_chain_cache, monkeypatch):
     for seed, (system, g, r, t) in enumerate([(A1, 1, 1, 2), (A2, 2, 3, 6), (B2, 3, 4, 8)]):
         inst = gen_instance(seed, p=2, t=t, r=r, b_seq=draw_b_seq(seed, system, g, r, t), entry_bound=50)
         report = verify_chain(inst, system, g)
-        assert not report.fa_ge_fr
+        assert report.fa_ge_fr
+        assert not report.fr_eq_finf_on_window
         assert not report.all_hold
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_link_3_fails_on_a1_with_n1_raised(fresh_chain_cache, monkeypatch, g):
+    """A1 is the tight case, N_h = 1 = (h+1)^0: with N_1 raised by one, a stays at r - 1 one step
+    past f_r's run, so link 3 fails from t = 2g + 1 on, and holds up to t = 2g. The merge walk
+    agrees at every t."""
+    monkeypatch.setattr(counting, "count_nh", lambda system, H: tuple(
+        n + (h == 1) for h, n in enumerate(count_nh(system, H))))
+    r = 3
+    for t in range(1, 4 * g + 1):
+        inst = gen_instance(t, p=2, t=t, r=r, b_seq=draw_b_seq(t, A1, g, r, t), entry_bound=50)
+        report = verify_chain(inst, A1, g)
+        assert report.fa_ge_fr == (t <= 2 * g) == report.f_a.dominates(report.f_r, t)
+        assert report.fr_eq_finf_on_window
+        assert report.all_hold == (t <= 2 * g)
 
 
 def test_link_4_can_fail(fresh_chain_cache, monkeypatch):
@@ -299,6 +319,74 @@ def test_link_4_can_fail(fresh_chain_cache, monkeypatch):
     report = verify_chain(inst, A2, 1)
     assert report.fr_eq_finf_on_window is False
     assert report.all_hold is False
+
+
+LINK_3_TYPES = [A1, A2, build_root_system("A", 3), B2, G2, build_root_system("C", 3)]
+
+
+@given(st.sampled_from(LINK_3_TYPES), st.integers(1, 3), st.integers(1, 6), st.integers(1, 300), st.data())
+@settings(max_examples=200, deadline=None)
+def test_link_3_from_prefix_sums_equals_the_merge_walk(system, g, r, t, data):
+    """With the first a_l of one run raised towards a_(l-1) (a_0 = r), which draws f_a lower and
+    keeps a non-increasing, so that both verdicts occur; A1 is tight, so any raise there breaks
+    link 3. a is all r when t is within the first run, and is then left as it is."""
+    a = list(harness._adjusted_divisors.__wrapped__(system, g, r, t))
+    run_starts = [l for l in range(t) if a[l] < (a[l - 1] if l else r)] or [0]
+    l = data.draw(st.sampled_from(run_starts))
+    a[l] = data.draw(st.integers(a[l], a[l - 1] if l else r))
+    with patch.object(harness, "_adjusted_divisors", lambda *key: tuple(a)):
+        _, f_a, ramp, _, fa_ge_fr, _ = harness._chain_constants.__wrapped__(system, g, r, t)
+    assert fa_ge_fr == f_a.dominates(ramp, t)
+
+
+@given(st.integers(1, 11), st.integers(1, 3), st.integers(1, 14), st.sampled_from(["none", "from P_1", "one P_j"]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_link_4_as_a_breakpoint_identity_equals_the_merge_walk(s, g, r, wrong, data):
+    """On f_infinity from the true closed form, and from a wrong one: every P_j from P_1 on moved
+    right by 1, or one drawn P_j moved right by 1/2, less than any gap between two of them. Link 4
+    depends on the type only through s, so a stand-in type carries s."""
+    true_sum = faulhaber_sum
+    if wrong == "from P_1":
+        moved = lambda s, j: true_sum(s, j) + (j >= 2)
+    elif wrong == "one P_j":
+        k = data.draw(st.integers(1, r + 1))
+        moved = lambda s, j: true_sum(s, j) + Fraction(j == k, 2)
+    else:
+        moved = true_sum
+    with patch.object(plf, "faulhaber_sum", moved), \
+            patch.object(harness, "_adjusted_divisors", lambda system, g, r, t: (0,) * t):
+        _, _, ramp, limit, _, fr_eq_finf_on_window = harness._chain_constants.__wrapped__(
+            SimpleNamespace(s=s), g, r, 1)
+    assert fr_eq_finf_on_window == ramp.agrees_with(limit, g * true_sum(s, r + 1)) == (wrong == "none")
+
+
+def test_chain_walks_no_merged_breakpoints(fresh_chain_cache, monkeypatch):
+    """Every link holds on every acceptance-grid cell with dominates and agrees_with failing on call."""
+    monkeypatch.setattr(PiecewiseLinear, "dominates", lambda *args: pytest.fail("dominates was called"))
+    monkeypatch.setattr(PiecewiseLinear, "agrees_with", lambda *args: pytest.fail("agrees_with was called"))
+    systems = {"A1": A1, "A2": A2, "B2": B2}
+    for i, (label, g, p, r, t) in enumerate(product(sorted(systems), (1, 2, 3), (2, 3, 5), (1, 2, 3, 4), range(2, 9))):
+        system = systems[label]
+        inst = gen_instance(i, p=p, t=t, r=r, b_seq=draw_b_seq(i, system, g, r, t), entry_bound=50)
+        assert verify_chain(inst, system, g).all_hold
+
+
+# H for each type, small enough for count_nh_bruteforce
+LEMMA_CASES = [(A1, 30), (A2, 30), (B2, 15), (G2, 8), (build_root_system("A", 3), 8), (build_root_system("C", 3), 4)]
+
+
+@pytest.mark.parametrize("system, H", LEMMA_CASES, ids=lambda case: getattr(case, "label", case))
+def test_nh_lemma_behind_link_3(system, H):
+    """N_h <= prod over all roots but one simple root of (h // ht_i + 1) <= (h+1)^(s-1): the other
+    coefficients fix the simple root's. A1 is tight, N_h = 1 = (h+1)^0."""
+    others = list(system.heights)
+    others.remove(1)
+    for h, n in enumerate(count_nh_bruteforce(system, H)):
+        product_bound = math.prod(h // ht + 1 for ht in others)
+        assert n <= product_bound <= (h + 1) ** (system.s - 1)
+        if system.s == 1:
+            assert n == product_bound == (h + 1) ** (system.s - 1)
 
 
 def test_cached_bounds_equal_direct_recomputation(fresh_chain_cache):
@@ -311,11 +399,14 @@ def test_cached_bounds_equal_direct_recomputation(fresh_chain_cache):
             inst = gen_instance(n, p=2, t=4, r=2, b_seq=draw_b_seq(n, system, g, 2, 4), entry_bound=50)
             for alpha in (Fraction(params.M), params.M - Fraction(1, 2)):
                 sharp = bounds.sharp_dimension_bound(params, alpha) if alpha >= params.M else None
-                expected = (bounds.dimension_bound(params, alpha), sharp)
+                expected = (bounds.dimension_bound(params, alpha), sharp, params)
                 assert harness._bounds(system.s, g, alpha) == expected
                 report = verify_corollary(inst, system, g, alpha)
-                assert (report.bound, report.sharp_bound, report.params) == (*expected, params)
+                assert (report.bound, report.sharp_bound, report.params) == expected
     assert harness._bounds.cache_info()[:2] == (3 * len(keys) * 2, len(keys) * 2)  # hits, misses
+    # the report's params come from the same lookup as its bounds
+    with patch.object(harness, "build_params", lambda s, g: pytest.fail("build_params was called")):
+        assert verify_corollary(inst, system, g, alpha).params == params
 
 
 @st.composite
