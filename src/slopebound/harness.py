@@ -236,29 +236,36 @@ def verify_chain(inst: Instance, system: RootSystem, g: int) -> ChainReport:
     )
 
 
-# 64 holds every (s, g, alpha) of the corollary benchmark's grid (45 keys).
+# Keyed on alpha = num/den in lowest terms, so equal alphas of any type share one entry and a hit
+# hashes and compares ints only. 64 holds every (s, g, alpha) of the corollary benchmark's grid
+# (45 keys).
 @lru_cache(maxsize=64)
-def _bounds(s: int, g: int, alpha: Fraction) -> tuple[Fraction, Fraction | None, BoundParams]:
-    """m*alpha^s + n, m*alpha^s once alpha >= M (else None) and the params they come from, which
-    depend only on (s, g, alpha)."""
-    params = build_params(s, g)
+def _bounds(s: int, g: int, num: int, den: int) -> tuple[Fraction, Fraction, Fraction | None, BoundParams]:
+    """alpha = num/den as a Fraction, m*alpha^s + n, m*alpha^s once alpha >= M (else None) and the
+    params they come from, which depend only on (s, g, alpha)."""
+    alpha, params = Fraction(num, den), build_params(s, g)
     sharp = sharp_dimension_bound(params, alpha) if alpha >= params.M else None
-    return dimension_bound(params, alpha), sharp, params
+    return alpha, dimension_bound(params, alpha), sharp, params
 
 
 def verify_corollary(inst: Instance, system: RootSystem, g: int, alpha: Fraction | int) -> CorollaryReport:
     """Check slope_le_dimension <= m*alpha^s + n (and <= m*alpha^s once alpha >= M).
+
+    alpha is read once as num/den in lowest terms: an int or a Fraction directly, any other type
+    through Fraction(alpha), which raises on what is not a number. The sign is checked on num, and
+    the report's alpha is the Fraction cached with the bounds, so a call whose bounds are cached
+    builds, compares and hashes no Fraction.
 
     Only the slope count depends on the instance. It is slope_le_dimension on the memoized
     matrix_newton_polygon, so the polygon is computed once for all alphas of one matrix, and the
     count compares each edge of its int vertices with alpha by cross-multiplication. The bounds
     are computed once per (s, g, alpha).
     """
-    alpha = Fraction(alpha)
-    if alpha < 0:
+    num, den = (alpha if isinstance(alpha, (int, Fraction)) else Fraction(alpha)).as_integer_ratio()
+    if num < 0:
         raise ValueError("alpha must be non-negative")
     a_adjusted = _adjusted_divisors(system, g, inst.r, inst.t)
     _require_hypothesis(inst, a_adjusted)
-    bound, sharp, params = _bounds(system.s, g, alpha)
+    alpha, bound, sharp, params = _bounds(system.s, g, num, den)
     dim = slope_le_dimension(matrix_newton_polygon(inst.matrix, inst.p), alpha)
     return CorollaryReport(alpha, dim, bound, sharp, params)

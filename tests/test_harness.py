@@ -1,6 +1,8 @@
 import hashlib
 import math
+import re
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -15,6 +17,7 @@ from slopebound._pcg64 import PCG64
 from slopebound.bernoulli import faulhaber_sum
 from slopebound.counting import ElemDivSeq, count_nh, count_nh_bruteforce, truncation_divisors
 from slopebound.harness import (
+    CorollaryReport,
     HypothesisViolation,
     corrupt_instance,
     draw_b_seq,
@@ -399,14 +402,94 @@ def test_cached_bounds_equal_direct_recomputation(fresh_chain_cache):
             inst = gen_instance(n, p=2, t=4, r=2, b_seq=draw_b_seq(n, system, g, 2, 4), entry_bound=50)
             for alpha in (Fraction(params.M), params.M - Fraction(1, 2)):
                 sharp = bounds.sharp_dimension_bound(params, alpha) if alpha >= params.M else None
-                expected = (bounds.dimension_bound(params, alpha), sharp, params)
-                assert harness._bounds(system.s, g, alpha) == expected
+                expected = (alpha, bounds.dimension_bound(params, alpha), sharp, params)
+                assert harness._bounds(system.s, g, *alpha.as_integer_ratio()) == expected
                 report = verify_corollary(inst, system, g, alpha)
-                assert (report.bound, report.sharp_bound, report.params) == expected
+                assert (report.alpha, report.bound, report.sharp_bound, report.params) == expected
     assert harness._bounds.cache_info()[:2] == (3 * len(keys) * 2, len(keys) * 2)  # hits, misses
     # the report's params come from the same lookup as its bounds
     with patch.object(harness, "build_params", lambda s, g: pytest.fail("build_params was called")):
         assert verify_corollary(inst, system, g, alpha).params == params
+
+
+def test_warm_corollary_builds_compares_and_hashes_no_fraction(fresh_chain_cache, monkeypatch):
+    """Once _bounds holds an alpha, verify_corollary at it, given as an int or as a Fraction, calls no
+    Fraction constructor, hash or comparison."""
+    inst = gen_instance(21, p=2, t=6, r=3, b_seq=ElemDivSeq((2, 1)), entry_bound=40)
+    alphas = (0, 2, 20, Fraction(0), Fraction(1, 2), Fraction(20))  # M(3) = 20: both bound branches
+    expected = [verify_corollary(inst, A2, 1, alpha) for alpha in alphas]  # fills every cache
+    calls = []
+    for name in ("__new__", "__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        def spy(*args, _name=name, _method=getattr(Fraction, name), **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(Fraction, name, spy)
+    reports = [verify_corollary(inst, A2, 1, alpha) for alpha in alphas]
+    assert calls == []
+    assert harness._bounds.cache_info().misses == 4
+    # the spies see what they wrap
+    third = Fraction(1, 3)
+    assert hash(third) and third < 1
+    assert calls == ["__new__", "__hash__", "__lt__"]
+    monkeypatch.undo()
+    assert reports == expected
+
+
+class _FractionSubclass(Fraction):
+    """A Fraction subclass: verify_corollary reads it as directly as a Fraction."""
+
+
+def _alpha_forms(value: Fraction) -> list:
+    """value as every type verify_corollary takes: a Fraction, a Fraction subclass, a float and a
+    Decimal (both exact, the denominator being a power of 2), a "p/q" string, and an int and a bool
+    where value is one."""
+    num, den = value.as_integer_ratio()
+    forms = [value, _FractionSubclass(value), num / den, Decimal(num) / Decimal(den), f"{num}/{den}"]
+    if den == 1:
+        forms.append(num)
+        if num in (0, 1):
+            forms.append(bool(num))
+    return forms
+
+
+def test_corollary_reads_alpha_in_every_form(fresh_chain_cache):
+    """Each form of a dyadic alpha in [0, 40] gives the report recomputed directly from
+    dimension_bound, sharp_dimension_bound and slope_le_dimension, by == and by repr, and all of them
+    together cost one _bounds miss. Each form of -alpha raises."""
+    seen = set()
+
+    @given(st.sampled_from([A1, A2]), st.integers(1, 3), st.integers(0, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def check(system, g, k, data):
+        value = Fraction(data.draw(st.integers(0, 40 << k)), 1 << k)
+        inst = gen_instance(k, p=2, t=6, r=2, b_seq=draw_b_seq(k, system, g, 2, 6), entry_bound=50)
+        params = bounds.build_params.__wrapped__(system.s, g)
+        sharp = bounds.sharp_dimension_bound(params, value) if value >= params.M else None
+        dimension = slope_le_dimension(newton_polygon(char_poly(inst.matrix), inst.p), value)
+        expected = CorollaryReport(value, dimension, bounds.dimension_bound(params, value), sharp, params)
+        harness._bounds.cache_clear()
+        for alpha in _alpha_forms(value):
+            report = verify_corollary(inst, system, g, alpha)
+            assert report == expected
+            assert repr(report) == repr(expected)
+        assert harness._bounds.cache_info().misses == 1
+        for alpha in _alpha_forms(-value) if value else ():
+            with pytest.raises(ValueError, match="^alpha must be non-negative$"):
+                verify_corollary(inst, system, g, alpha)
+        seen.add((value.denominator == 1, sharp is not None))
+
+    check()
+    assert seen == set(product((False, True), repeat=2))
+
+
+@pytest.mark.parametrize("alpha", [None, object(), [1], 1j, "abc", "1/0", float("nan"), float("-inf"),
+                                   Decimal("NaN"), Decimal("Infinity")])
+def test_corollary_raises_on_a_non_number_what_fraction_raises(alpha):
+    with pytest.raises(Exception) as direct:
+        Fraction(alpha)
+    inst = gen_instance(21, p=2, t=6, r=3, b_seq=ElemDivSeq((2, 1)), entry_bound=40)
+    with pytest.raises(type(direct.value), match=f"^{re.escape(str(direct.value))}$"):
+        verify_corollary(inst, A2, 1, alpha)
 
 
 @st.composite
